@@ -19,7 +19,7 @@ import numpy as np
 import scipy.integrate
 
 from .errors import ParameterError, TruncationWarning
-from .opuc import EnsembleParams, SpectralMeasure
+from .opuc import TWO_PI, EnsembleParams, SpectralMeasure
 from .sampling import complex_log_gamma
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "ks_distance",
     "weight_gap_stat",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import __version__, harness
-from .errors import CircJacobiError, ParameterError
+from .errors import CircJacobiError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-re", type=float, dest="delta_re", help="Re of the tilt exponent")
     p.add_argument("--delta-im", type=float, dest="delta_im", help="Im of the tilt exponent")
     p.add_argument("--samples", type=int, help="number of sampled matrices")
-    p.add_argument("--workers", type=int, help="parallel RNG streams (ordered reduce)")
     _add_common(p)
 
     p = sub.add_parser("dump-matrix", help="sample one matrix and dump it as JSON")
@@ -84,10 +83,7 @@ def main(argv=None) -> int:
         file_values = harness.parse_config_file(config_path) if config_path else None
         config = harness.build_config(command, file_values, overrides)
         manifest = harness.COMMANDS[command](config)
-    except (ParameterError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CircJacobiError as exc:
+    except (CircJacobiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for check in manifest.checks:

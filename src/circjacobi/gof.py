@@ -13,6 +13,7 @@ import scipy.integrate
 import scipy.stats
 
 from .errors import ParameterError
+from .opuc import TWO_PI
 from .sampling import (
     DiskDensitySpec,
     complex_log_gamma,
@@ -32,7 +33,6 @@ __all__ = [
     "tilted_disk_power_moment",
 ]
 
-TWO_PI = 2.0 * np.pi
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 

@@ -12,15 +12,14 @@ import hashlib
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__, analysis, gof, models, opuc, sampling
+from . import tolerances as tol
 from .errors import ParameterError
-
-TWO_PI = 2.0 * np.pi
+from .opuc import TWO_PI
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -30,7 +29,7 @@ _COMMON = {"seed": int, "stream": int, "out": str, "format": str}
 SCHEMAS: dict[str, dict[str, type]] = {
     "sample": {
         "n": int, "beta": float, "delta_re": float, "delta_im": float,
-        "samples": int, "workers": int, **_COMMON,
+        "samples": int, **_COMMON,
     },
     "dump-matrix": {
         "n": int, "beta": float, "delta_re": float, "delta_im": float, **_COMMON,
@@ -49,8 +48,7 @@ SCHEMAS: dict[str, dict[str, type]] = {
 DEFAULTS: dict[str, dict] = {
     "sample": {
         "n": 4, "beta": 2.0, "delta_re": 0.0, "delta_im": 0.0, "samples": 10,
-        "workers": 1, "seed": 1234, "stream": 0, "out": "samples.csv",
-        "format": "csv",
+        "seed": 1234, "stream": 0, "out": "samples.csv", "format": "csv",
     },
     "dump-matrix": {
         "n": 4, "beta": 2.0, "delta_re": 0.0, "delta_im": 0.0, "seed": 1234,
@@ -220,30 +218,15 @@ def cmd_sample(config: dict) -> RunManifest:
     total = config["samples"]
     if total < 1:
         raise ParameterError("samples must be >= 1")
-    workers = max(1, config["workers"])
-    base, rem = divmod(total, workers)
-    blocks = [(w, base + (1 if w < rem else 0)) for w in range(workers)]
-
-    def run_block(block):
-        widx, count = block
-        rng = sampling.SeededRng(config["seed"], config["stream"] + widx)
-        return [models.sample_cj_spectrum(rng, params) for _ in range(count)]
-
-    if workers == 1:
-        results = [run_block(blocks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))  # ordered reduce by stream
+    rng = sampling.SeededRng(config["seed"], config["stream"])
 
     rows = []
     worst_sum = 0.0
-    sample_id = 0
-    for chunk in results:
-        for measure in chunk:
-            worst_sum = max(worst_sum, abs(measure.weights.sum() - 1.0))
-            for j in range(params.n):
-                rows.append((sample_id, j, float(measure.thetas[j]), float(measure.weights[j])))
-            sample_id += 1
+    for sample_id in range(total):
+        measure = models.sample_cj_spectrum(rng, params)
+        worst_sum = max(worst_sum, abs(measure.weights.sum() - 1.0))
+        for j in range(params.n):
+            rows.append((sample_id, j, float(measure.thetas[j]), float(measure.weights[j])))
 
     manifest = RunManifest("sample", config)
     cfg_hash = config_hash(config)
@@ -251,7 +234,7 @@ def cmd_sample(config: dict) -> RunManifest:
     manifest.outputs.append(config["out"])
     manifest.checks.append(
         CheckResult("sample-weight-normalization", "deterministic",
-                    worst_sum <= 1e-10, worst_sum, "max |sum(weights) - 1| per sample")
+                    worst_sum <= tol.STRUCTURAL_TOL, worst_sum, "max |sum(weights) - 1| per sample")
     )
     manifest.summary = {"samples": total, "rows": len(rows)}
     # how many eigenangles land outside the large-n support window for the
@@ -292,7 +275,7 @@ def cmd_dump_matrix(config: dict) -> RunManifest:
     manifest.outputs.append(config["out"])
     manifest.checks.append(
         CheckResult("matrix-unitarity", "deterministic",
-                    u.unitarity_residual <= 1e-10, u.unitarity_residual)
+                    u.unitarity_residual <= tol.STRUCTURAL_TOL, u.unitarity_residual)
     )
     manifest.wall_clock_s = time.perf_counter() - t0
     manifest.write(config["out"] + ".manifest.json")
@@ -404,7 +387,8 @@ def cmd_plot_data(config: dict) -> RunManifest:
 # verification suite
 
 
-def _random_alphas(gen: np.random.Generator, n: int) -> opuc.VerblunskyCoeffs:
+def random_alphas(gen: np.random.Generator, n: int) -> opuc.VerblunskyCoeffs:
+    """Valid coefficient vector: interior points in the disk, last on the circle."""
     radii = np.sqrt(gen.uniform(0.0, 0.95, n))
     phases = gen.uniform(0.0, TWO_PI, n)
     alphas = radii * np.exp(1j * phases)
@@ -412,119 +396,125 @@ def _random_alphas(gen: np.random.Generator, n: int) -> opuc.VerblunskyCoeffs:
     return opuc.VerblunskyCoeffs(alphas)
 
 
-def _check_factorization(gen, *, inject_bug: bool = False) -> CheckResult:
+def _rel_err(value, reference) -> float:
+    return abs(value - reference) / max(abs(reference), np.finfo(float).tiny)
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+# Each check takes its inputs -- coefficient sets, parameter tuples or an
+# already-drawn sample -- and reads its bound from `tolerances`.  `verify`
+# and the acceptance tests call the same functions on their own corpora.
+
+
+def check_factorization(corpus, *, inject_bug: bool = False) -> CheckResult:
+    """GGT matrix = AGR block product = reflection product of the gammas."""
     worst = 0.0
-    for n in (2, 4, 8, 16, 32):
-        for _ in range(8):
-            coeffs = _random_alphas(gen, n)
-            ggt = models.ggt_from_alpha(coeffs, _alpha_init=1.0 if inject_bug else -1.0)
-            agr = models.agr_product(coeffs)
-            refl = models.reflection_product(opuc.gamma_from_alpha(coeffs))
-            worst = max(
-                worst,
-                float(np.max(np.abs(ggt.entries - agr.entries))),
-                float(np.max(np.abs(ggt.entries - refl.entries))),
-            )
+    for coeffs in corpus:
+        ggt = models.ggt_from_alpha(coeffs, _alpha_init=1.0 if inject_bug else -1.0).entries
+        agr = models.agr_product(coeffs).entries
+        refl = models.reflection_product(opuc.gamma_from_alpha(coeffs)).entries
+        worst = max(worst, _max_abs_diff(ggt, agr), _max_abs_diff(ggt, refl))
     return CheckResult("factorization-three-models", "deterministic",
-                       worst <= 1e-10, worst, "max entrywise spread across constructions")
+                       worst <= tol.STRUCTURAL_TOL, worst,
+                       "max entrywise spread across constructions")
 
 
-def _check_char_poly(gen) -> CheckResult:
+def check_char_poly(corpus) -> CheckResult:
+    """det(Id - U) = prod_k (1 - gamma_k), relative error."""
     worst = 0.0
-    for n in (2, 4, 8, 16, 32):
-        for _ in range(4):
-            coeffs = _random_alphas(gen, n)
-            gammas = opuc.gamma_from_alpha(coeffs)
-            dec = models.eigen_unitary(models.ggt_from_alpha(coeffs))
-            lhs = complex(np.prod(1.0 - dec.eigenvalues))
-            rhs = opuc.char_poly_at_one(gammas)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return CheckResult("char-poly-product", "deterministic", worst <= 1e-8, worst)
+    for coeffs in corpus:
+        lam = models.eigen_unitary(models.ggt_from_alpha(coeffs)).eigenvalues
+        rhs = opuc.char_poly_at_one(opuc.gamma_from_alpha(coeffs))
+        worst = max(worst, _rel_err(complex(np.prod(1.0 - lam)), rhs))
+    return CheckResult("char-poly-product", "deterministic",
+                       worst <= tol.CHAR_POLY_REL_TOL, worst)
 
 
-def _check_cmv(gen) -> CheckResult:
-    coeffs = _random_alphas(gen, 16)
+def check_cmv(coeffs: opuc.VerblunskyCoeffs) -> CheckResult:
+    """The CMV matrix is five-diagonal and has the GGT spectrum."""
     cmv = models.cmv_from_alpha(coeffs)
-    band = np.abs(cmv.entries)
-    mask = np.abs(np.subtract.outer(np.arange(16), np.arange(16))) > 2
-    off_band = float(band[mask].max())
+    idx = np.arange(coeffs.n)
+    off_band = float(np.abs(cmv.entries)[np.abs(np.subtract.outer(idx, idx)) > 2].max())
     lam_c = models.eigen_unitary(cmv).eigenvalues
     lam_h = models.eigen_unitary(models.ggt_from_alpha(coeffs)).eigenvalues
     spec_diff = float(np.max(np.min(np.abs(lam_c[:, None] - lam_h[None, :]), axis=1)))
-    ok = off_band <= 1e-14 and spec_diff <= 1e-9
+    ok = off_band <= tol.CMV_BAND_TOL and spec_diff <= tol.EIGEN_RESIDUAL_TOL
     return CheckResult("cmv-bandwidth-and-spectrum", "deterministic", ok,
                        max(off_band, spec_diff))
 
 
-def _check_roundtrips(gen) -> CheckResult:
+def check_coefficient_roundtrip(corpus) -> CheckResult:
+    """alpha -> gamma -> alpha reproduces the coefficients."""
     worst = 0.0
-    for n in (2, 5, 16, 64):
-        for _ in range(10):
-            coeffs = _random_alphas(gen, n)
-            back = opuc.alpha_from_gamma(opuc.gamma_from_alpha(coeffs))
-            worst = max(worst, float(np.max(np.abs(back.alphas - coeffs.alphas))))
-    return CheckResult("coefficient-roundtrip", "deterministic", worst <= 1e-12, worst)
+    for coeffs in corpus:
+        back = opuc.alpha_from_gamma(opuc.gamma_from_alpha(coeffs))
+        worst = max(worst, _max_abs_diff(back.alphas, coeffs.alphas))
+    return CheckResult("coefficient-roundtrip", "deterministic",
+                       worst <= tol.ROUNDTRIP_TOL, worst)
 
 
-def _check_measure_roundtrip(gen) -> CheckResult:
+def check_measure_roundtrip(corpus) -> CheckResult:
+    """alpha -> spectral measure of the GGT matrix -> alpha reproduces the coefficients."""
     worst = 0.0
-    for n in (2, 8, 16):
-        coeffs = _random_alphas(gen, n)
+    for coeffs in corpus:
         measure = models.spectral_measure(models.ggt_from_alpha(coeffs))
         back = opuc.verblunsky_from_measure(measure)
-        worst = max(worst, float(np.max(np.abs(back.alphas - coeffs.alphas))))
-    return CheckResult("measure-roundtrip", "deterministic", worst <= 1e-8, worst)
+        worst = max(worst, _max_abs_diff(back.alphas, coeffs.alphas))
+    return CheckResult("measure-roundtrip", "deterministic",
+                       worst <= tol.MEASURE_ROUNDTRIP_TOL, worst)
 
 
-def _check_szego_pointwise(gen) -> CheckResult:
-    coeffs = _random_alphas(gen, 12)
+def check_szego_pointwise(coeffs: opuc.VerblunskyCoeffs, zs: np.ndarray) -> CheckResult:
+    """Phi_{j+1}(z) = z Phi_j(z) - conj(alpha_j) Phi_j^*(z) at the points zs."""
     chain = opuc.szego_polynomials(coeffs)
-    zs = np.exp(1j * gen.uniform(0.0, TWO_PI, 50))
     worst = 0.0
     for j, a in enumerate(coeffs.alphas):
         lhs = chain[j + 1].eval_phi(zs)
         rhs = zs * chain[j].eval_phi(zs) - np.conj(a) * chain[j].eval_phi_star(zs)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return CheckResult("szego-pointwise", "deterministic", worst <= 1e-11, worst)
+        worst = max(worst, _max_abs_diff(lhs, rhs))
+    return CheckResult("szego-pointwise", "deterministic", worst <= tol.RECURSION_TOL, worst)
 
 
-def _check_poly_factorization(gen) -> CheckResult:
-    coeffs = _random_alphas(gen, 10)
+def check_coefficient_function_factorization(coeffs: opuc.VerblunskyCoeffs, zs) -> CheckResult:
+    """Phi_k(z) = prod_{j<k} (z - gamma_j(z)) at each point z of zs."""
     chain = opuc.szego_polynomials(coeffs)
     worst = 0.0
-    for _ in range(50):
-        z = gen.uniform(0, 0.9) * np.exp(1j * gen.uniform(0, TWO_PI))
+    for z in zs:
         gvals = opuc.gamma_functions_at(coeffs, z)
         for k in range(1, coeffs.n + 1):
-            lhs = complex(np.prod(z - gvals[:k]))
-            rhs = complex(chain[k].eval_phi(z))
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+            worst = max(worst, _rel_err(complex(np.prod(z - gvals[:k])),
+                                        complex(chain[k].eval_phi(z))))
     return CheckResult("coefficient-function-factorization", "deterministic",
-                       worst <= 1e-10, worst)
+                       worst <= tol.STRUCTURAL_TOL, worst)
 
 
-def _check_disk_integral() -> CheckResult:
+def check_disk_integral(triples) -> CheckResult:
+    """Quadrature of the disk integral at each (ell, s, t) against its closed form."""
     worst = 0.0
-    for ell, s, t in ((1.0, 1.0, 1.0), (2.5, 1 + 1j, 1 - 1j), (0.5, 0.5, 0.5)):
-        quad = gof.disk_integral_quad(ell, s, t)
-        closed = gof.disk_integral_closed(ell, s, t)
-        worst = max(worst, abs(quad - closed) / abs(closed))
-    return CheckResult("disk-integral-identity", "deterministic", worst <= 1e-6, worst)
+    for ell, s, t in triples:
+        worst = max(worst, _rel_err(gof.disk_integral_quad(ell, s, t),
+                                    gof.disk_integral_closed(ell, s, t)))
+    return CheckResult("disk-integral-identity", "deterministic",
+                       worst <= tol.QUAD_REL_TOL, worst)
 
 
-def _check_partition_quadrature() -> CheckResult:
+def check_partition_quadrature(cases) -> CheckResult:
+    """Closed-form angular partition function at each (n, beta, s, t) against quadrature."""
     worst = 0.0
-    for n, beta, s, t in ((1, 2.0, 1.0, 1.0), (2, 2.0, 1.0, 1.0)):
-        quad = gof.partition_quad(n, beta, s, t)
-        closed = analysis.partition_zst(n, beta, s, t)
-        worst = max(worst, abs(quad - closed) / abs(closed))
-    return CheckResult("partition-quadrature", "deterministic", worst <= 1e-5, worst)
+    for n, beta, s, t in cases:
+        worst = max(worst, _rel_err(gof.partition_quad(n, beta, s, t),
+                                    analysis.partition_zst(n, beta, s, t)))
+    return CheckResult("partition-quadrature", "deterministic",
+                       worst <= tol.PARTITION_REL_TOL, worst)
 
 
-def _check_mft_factorization() -> CheckResult:
-    params = opuc.EnsembleParams(6, 3.0, 0.7 + 0.4j)
+def check_mft_factorization(params: opuc.EnsembleParams, exponents) -> CheckResult:
+    """The joint transform of det(Id - U) at each (s, t) factorizes over the coefficients."""
     worst = 0.0
-    for s, t in ((0.0, 1.0), (1.0, 2.0), (-0.5, 1.5)):
+    for s, t in exponents:
         whole = analysis.mellin_fourier(params, s, t)
         parts = 1.0 + 0.0j
         u, v = 0.5 * (t + s), 0.5 * (t - s)
@@ -532,111 +522,154 @@ def _check_mft_factorization() -> CheckResult:
             parts *= gof.tilted_disk_power_moment(
                 params.beta_half * (params.n - k - 1), params.delta, u, v
             )
-        worst = max(worst, abs(whole - parts) / abs(whole))
-    return CheckResult("mft-factorization", "deterministic", worst <= 1e-10, worst)
+        worst = max(worst, _rel_err(parts, whole))
+    return CheckResult("mft-factorization", "deterministic", worst <= tol.STRUCTURAL_TOL, worst)
 
 
-def _check_b_const() -> CheckResult:
-    diff = abs(analysis.b_const(1.0) - analysis.b_const_finite_n(1.0, 400))
-    return CheckResult("b-const-two-route", "deterministic", diff <= 0.02, diff)
+def check_b_const_two_route(ds) -> CheckResult:
+    """B(d) in closed form against its finite-n route at n = 400, for each d."""
+    diff = max(abs(analysis.b_const(d) - analysis.b_const_finite_n(d, 400)) for d in ds)
+    return CheckResult("b-const-two-route", "deterministic",
+                       diff <= tol.B_CONST_TWO_ROUTE_TOL, diff)
 
 
-def _check_rate_minimizer() -> CheckResult:
-    lp = analysis.limit_params(1.0)
-    rate = analysis.rate_function(1.0, analysis.mu_d_grid(lp)).rate
-    return CheckResult("rate-at-minimizer", "deterministic", abs(rate) <= 1e-3, rate)
+def check_rate_at_minimizer(ds) -> CheckResult:
+    """The rate function vanishes at the limit measure mu_d, for each d."""
+    rates = [analysis.rate_function(d, analysis.mu_d_grid(analysis.limit_params(d))).rate
+             for d in ds]
+    worst = max(rates, key=abs)
+    return CheckResult("rate-at-minimizer", "deterministic",
+                       abs(worst) <= tol.RATE_AT_MINIMIZER_TOL, worst)
 
 
-def _check_limit_params() -> CheckResult:
+def check_limit_params_example() -> CheckResult:
+    """At d = 1: alpha_d = -1/2, theta_d = pi/3, xi_d = 0."""
     lp = analysis.limit_params(1.0)
     ok = (
-        abs(lp.alpha_d + 0.5) <= 1e-12
-        and abs(lp.theta_d - np.pi / 3.0) <= 1e-12
-        and abs(lp.xi_d) <= 1e-12
+        abs(lp.alpha_d + 0.5) <= tol.CLOSED_FORM_TOL
+        and abs(lp.theta_d - np.pi / 3.0) <= tol.CLOSED_FORM_TOL
+        and abs(lp.xi_d) <= tol.CLOSED_FORM_TOL
     )
     return CheckResult("limit-params-example", "deterministic", ok)
 
 
-def _stat_checks(seed: int, scale: float) -> list[CheckResult]:
-    out = []
-    size = lambda base: max(int(base * scale), 2000)  # noqa: E731
-    alpha_level = 1e-3
-
-    rng = sampling.SeededRng(seed, 101)
-    draws = sampling.sample_nu_s(rng, 3.0, size=size(20000))
+def check_nu_s_radial(draws: np.ndarray) -> CheckResult:
+    """Draws of nu_3: the squared radius is uniform on (0, 1) (KS test)."""
     _, p = gof.ks_pvalue(np.abs(draws) ** 2, lambda x: np.clip(x, 0, 1))
-    out.append(CheckResult("nu-s-radial-uniformity", "statistical", p >= alpha_level, p))
+    return CheckResult("nu-s-radial-uniformity", "statistical", p >= tol.SIGNIFICANCE, p)
 
-    rng = sampling.SeededRng(seed, 102)
-    spec = sampling.DiskDensitySpec(1.5, 1.0 + 0.5j)
-    z = sampling.sample_gamma_k(rng, spec, size=size(30000))
+
+def check_disk_coefficient(z: np.ndarray, spec: sampling.DiskDensitySpec) -> CheckResult:
+    """Disk coefficient draws follow the density of `spec` (binned chi-square)."""
     _, p, _ = gof.disk_coefficient_chi2(z, spec)
-    out.append(CheckResult("disk-coefficient-chi2", "statistical", p >= alpha_level, p))
+    return CheckResult("disk-coefficient-chi2", "statistical", p >= tol.SIGNIFICANCE, p)
 
-    rng = sampling.SeededRng(seed, 103)
-    zz = sampling.sample_lambda_delta(rng, 1.0 + 1.0j, size=size(30000))
-    _, p, _ = gof.circle_angle_chi2(np.angle(zz), 1.0 + 1.0j)
-    out.append(CheckResult("circle-tilt-chi2", "statistical", p >= alpha_level, p))
 
-    rng = sampling.SeededRng(seed, 104)
-    nsamp = size(50000)
-    z = sampling.sample_gamma_k(rng, sampling.DiskDensitySpec(1.0, 1.0), size=nsamp)
-    se = np.std(z.real) / np.sqrt(nsamp)
-    dev = abs(z.real.mean() + 1.0 / 3.0)
+def check_circle_tilt(z: np.ndarray, delta: complex) -> CheckResult:
+    """Last-coefficient draws on the circle follow the delta-tilted law (binned chi-square)."""
+    _, p, _ = gof.circle_angle_chi2(np.angle(z), delta)
+    return CheckResult("circle-tilt-chi2", "statistical", p >= tol.SIGNIFICANCE, p)
+
+
+def check_weights_law(weights: np.ndarray, thetas: np.ndarray, beta_half: float) -> CheckResult:
+    """Spectral weights are Dirichlet(beta/2, ..., beta/2) and independent of the angles.
+
+    `weights` and `thetas` hold one sampled spectrum per row.  Tests the
+    first two moments of the first weight and its correlation with
+    sum_j cos(theta_j) and sum_j cos(2 theta_j), each in standard errors.
+    """
+    reps, n = weights.shape
+    first = weights[:, 0]
+    second = first**2
+    m1_dev = abs(first.mean() - 1.0 / n) / (first.std(ddof=1) / np.sqrt(reps))
+    m2_exact = (beta_half + 1.0) / (n * (n * beta_half + 1.0))
+    m2_dev = abs(second.mean() - m2_exact) / (second.std(ddof=1) / np.sqrt(reps))
+    c1 = abs(np.corrcoef(first, np.cos(thetas).sum(axis=1))[0, 1]) * np.sqrt(reps)
+    c2 = abs(np.corrcoef(first, np.cos(2 * thetas).sum(axis=1))[0, 1]) * np.sqrt(reps)
+    worst = max(m1_dev, m2_dev, c1, c2)
+    return CheckResult("weights-dirichlet-and-independence", "statistical",
+                       worst <= tol.SE_BOUND, worst,
+                       f"moment devs {m1_dev:.2f}, {m2_dev:.2f} s.e.; "
+                       f"corr devs {c1:.2f}, {c2:.2f} s.e.")
+
+
+def se_deviation(x: np.ndarray, target: float) -> float:
+    """|mean(x) - target| in standard errors of the mean."""
+    return float(abs(x.mean() - target) / (x.std() / np.sqrt(x.size)))
+
+
+def median_esd_ks(rng: sampling.SeededRng, params: opuc.EnsembleParams, reps: int,
+                  lp: analysis.LimitParams) -> float:
+    """Median KS distance to the arc law `lp` of `reps` sampled eigenangle distributions."""
+    cdf = lambda t: analysis.mu_d_cdf(lp, t)  # noqa: E731
+    return statistics.median(
+        analysis.ks_distance(
+            analysis.EmpiricalMeasure.esd(models.sample_cj_spectrum(rng, params).thetas), cdf)
+        for _ in range(reps)
+    )
+
+
+def _stat_checks(seed: int, scale: float) -> list[CheckResult]:
+    size = lambda base: max(int(base * scale), 2000)  # noqa: E731
+    out = [check_nu_s_radial(sampling.sample_nu_s(sampling.SeededRng(seed, 101), 3.0,
+                                                  size=size(20000)))]
+
+    spec = sampling.DiskDensitySpec(1.5, 1.0 + 0.5j)
+    out.append(check_disk_coefficient(
+        sampling.sample_gamma_k(sampling.SeededRng(seed, 102), spec, size=size(30000)), spec))
+
+    delta = 1.0 + 1.0j
+    out.append(check_circle_tilt(
+        sampling.sample_lambda_delta(sampling.SeededRng(seed, 103), delta, size=size(30000)),
+        delta))
+
+    z = sampling.sample_gamma_k(sampling.SeededRng(seed, 104),
+                                sampling.DiskDensitySpec(1.0, 1.0), size=size(50000))
+    dev = se_deviation(z.real, -1.0 / 3.0)
     out.append(CheckResult("coefficient-mean-closed-form", "statistical",
-                           dev <= 3 * se, dev / se, "|mean - (-1/3)| in standard errors"))
+                           dev <= tol.SE_BOUND, dev, "|mean - (-1/3)| in standard errors"))
 
     rng = sampling.SeededRng(seed, 105)
     params = opuc.EnsembleParams(4, 2.0, 1.0)
     reps = size(20000)
-    weights = np.empty((reps, 4))
-    cos_sum = np.empty(reps)
+    weights, thetas = np.empty((reps, 4)), np.empty((reps, 4))
     for i in range(reps):
         m = models.sample_cj_spectrum(rng, params)
-        weights[i] = m.weights
-        cos_sum[i] = np.cos(m.thetas).sum()
-    mean_dev = abs(weights.mean() - 0.25) / (weights.mean(axis=1).std() / np.sqrt(reps) + 1e-300)
-    bh = params.beta_half
-    second_exact = (bh + 1.0) / (4.0 * (4.0 * bh + 1.0))
-    second = weights[:, 0] ** 2
-    dev2 = abs(second.mean() - second_exact) / (second.std() / np.sqrt(reps))
-    corr = np.corrcoef(weights[:, 0], cos_sum)[0, 1]
-    corr_dev = abs(corr) * np.sqrt(reps)
-    ok = mean_dev <= 3 and dev2 <= 3 and corr_dev <= 3
-    out.append(CheckResult("weights-dirichlet-and-independence", "statistical", ok,
-                           float(max(mean_dev, dev2, corr_dev)),
-                           "worst deviation in standard errors"))
+        weights[i], thetas[i] = m.weights, m.thetas
+    out.append(check_weights_law(weights, thetas, params.beta_half))
 
-    rng = sampling.SeededRng(seed, 106)
-    lp = analysis.limit_params(1.0)
-    cdf = lambda t: analysis.mu_d_cdf(lp, t)  # noqa: E731
-    ks_vals = []
-    for _ in range(8):
-        params = opuc.EnsembleParams(50, 2.0, 50.0)
-        m = models.sample_cj_spectrum(rng, params)
-        ks_vals.append(analysis.ks_distance(analysis.EmpiricalMeasure.esd(m.thetas), cdf))
-    med = statistics.median(ks_vals)
-    out.append(CheckResult("esd-ks-smoke", "statistical", med <= 0.25, med,
+    med = median_esd_ks(sampling.SeededRng(seed, 106), opuc.EnsembleParams(50, 2.0, 50.0), 8,
+                        analysis.limit_params(1.0))
+    out.append(CheckResult("esd-ks-smoke", "statistical", med <= tol.ESD_KS_SMOKE_MAX, med,
                            "median KS to the limit at n=50"))
     return out
 
 
 def run_verify_checks(seed: int, scale: float = 1.0, inject_bug: bool = False) -> list[CheckResult]:
     gen = np.random.default_rng(seed)
+
+    def corpus(sizes, per_size):
+        return [random_alphas(gen, n) for n in sizes for _ in range(per_size)]
+
+    # arguments are evaluated in order, so the draws from `gen` keep their order
     checks = [
-        _check_factorization(gen, inject_bug=inject_bug),
-        _check_char_poly(gen),
-        _check_cmv(gen),
-        _check_roundtrips(gen),
-        _check_measure_roundtrip(gen),
-        _check_szego_pointwise(gen),
-        _check_poly_factorization(gen),
-        _check_disk_integral(),
-        _check_partition_quadrature(),
-        _check_mft_factorization(),
-        _check_b_const(),
-        _check_rate_minimizer(),
-        _check_limit_params(),
+        check_factorization(corpus((2, 4, 8, 16, 32), 8), inject_bug=inject_bug),
+        check_char_poly(corpus((2, 4, 8, 16, 32), 4)),
+        check_cmv(random_alphas(gen, 16)),
+        check_coefficient_roundtrip(corpus((2, 5, 16, 64), 10)),
+        check_measure_roundtrip(corpus((2, 8, 16), 1)),
+        check_szego_pointwise(random_alphas(gen, 12), np.exp(1j * gen.uniform(0.0, TWO_PI, 50))),
+        check_coefficient_function_factorization(
+            random_alphas(gen, 10),
+            [gen.uniform(0, 0.9) * np.exp(1j * gen.uniform(0, TWO_PI)) for _ in range(50)],
+        ),
+        check_disk_integral([(1.0, 1.0, 1.0), (2.5, 1 + 1j, 1 - 1j), (0.5, 0.5, 0.5)]),
+        check_partition_quadrature([(1, 2.0, 1.0, 1.0), (2, 2.0, 1.0, 1.0)]),
+        check_mft_factorization(opuc.EnsembleParams(6, 3.0, 0.7 + 0.4j),
+                                [(0.0, 1.0), (1.0, 2.0), (-0.5, 1.5)]),
+        check_b_const_two_route([1.0]),
+        check_rate_at_minimizer([1.0]),
+        check_limit_params_example(),
     ]
     checks.extend(_stat_checks(seed, scale))
     return checks

@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
 )
 from .opuc import (
+    TWO_PI,
     DeformedCoeffs,
     EnsembleParams,
     SpectralMeasure,
@@ -51,8 +52,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +203,6 @@ def eigen_unitary(
     eigenbasis.  Eigenvalues are sorted by angle in [0, 2pi), ties broken by
     first-coordinate weight, descending.
     """
-    if u.unitarity_residual > 1e-8:
-        raise ParameterError(
-            f"matrix too far from unitary for eigensolve: {u.unitarity_residual:.2e}"
-        )
     try:
         t, q = scipy.linalg.schur(u.entries, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - budget exhaustion

@@ -31,15 +31,12 @@ import scipy.special as sc
 
 from . import tolerances as tol
 from .errors import ParameterError, PoleError
-from .opuc import DeformedCoeffs, EnsembleParams
+from .opuc import TWO_PI, DeformedCoeffs, EnsembleParams
 
 __all__ = [
     "SeededRng",
     "DiskDensitySpec",
     "complex_log_gamma",
-    "sample_beta",
-    "sample_gamma_shape",
-    "sample_dirichlet",
     "sample_nu_s",
     "sample_lambda_delta",
     "lambda_delta_density",
@@ -51,8 +48,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -115,33 +110,6 @@ def complex_log_gamma(z):
         raise PoleError("log Gamma pole at a nonpositive integer")
     out = sc.loggamma(arr)
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
-
-
-def _require_positive(name, value):
-    if not np.all(np.asarray(value) > 0):
-        raise ParameterError(f"{name} must be positive, got {value!r}")
-
-
-def sample_beta(rng: SeededRng, a: float, b: float, size=None):
-    """Beta(a, b) variates on (0, 1)."""
-    _require_positive("a", a)
-    _require_positive("b", b)
-    return rng.generator.beta(a, b, size=size)
-
-
-def sample_gamma_shape(rng: SeededRng, k: float, size=None):
-    """Gamma variates with shape k and unit scale."""
-    _require_positive("shape", k)
-    return rng.generator.gamma(k, size=size)
-
-
-def sample_dirichlet(rng: SeededRng, a, size=None):
-    """Dirichlet vectors (normalized independent Gamma draws)."""
-    alpha = np.asarray(a, dtype=float)
-    _require_positive("concentration", alpha)
-    if alpha.ndim != 1 or alpha.size < 2:
-        raise ParameterError("Dirichlet needs a 1-d concentration vector of length >= 2")
-    return rng.generator.dirichlet(alpha, size=size)
 
 
 def sample_nu_s(rng: SeededRng, s: float, size=None):

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from circjacobi import VerblunskyCoeffs
-
-TWO_PI = 2.0 * np.pi
-
-
-def random_alphas(gen: np.random.Generator, n: int, rmax: float = 0.95) -> VerblunskyCoeffs:
-    """Valid coefficient vector: interior points in the disk, last on the circle."""
-    radii = np.sqrt(gen.uniform(0.0, rmax, n))
-    phases = gen.uniform(0.0, TWO_PI, n)
-    alphas = radii * np.exp(1j * phases)
-    alphas[-1] = np.exp(1j * phases[-1])
-    return VerblunskyCoeffs(alphas)
+from circjacobi.harness import random_alphas  # noqa: F401  (shared by the test modules)
 
 
 @pytest.fixture

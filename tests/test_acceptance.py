@@ -2,6 +2,9 @@
 
 Each test covers one release criterion at its stated tolerance and prints a
 single machine-greppable pass/fail line (run pytest with -s to see them).
+The identity and distribution checks are the `check_*` functions of
+`circjacobi.harness` that `circjacobi verify` runs; the tests feed them
+their own, larger corpora.
 The statistical criteria run at significance 1e-3 with fixed seeds chosen
 for suite stability.
 """
@@ -13,46 +16,37 @@ import pytest
 
 from circjacobi import (
     DiskDensitySpec,
-    EmpiricalMeasure,
     EnsembleParams,
     SeededRng,
-    agr_product,
-    alpha_from_gamma,
-    b_const,
-    b_const_finite_n,
-    char_poly_at_one,
-    eigen_unitary,
-    gamma_from_alpha,
-    ggt_from_alpha,
     haar_grid,
-    ks_distance,
     limit_params,
     mellin_fourier,
-    mu_d_cdf,
-    mu_d_grid,
-    partition_zst,
     rate_function,
-    reflection_product,
     sample_cj_spectrum,
     sample_eta_batch,
     sample_gamma_k,
     sample_lambda_delta,
-    spectral_measure,
-    verblunsky_from_measure,
 )
-from circjacobi.gof import (
-    circle_angle_chi2,
-    disk_coefficient_chi2,
-    disk_integral_closed,
-    disk_integral_quad,
-    pair_angle_chi2,
-    partition_quad,
+from circjacobi.gof import pair_angle_chi2
+from circjacobi.harness import (
+    check_b_const_two_route,
+    check_char_poly,
+    check_circle_tilt,
+    check_coefficient_roundtrip,
+    check_disk_coefficient,
+    check_disk_integral,
+    check_factorization,
+    check_measure_roundtrip,
+    check_partition_quadrature,
+    check_rate_at_minimizer,
+    check_weights_law,
+    median_esd_ks,
+    se_deviation,
 )
+from circjacobi.tolerances import SE_BOUND, SIGNIFICANCE
 
 from conftest import random_alphas
 
-TWO_PI = 2.0 * np.pi
-ALPHA = 1e-3
 CORPUS_SIZES = (2, 4, 8, 16, 32, 64)
 SETS_PER_SIZE = 34  # ~200 coefficient sets overall
 
@@ -73,60 +67,39 @@ def corpus():
 
 def test_criterion_01_factorization_identity(corpus):
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in CORPUS_SIZES:
-        for coeffs in corpus[n]:
-            h = ggt_from_alpha(coeffs).entries
-            a = agr_product(coeffs).entries
-            x = reflection_product(gamma_from_alpha(coeffs)).entries
-            worst = max(worst, float(np.max(np.abs(h - a))),
-                        float(np.max(np.abs(h - x))))
+    res = check_factorization([c for n in CORPUS_SIZES for c in corpus[n]])
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed < 30.0
-    report(1, "three-model factorization",
-           ok, f"max entrywise diff {worst:.2e}, {elapsed:.1f}s")
+    report(1, "three-model factorization", res.passed and elapsed < 30.0,
+           f"max entrywise diff {res.stat:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_characteristic_polynomial(corpus):
-    worst = 0.0
-    for n in CORPUS_SIZES:
-        for coeffs in corpus[n]:
-            gammas = gamma_from_alpha(coeffs)
-            lam = eigen_unitary(ggt_from_alpha(coeffs)).eigenvalues
-            lhs = complex(np.prod(1.0 - lam))
-            rhs = char_poly_at_one(gammas)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    report(2, "characteristic polynomial product",
-           worst <= 1e-8, f"max rel err {worst:.2e}")
+    res = check_char_poly([c for n in CORPUS_SIZES for c in corpus[n]])
+    report(2, "characteristic polynomial product", res.passed, f"max rel err {res.stat:.2e}")
 
 
 def test_criterion_03_disk_integral():
-    worst = 0.0
-    for ell in (0.5, 1.0, 2.5):
-        for s in (0.5, 1 + 1j, 2.0):
-            for t in (0.5, 1 - 1j, 1.0):
-                quad = disk_integral_quad(ell, s, t)
-                closed = disk_integral_closed(ell, s, t)
-                worst = max(worst, abs(quad - closed) / abs(closed))
+    res = check_disk_integral([
+        (ell, s, t)
+        for ell in (0.5, 1.0, 2.5) for s in (0.5, 1 + 1j, 2.0) for t in (0.5, 1 - 1j, 1.0)
+    ])
     report(3, "disk integral identity (3x3x3 grid incl. s = conj(t) = 1+i)",
-           worst <= 1e-6, f"max rel err {worst:.2e}")
+           res.passed, f"max rel err {res.stat:.2e}")
 
 
 @pytest.mark.parametrize("beta,delta,seed", [(2.0, 1.0, 101), (4.0, 1 + 1j, 102)])
 def test_criterion_04_coefficient_laws(beta, delta, seed):
     n, draws = 8, 100_000
     rng = SeededRng(seed)
-    worst_p = 1.0
+    results = []
     for k in range(n - 1):
         spec = DiskDensitySpec(0.5 * beta * (n - k - 1), delta)
-        z = sample_gamma_k(rng, spec, size=draws)
-        _, p, _ = disk_coefficient_chi2(z, spec)
-        worst_p = min(worst_p, p)
-    z_last = sample_lambda_delta(rng, delta, size=draws)
-    _, p_last, _ = circle_angle_chi2(np.angle(z_last), delta)
-    ok = worst_p >= ALPHA and p_last >= ALPHA
-    report(4, f"coefficient laws (n=8, beta={beta}, delta={delta})", ok,
-           f"min disk p={worst_p:.4f}, circle p={p_last:.4f} at 1e5 draws/coefficient")
+        results.append(check_disk_coefficient(sample_gamma_k(rng, spec, size=draws), spec))
+    results.append(check_circle_tilt(sample_lambda_delta(rng, delta, size=draws), delta))
+    worst_p = min(r.stat for r in results[:-1])
+    report(4, f"coefficient laws (n=8, beta={beta}, delta={delta})",
+           all(r.passed for r in results),
+           f"min disk p={worst_p:.4f}, circle p={results[-1].stat:.4f} at 1e5 draws/coefficient")
 
 
 @pytest.mark.parametrize("delta,seed", [(0.0, 201), (1.0, 202)])
@@ -155,7 +128,7 @@ def test_criterion_05_joint_eigenvalue_density(delta, seed):
 
     _, p, dof = pair_angle_chi2(pairs, density, n_bins=12)
     elapsed = time.perf_counter() - t0
-    ok = p >= ALPHA and elapsed < 300.0
+    ok = p >= SIGNIFICANCE and elapsed < 300.0
     report(5, f"joint eigenvalue density (n=2, delta={delta})", ok,
            f"chi2 p={p:.4f} (dof={dof}), {elapsed:.0f}s for 1e5 samples")
 
@@ -164,25 +137,12 @@ def test_criterion_06_weights_law():
     params = EnsembleParams(4, 2.0, 1.0)
     rng = SeededRng(301)
     reps = 20_000
-    weights = np.empty((reps, 4))
-    cos1 = np.empty(reps)
-    cos2 = np.empty(reps)
+    weights, thetas = np.empty((reps, 4)), np.empty((reps, 4))
     for i in range(reps):
         m = sample_cj_spectrum(rng, params)
-        weights[i] = m.weights
-        cos1[i] = np.cos(m.thetas).sum()
-        cos2[i] = np.cos(2 * m.thetas).sum()
-    bh = params.beta_half
-    first = weights[:, 0]
-    second = first**2
-    m1_dev = abs(first.mean() - 0.25) / (first.std(ddof=1) / np.sqrt(reps))
-    m2_exact = (bh + 1.0) / (4.0 * (4.0 * bh + 1.0))
-    m2_dev = abs(second.mean() - m2_exact) / (second.std(ddof=1) / np.sqrt(reps))
-    c1 = abs(np.corrcoef(first, cos1)[0, 1]) * np.sqrt(reps)
-    c2 = abs(np.corrcoef(first, cos2)[0, 1]) * np.sqrt(reps)
-    ok = m1_dev <= 3 and m2_dev <= 3 and c1 <= 3 and c2 <= 3
-    report(6, "weight vector law and independence", ok,
-           f"moment devs {m1_dev:.2f}, {m2_dev:.2f} s.e.; corr devs {c1:.2f}, {c2:.2f} s.e.")
+        weights[i], thetas[i] = m.weights, m.thetas
+    res = check_weights_law(weights, thetas, params.beta_half)
+    report(6, "weight vector law and independence", res.passed, res.detail)
 
 
 @pytest.mark.parametrize("delta,t,s,seed", [(1.0, 1.0, 0.0, 401), (1 + 1j, 1.0, 1.0, 402)])
@@ -195,19 +155,15 @@ def test_criterion_07_mellin_fourier_transform(delta, t, s, seed):
     expected = mellin_fourier(params, s, t)
     dev_re = abs(stat.real.mean() - expected.real) / (stat.real.std(ddof=1) / np.sqrt(stat.size))
     dev_im = abs(stat.imag.mean() - expected.imag) / (stat.imag.std(ddof=1) / np.sqrt(stat.size) + 1e-300)
-    ok = dev_re <= 3 and dev_im <= 3
+    ok = dev_re <= SE_BOUND and dev_im <= SE_BOUND
     report(7, f"joint transform of det(Id-U) (delta={delta}, t={t}, s={s})", ok,
            f"deviation {dev_re:.2f} / {dev_im:.2f} s.e. at 1e5 samples")
 
 
 def test_criterion_08_partition_function():
-    worst = 0.0
-    for n, beta, s, t in ((1, 2.0, 1.0, 1.0), (1, 2.0, 0.5, 0.7), (2, 2.0, 1.0, 1.0)):
-        closed = partition_zst(n, beta, s, t)
-        quad = partition_quad(n, beta, s, t)
-        worst = max(worst, abs(closed - quad) / abs(closed))
+    res = check_partition_quadrature([(1, 2.0, 1.0, 1.0), (1, 2.0, 0.5, 0.7), (2, 2.0, 1.0, 1.0)])
     report(8, "angular partition function vs quadrature (n=1,2)",
-           worst <= 1e-5, f"max rel err {worst:.2e}")
+           res.passed, f"max rel err {res.stat:.2e}")
 
 
 def test_criterion_09_limit_measure_convergence():
@@ -215,16 +171,10 @@ def test_criterion_09_limit_measure_convergence():
     d, beta, reps = 1.0, 2.0, 50
     ladder = (25, 50, 100, 200)
     lp = limit_params(d)
-    cdf = lambda t: mu_d_cdf(lp, t)  # noqa: E731
     rng = SeededRng(501)
-    medians = []
-    for n in ladder:
-        params = EnsembleParams(n, beta, 0.5 * beta * n * d)
-        vals = [
-            ks_distance(EmpiricalMeasure.esd(sample_cj_spectrum(rng, params).thetas), cdf)
-            for _ in range(reps)
-        ]
-        medians.append(float(np.median(vals)))
+    medians = [
+        median_esd_ks(rng, EnsembleParams(n, beta, 0.5 * beta * n * d), reps, lp) for n in ladder
+    ]
     elapsed = time.perf_counter() - t0
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     ok = medians[-1] < 0.05 and decreasing and elapsed < 600.0
@@ -237,40 +187,26 @@ def test_criterion_10_coefficient_scaling_limit():
     spec = DiskDensitySpec(0.5 * beta * (n - 1), 0.5 * beta * n * d)
     z = sample_gamma_k(SeededRng(601), spec, size=10_000)
     target = -d / (1 + np.conj(d))  # = -1/2
-    dev_re = abs(z.real.mean() - target.real) / (z.real.std(ddof=1) / np.sqrt(z.size))
-    dev_im = abs(z.imag.mean() - target.imag) / (z.imag.std(ddof=1) / np.sqrt(z.size))
-    ok = dev_re <= 3 and dev_im <= 3
+    dev_re = se_deviation(z.real, target.real)
+    dev_im = se_deviation(z.imag, target.imag)
+    ok = dev_re <= SE_BOUND and dev_im <= SE_BOUND
     report(10, "first deformed coefficient concentrates at -d/(1+conj(d))", ok,
            f"deviation {dev_re:.2f} / {dev_im:.2f} s.e. at n=200")
 
 
 def test_criterion_11_rate_function():
-    rates = {}
-    for d in (1.0, 2.0, 1j, 1 + 1j):
-        rates[d] = rate_function(d, mu_d_grid(limit_params(d))).rate
-    at_min_ok = all(abs(r) <= 1e-3 for r in rates.values())
+    ds = (1.0, 2.0, 1j, 1 + 1j)
+    at_min = check_rate_at_minimizer(ds)
     flat = rate_function(1.0, haar_grid()).rate
-    two_route = max(
-        abs(b_const(d) - b_const_finite_n(d, 400)) for d in (1.0, 2.0, 1j, 1 + 1j)
-    )
-    ok = at_min_ok and flat > 0 and two_route <= 0.02
+    two_route = check_b_const_two_route(ds)
+    ok = at_min.passed and flat > 0 and two_route.passed
     report(11, "large-deviation rate function", ok,
-           f"|I(mu_d)| max {max(abs(r) for r in rates.values()):.1e}, "
-           f"I(flat)={flat:.4f}, two-route B diff {two_route:.4f}")
+           f"|I(mu_d)| max {abs(at_min.stat):.1e}, "
+           f"I(flat)={flat:.4f}, two-route B diff {two_route.stat:.4f}")
 
 
 def test_criterion_12_round_trips(corpus):
-    worst_coeff = 0.0
-    for n in CORPUS_SIZES:
-        for coeffs in corpus[n]:
-            back = alpha_from_gamma(gamma_from_alpha(coeffs))
-            worst_coeff = max(worst_coeff, float(np.max(np.abs(back.alphas - coeffs.alphas))))
-    worst_measure = 0.0
-    for n in (2, 4, 8, 16):
-        for coeffs in corpus[n][:8]:
-            measure = spectral_measure(ggt_from_alpha(coeffs))
-            back = verblunsky_from_measure(measure)
-            worst_measure = max(worst_measure, float(np.max(np.abs(back.alphas - coeffs.alphas))))
-    ok = worst_coeff <= 1e-12 and worst_measure <= 1e-8
-    report(12, "round trips (coefficients and measures)", ok,
-           f"coefficient {worst_coeff:.2e}, measure {worst_measure:.2e}")
+    coeff = check_coefficient_roundtrip([c for n in CORPUS_SIZES for c in corpus[n]])
+    measure = check_measure_roundtrip([c for n in (2, 4, 8, 16) for c in corpus[n][:8]])
+    report(12, "round trips (coefficients and measures)", coeff.passed and measure.passed,
+           f"coefficient {coeff.stat:.2e}, measure {measure.stat:.2e}")

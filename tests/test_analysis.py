@@ -24,15 +24,12 @@ from circjacobi import (
     partition_zst,
     potential_q,
     rate_function,
-    sample_dirichlet,
     sigma_energy,
     w_d,
     weight_gap_stat,
 )
 from circjacobi.gof import partition_quad, tilted_disk_power_moment
-from circjacobi.opuc import _monic_gs_alphas
-
-TWO_PI = 2.0 * np.pi
+from circjacobi.opuc import TWO_PI, _monic_gs_alphas
 
 
 def closed_form_b(d):
@@ -338,7 +335,7 @@ class TestWeightGap:
             / ((a + b) ** 4 * (a + b + 1) * (a + b + 2) * (a + b + 3))
         )
         rng = SeededRng(13)
-        w = sample_dirichlet(rng, np.ones(n), size=40_000)
+        w = rng.generator.dirichlet(np.ones(n), size=40_000)
         s_k = w[:, :k].sum(axis=1)
         dev4 = (s_k - k / n) ** 4
         se = dev4.std(ddof=1) / np.sqrt(dev4.size)
@@ -351,7 +348,7 @@ class TestWeightGap:
         for n in (50, 100, 200):
             stats = []
             for _ in range(60):
-                w = sample_dirichlet(rng, np.ones(n))
+                w = rng.generator.dirichlet(np.ones(n))
                 m = EmpiricalMeasure(np.linspace(0, TWO_PI, n, endpoint=False), w)
                 stats.append(weight_gap_stat(m))
             medians.append(np.median(stats))

@@ -3,17 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from circjacobi import ParameterError
+from circjacobi import ParameterError, SeededRng
 from circjacobi.cli import main
 from circjacobi.harness import (
     _stat_checks,
     build_config,
+    check_weights_law,
     cmd_sample,
     config_hash,
     parse_config_file,
     run_verify_checks,
 )
 from circjacobi.models import matrix_from_json_dict
+from circjacobi.opuc import TWO_PI
 
 
 def read_csv(path):
@@ -85,14 +87,6 @@ class TestSampleCommand:
         assert main(main_args) == 0
         assert out.read_bytes() == first
 
-    def test_worker_split_is_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        base = ["sample", "--n", "3", "--samples", "11", "--seed", "4",
-                "--workers", "3"]
-        assert main(base + ["--out", str(out1)]) == 0
-        assert main(base + ["--out", str(out2)]) == 0
-        assert out1.read_text().splitlines()[1:] == out2.read_text().splitlines()[1:]
-
     def test_support_window_fraction_reported(self, tmp_path):
         out = tmp_path / "w.csv"
         args = ["sample", "--n", "50", "--beta", "2.0", "--delta-re", "50",
@@ -138,6 +132,18 @@ class TestVerifyCommand:
             checks = _stat_checks(seed, scale=0.05)
             clean += all(c.passed for c in checks)
         assert clean >= 19
+
+    def test_weights_check_catches_biased_first_weight(self):
+        # Dirichlet(1, 1, 1, 1) weights with independent uniform angles pass;
+        # raising the first concentration to 1.3 moves E w_1 from 1/4 to 0.30
+        # while every row still sums to 1
+        gen = SeededRng(17).generator
+        reps = 2000
+        thetas = gen.uniform(0.0, TWO_PI, (reps, 4))
+        fair = gen.dirichlet([1.0, 1.0, 1.0, 1.0], size=reps)
+        biased = gen.dirichlet([1.3, 1.0, 1.0, 1.0], size=reps)
+        assert check_weights_law(fair, thetas, beta_half=1.0).passed
+        assert not check_weights_law(biased, thetas, beta_half=1.0).passed
 
     def test_deterministic_checks_are_seed_independent_in_outcome(self):
         for seed in (1, 2):

@@ -26,10 +26,9 @@ from circjacobi import (
     verblunsky_from_measure,
 )
 from circjacobi.models import _xi_block, matrix_from_json_dict, matrix_to_json_dict
+from circjacobi.opuc import TWO_PI
 
 from conftest import random_alphas
-
-TWO_PI = 2.0 * np.pi
 
 
 class TestGGT:

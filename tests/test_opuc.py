@@ -24,11 +24,9 @@ from circjacobi import (
     szego_step,
     verblunsky_from_measure,
 )
-from circjacobi.opuc import coeffs_from_pairs, coeffs_to_pairs
+from circjacobi.opuc import TWO_PI, coeffs_from_pairs, coeffs_to_pairs
 
 from conftest import random_alphas
-
-TWO_PI = 2.0 * np.pi
 
 
 class TestTypes:

@@ -14,18 +14,15 @@ from circjacobi import (
     gamma_k_density,
     lambda_delta_density,
     moment_one_minus_gamma,
-    sample_beta,
-    sample_dirichlet,
     sample_eta,
     sample_eta_batch,
     sample_gamma_k,
-    sample_gamma_shape,
     sample_lambda_delta,
     sample_nu_s,
 )
 from circjacobi.gof import disk_coefficient_chi2, disk_integral_quad
+from circjacobi.opuc import TWO_PI
 
-TWO_PI = 2.0 * np.pi
 ALPHA = 1e-3  # per-test significance for the distributional checks
 
 
@@ -93,37 +90,6 @@ class TestNuS:
     def test_s5_mean_radius_squared(self):
         z = sample_nu_s(SeededRng(3), 5.0, size=100_000)
         assert mean_within(np.abs(z) ** 2, 1.0 / 3.0)
-
-
-class TestStandardLaws:
-    def test_beta_mean(self):
-        x = sample_beta(SeededRng(4), 1.0, 3.0, size=100_000)  # beta'=1, n=4, k=1
-        assert mean_within(x, 0.25)
-
-    def test_gamma_shape_mean(self):
-        x = sample_gamma_shape(SeededRng(5), 2.5, size=100_000)
-        assert mean_within(x, 2.5)
-
-    def test_dirichlet_order2_uniform_marginal(self):
-        x = sample_dirichlet(SeededRng(6), [1.0, 1.0], size=100_000)
-        _, p = scipy.stats.kstest(x[:, 0], lambda t: np.clip(t, 0, 1))
-        assert p >= ALPHA
-
-    def test_dirichlet_moments_from_mellin_identity(self):
-        # E x^s = Gamma(a+s)Gamma(A)/(Gamma(a)Gamma(A+s)) for one coordinate:
-        # with a=2, A=6 this gives E x = 1/3 and E x^2 = 1/7
-        x = sample_dirichlet(SeededRng(7), [2.0, 2.0, 2.0], size=100_000)
-        assert mean_within(x[:, 0], 1.0 / 3.0)
-        assert mean_within(x[:, 0] ** 2, 1.0 / 7.0)
-
-    def test_parameter_validation(self):
-        rng = SeededRng(8)
-        with pytest.raises(ParameterError):
-            sample_beta(rng, 0.0, 1.0)
-        with pytest.raises(ParameterError):
-            sample_gamma_shape(rng, -2.0)
-        with pytest.raises(ParameterError):
-            sample_dirichlet(rng, [1.0])
 
 
 class TestLambdaDelta:
