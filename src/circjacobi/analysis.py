@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+import scipy
 
 from .errors import ParameterError, TruncationWarning
 from .opuc import TWO_PI, EnsembleParams, SpectralMeasure

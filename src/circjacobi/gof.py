@@ -9,8 +9,7 @@ into a single remainder cell before forming the chi-square statistic.
 from __future__ import annotations
 
 import numpy as np
-import scipy.integrate
-import scipy.stats
+import scipy
 
 from .errors import ParameterError
 from .opuc import TWO_PI

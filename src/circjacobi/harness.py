@@ -117,7 +117,9 @@ def build_config(command: str, file_values: dict | None = None, overrides: dict 
 
 
 def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """Hash of the computation a config describes; the output path is not part of it."""
+    canon = json.dumps({k: v for k, v in config.items() if k != "out"},
+                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -181,7 +183,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows(path: str, header: list[str], rows: list[tuple], cfg_hash: str, fmt: str) -> None:
+def write_rows(path: str, header: list[str], rows, cfg_hash: str, fmt: str) -> None:
+    """Write an iterable of row tuples as CSV or JSON.
+
+    The first row fixes each column's CSV format, one `%` call per row:
+    floats with 17 significant digits (exact round trip), the rest via `str`.
+    """
     if fmt == "json":
         payload = {
             "config_hash": cfg_hash,
@@ -192,10 +199,15 @@ def write_rows(path: str, header: list[str], rows: list[tuple], cfg_hash: str, f
             json.dump(payload, fh, indent=1)
             fh.write("\n")
         return
-    lines = [f"# config_hash={cfg_hash}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# config_hash={cfg_hash}\n{','.join(header)}\n")
+        if first is None:
+            return
+        line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+        fh.write(line % first)
+        fh.writelines(map(line.__mod__, rows))
 
 
 def _delta(config) -> complex:
@@ -219,14 +231,11 @@ def cmd_sample(config: dict) -> RunManifest:
     if total < 1:
         raise ParameterError("samples must be >= 1")
     rng = sampling.SeededRng(config["seed"], config["stream"])
-
-    rows = []
-    worst_sum = 0.0
-    for sample_id in range(total):
-        measure = models.sample_cj_spectrum(rng, params)
-        worst_sum = max(worst_sum, abs(measure.weights.sum() - 1.0))
-        for j in range(params.n):
-            rows.append((sample_id, j, float(measure.thetas[j]), float(measure.weights[j])))
+    n = params.n
+    thetas, weights = models.sample_cj_spectra(rng, params, total)
+    worst_sum = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
+    rows = zip(np.repeat(np.arange(total), n).tolist(), np.tile(np.arange(n), total).tolist(),
+               thetas.ravel().tolist(), weights.ravel().tolist())
 
     manifest = RunManifest("sample", config)
     cfg_hash = config_hash(config)
@@ -236,14 +245,13 @@ def cmd_sample(config: dict) -> RunManifest:
         CheckResult("sample-weight-normalization", "deterministic",
                     worst_sum <= tol.STRUCTURAL_TOL, worst_sum, "max |sum(weights) - 1| per sample")
     )
-    manifest.summary = {"samples": total, "rows": len(rows)}
+    manifest.summary = {"samples": total, "rows": total * n}
     # how many eigenangles land outside the large-n support window for the
     # matched scaling parameter d = delta / (beta' n)
     d_equiv = params.delta / (params.beta_half * params.n)
     if d_equiv.real >= 0 and d_equiv != 0:
         lp = analysis.limit_params(d_equiv)
         lo, hi = lp.support
-        thetas = np.array([row[2] for row in rows])
         outside = float(np.mean((thetas <= lo) | (thetas >= hi)))
         manifest.summary["fraction_outside_support"] = outside
     manifest.wall_clock_s = time.perf_counter() - t0
@@ -304,13 +312,13 @@ def cmd_esd_convergence(config: dict) -> RunManifest:
     for n in ladder:
         params = opuc.EnsembleParams(n, beta, 0.5 * beta * n * d)
         ks_esd_vals, ks_sp_vals, gap_vals = [], [], []
+        thetas, weights = models.sample_cj_spectra(rng, params, reps)
         for rep in range(reps):
-            measure = models.sample_cj_spectrum(rng, params)
-            esd = analysis.EmpiricalMeasure.esd(measure.thetas)
-            spectral = analysis.EmpiricalMeasure.from_spectral(measure)
+            esd = analysis.EmpiricalMeasure.esd(thetas[rep])
+            spectral = analysis.EmpiricalMeasure(thetas[rep], weights[rep])
             ks_esd = analysis.ks_distance(esd, cdf)
             ks_sp = analysis.ks_distance(spectral, cdf)
-            gap = analysis.weight_gap_stat(measure)
+            gap = analysis.weight_gap_stat(spectral)
             rows.append((n, rep, ks_esd, ks_sp, gap))
             ks_esd_vals.append(ks_esd)
             ks_sp_vals.append(ks_sp)
@@ -602,10 +610,9 @@ def median_esd_ks(rng: sampling.SeededRng, params: opuc.EnsembleParams, reps: in
                   lp: analysis.LimitParams) -> float:
     """Median KS distance to the arc law `lp` of `reps` sampled eigenangle distributions."""
     cdf = lambda t: analysis.mu_d_cdf(lp, t)  # noqa: E731
+    thetas, _ = models.sample_cj_spectra(rng, params, reps)
     return statistics.median(
-        analysis.ks_distance(
-            analysis.EmpiricalMeasure.esd(models.sample_cj_spectrum(rng, params).thetas), cdf)
-        for _ in range(reps)
+        analysis.ks_distance(analysis.EmpiricalMeasure.esd(row), cdf) for row in thetas
     )
 
 
@@ -629,13 +636,8 @@ def _stat_checks(seed: int, scale: float) -> list[CheckResult]:
     out.append(CheckResult("coefficient-mean-closed-form", "statistical",
                            dev <= tol.SE_BOUND, dev, "|mean - (-1/3)| in standard errors"))
 
-    rng = sampling.SeededRng(seed, 105)
     params = opuc.EnsembleParams(4, 2.0, 1.0)
-    reps = size(20000)
-    weights, thetas = np.empty((reps, 4)), np.empty((reps, 4))
-    for i in range(reps):
-        m = models.sample_cj_spectrum(rng, params)
-        weights[i], thetas[i] = m.weights, m.thetas
+    thetas, weights = models.sample_cj_spectra(sampling.SeededRng(seed, 105), params, size(20000))
     out.append(check_weights_law(weights, thetas, params.beta_half))
 
     med = median_esd_ks(sampling.SeededRng(seed, 106), opuc.EnsembleParams(50, 2.0, 50.0), 8,

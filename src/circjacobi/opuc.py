@@ -42,8 +42,10 @@ __all__ = [
     "szego_polynomials",
     "gamma_from_alpha",
     "alpha_from_gamma",
+    "check_coefficient_rows",
     "gamma_functions_at",
     "char_poly_at_one",
+    "min_atom_gap",
     "verblunsky_from_measure",
     "caratheodory_schur",
     "coeffs_to_pairs",
@@ -83,18 +85,28 @@ class EnsembleParams:
         return 0.5 * self.beta
 
 
-def _coefficient_vector(values, unit_tol: float) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
-    if arr.size < 1:
+def check_coefficient_rows(arr: np.ndarray, unit_tol: float = tol.UNIT_MODULUS_TOL) -> None:
+    """Raise `InvariantError` unless every row (last axis) of `arr` is a coefficient sequence.
+
+    Interior entries lie strictly inside the unit disk; the last entry is
+    unimodular within `unit_tol`.
+    """
+    if arr.shape[-1] < 1:
         raise InvariantError("coefficient sequence must have length >= 1")
     mods = np.abs(arr)
-    if arr.size > 1 and np.any(mods[:-1] >= 1.0):
+    if np.any(mods[..., :-1] >= 1.0):
         raise InvariantError("interior coefficients must lie strictly inside the unit disk")
-    if abs(mods[-1] - 1.0) > unit_tol:
+    off = np.abs(mods[..., -1] - 1.0)
+    if np.any(off > unit_tol):
         raise InvariantError(
             f"last coefficient must be unimodular within {unit_tol:g}, "
-            f"got modulus {mods[-1]!r}"
+            f"got modulus {mods[..., -1].flat[np.argmax(off)]!r}"
         )
+
+
+def _coefficient_vector(values, unit_tol: float) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+    check_coefficient_rows(arr, unit_tol)
     arr.setflags(write=False)
     return arr
 
@@ -136,6 +148,13 @@ class DeformedCoeffs:
         return self.gammas.size
 
 
+def min_atom_gap(thetas: np.ndarray) -> np.ndarray:
+    """Smallest circular gap between the atoms of each row (last axis), angles in [0, 2pi)."""
+    th = np.sort(thetas, axis=-1)
+    circular = TWO_PI - (th[..., -1] - th[..., 0])
+    return np.minimum(np.diff(th, axis=-1).min(axis=-1), circular)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Atomic probability measure sum_j weights[j] * delta(theta_j) on the circle."""
@@ -153,11 +172,8 @@ class SpectralMeasure:
         s = w.sum()
         if abs(s - 1.0) > tol.STRUCTURAL_TOL:
             raise InvariantError(f"weights must sum to 1 within {tol.STRUCTURAL_TOL:g}, got {s!r}")
-        if th.size > 1:
-            gaps = np.diff(np.sort(th))
-            circular_gap = TWO_PI - (th.max() - th.min())
-            if min(gaps.min(), circular_gap) <= tol.ATOM_GAP_TOL:
-                raise InvariantError("atoms must be pairwise distinct on the circle")
+        if th.size > 1 and min_atom_gap(th) <= tol.ATOM_GAP_TOL:
+            raise InvariantError("atoms must be pairwise distinct on the circle")
         th.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "thetas", th)

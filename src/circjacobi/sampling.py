@@ -27,9 +27,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as sc
+import scipy
 
-from . import tolerances as tol
 from .errors import ParameterError, PoleError
 from .opuc import TWO_PI, DeformedCoeffs, EnsembleParams
 
@@ -108,7 +107,7 @@ def complex_log_gamma(z):
     arr = np.asarray(z, dtype=np.complex128)
     if np.any(_near_nonpositive_integer(arr)):
         raise PoleError("log Gamma pole at a nonpositive integer")
-    out = sc.loggamma(arr)
+    out = scipy.special.loggamma(arr)
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 

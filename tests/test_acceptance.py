@@ -22,7 +22,7 @@ from circjacobi import (
     limit_params,
     mellin_fourier,
     rate_function,
-    sample_cj_spectrum,
+    sample_cj_spectra,
     sample_eta_batch,
     sample_gamma_k,
     sample_lambda_delta,
@@ -108,9 +108,7 @@ def test_criterion_05_joint_eigenvalue_density(delta, seed):
     params = EnsembleParams(2, 2.0, delta)
     rng = SeededRng(seed)
     draws = 100_000
-    pairs = np.empty((draws, 2))
-    for i in range(draws):
-        pairs[i] = sample_cj_spectrum(rng, params).thetas
+    pairs, _ = sample_cj_spectra(rng, params, draws)
     # randomize the ordering so the sample follows the symmetric density
     flip = rng.generator.random(draws) < 0.5
     pairs[flip] = pairs[flip][:, ::-1]
@@ -135,12 +133,7 @@ def test_criterion_05_joint_eigenvalue_density(delta, seed):
 
 def test_criterion_06_weights_law():
     params = EnsembleParams(4, 2.0, 1.0)
-    rng = SeededRng(301)
-    reps = 20_000
-    weights, thetas = np.empty((reps, 4)), np.empty((reps, 4))
-    for i in range(reps):
-        m = sample_cj_spectrum(rng, params)
-        weights[i], thetas[i] = m.weights, m.thetas
+    thetas, weights = sample_cj_spectra(SeededRng(301), params, 20_000)
     res = check_weights_law(weights, thetas, params.beta_half)
     report(6, "weight vector law and independence", res.passed, res.detail)
 

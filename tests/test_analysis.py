@@ -30,6 +30,7 @@ from circjacobi import (
 )
 from circjacobi.gof import partition_quad, tilted_disk_power_moment
 from circjacobi.opuc import TWO_PI, _monic_gs_alphas
+from circjacobi.tolerances import SE_BOUND
 
 
 def closed_form_b(d):
@@ -339,7 +340,7 @@ class TestWeightGap:
         s_k = w[:, :k].sum(axis=1)
         dev4 = (s_k - k / n) ** 4
         se = dev4.std(ddof=1) / np.sqrt(dev4.size)
-        assert abs(dev4.mean() - exact) <= 3 * se
+        assert abs(dev4.mean() - exact) <= SE_BOUND * se
         assert exact <= 10.0 * k * (n - k) / n**4
 
     def test_gap_decays_with_dimension(self):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from circjacobi.harness import (
     config_hash,
     parse_config_file,
     run_verify_checks,
+    write_rows,
 )
 from circjacobi.models import matrix_from_json_dict
 from circjacobi.opuc import TWO_PI
@@ -59,6 +63,39 @@ class TestConfig:
     def test_hash_stability(self):
         cfg = build_config("sample", None, None)
         assert config_hash(cfg) == config_hash(dict(cfg))
+
+    def test_hash_identifies_the_computation_not_the_output_path(self):
+        a = build_config("sample", None, {"out": "a.csv"})
+        b = build_config("sample", None, {"out": "elsewhere/b.csv"})
+        assert config_hash(a) == config_hash(b)
+        assert config_hash(a) != config_hash(build_config("sample", None, {"seed": 99}))
+        assert config_hash(build_config("verify", None, {"out": "v1.json"})) == config_hash(
+            build_config("verify", None, {"out": "v2.json"}))
+
+
+def test_write_rows_formats_floats_with_17_digits(tmp_path):
+    rows = [(0, 1, 0.1, 1.0 / 3.0), (12, 0, 6.283185307179586, 5e-324), (3, 2, 2.0, 1e22)]
+    path = tmp_path / "rows.csv"
+    write_rows(str(path), ["a", "b", "c", "d"], iter(rows), "abc", "csv")
+    expected = ["# config_hash=abc", "a,b,c,d"] + [
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    write_rows(str(path), ["a"], [], "abc", "csv")
+    assert path.read_text() == "# config_hash=abc\na\n"
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
+    heavy = ("scipy.linalg", "scipy.special", "scipy.stats", "scipy.integrate")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import circjacobi.cli; "
+        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == ""
 
 
 class TestSampleCommand:

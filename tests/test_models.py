@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from circjacobi import (
+    CircJacobiError,
     DeformedCoeffs,
+    DegenerateCoefficientError,
     DenseUnitary,
     EnsembleParams,
     InvariantError,
@@ -19,14 +21,18 @@ from circjacobi import (
     ggt_from_alpha,
     reflection_product,
     sample_cj_matrix,
+    sample_cj_spectra,
     sample_cj_spectrum,
     sample_eta_batch,
+    spectra_from_gammas,
     spectral_measure,
     szego_polynomials,
     verblunsky_from_measure,
 )
+from circjacobi import models
 from circjacobi.models import _xi_block, matrix_from_json_dict, matrix_to_json_dict
 from circjacobi.opuc import TWO_PI
+from circjacobi.tolerances import SE_BOUND
 
 from conftest import random_alphas
 
@@ -90,7 +96,7 @@ class TestReflectionProduct:
     def test_factors_are_rank_one_reflections(self, gen):
         for _ in range(10):
             g = gen.uniform(0, 0.95) * np.exp(1j * gen.uniform(0, TWO_PI))
-            block = _xi_block(g, 0)
+            block = _xi_block(g)
             n = 5
             factor = np.eye(n, dtype=complex)
             factor[1:3, 1:3] = block
@@ -223,7 +229,7 @@ class TestDistributionalEquality:
             diffs2.append(np.cos(2 * theta_u).sum() - np.cos(2 * xi_u).sum())
         for diffs in (np.array(diffs1), np.array(diffs2)):
             se = diffs.std(ddof=1) / np.sqrt(diffs.size)
-            assert abs(diffs.mean()) <= 3.0 * max(se, 1e-12)
+            assert abs(diffs.mean()) <= SE_BOUND * max(se, 1e-12)
 
 
 class TestSampledMatrices:
@@ -238,6 +244,93 @@ class TestSampledMatrices:
     def test_tilt_validation(self):
         with pytest.raises(ParameterError):
             sample_cj_matrix(SeededRng(33), EnsembleParams(4, 2.0, -0.25))
+
+
+def _oracle(row):
+    """The single-sample Schur path on one coefficient row, or the error class it raises."""
+    try:
+        return spectral_measure(reflection_product(DeformedCoeffs(row)))
+    except CircJacobiError as exc:
+        return type(exc)
+
+
+def _batched(row):
+    try:
+        return spectra_from_gammas(row[None, :])
+    except CircJacobiError as exc:
+        return type(exc)
+
+
+class TestBatchedSpectra:
+    # coefficient rows drawn per (beta, delta) at each n
+    ROWS = {2: 30, 8: 30, 50: 6, 200: 1, 400: 1}
+
+    @pytest.mark.parametrize("n,solver", [
+        (2, "eig"), (8, "eig"), (50, "eig"), (200, "schur"), (400, "eig"),
+    ])
+    def test_matches_schur_oracle_on_identical_gammas(self, n, solver, monkeypatch):
+        monkeypatch.setattr(models, "SCHUR_MIN_N", n + 1 if solver == "eig" else n)
+        worst_theta = worst_weight = 0.0
+        for beta in (0.5, 2.0, 4.0):
+            for delta in (0.0, 1.0, 1 + 1j, 0.5 * beta * n):
+                params = EnsembleParams(n, beta, delta)
+                gammas = sample_eta_batch(SeededRng(n), params, self.ROWS[n])
+                kept, singles = [], []
+                for row in gammas:
+                    want, got = _oracle(row), _batched(row)
+                    if isinstance(want, type) or isinstance(got, type):
+                        assert want is got, (beta, delta, want, got)
+                        continue
+                    kept.append(row)
+                    singles.append(got)
+                    worst_theta = max(worst_theta, np.max(np.abs(got[0][0] - want.thetas)))
+                    worst_weight = max(worst_weight, np.max(np.abs(got[1][0] - want.weights)))
+                if len(kept) > 1:  # a block gives each row's result
+                    thetas, weights = spectra_from_gammas(np.array(kept))
+                    assert np.array_equal(thetas, np.concatenate([t for t, _ in singles]))
+                    assert np.array_equal(weights, np.concatenate([w for _, w in singles]))
+        assert worst_theta <= 1e-12
+        assert worst_weight <= 1e-12
+
+    def test_chunking_does_not_change_output(self, monkeypatch):
+        gammas = sample_eta_batch(SeededRng(41), EnsembleParams(8, 2.0, 1.0), 300)
+        whole = spectra_from_gammas(gammas)
+        monkeypatch.setattr(models, "BATCH_ENTRY_BUDGET", 7 * 64)
+        chunked = spectra_from_gammas(gammas)
+        assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
+
+    def test_output_is_sorted_and_normalized(self):
+        thetas, weights = sample_cj_spectra(SeededRng(42), EnsembleParams(6, 2.0, 1 + 1j), 500)
+        assert thetas.shape == weights.shape == (500, 6)
+        assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
+        assert np.all(np.diff(thetas, axis=1) > 0.0)
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-10
+
+    def test_corrupted_stack_fails_unitarity_check(self, monkeypatch):
+        build = models._reflection_stack
+
+        def corrupted(gammas):
+            u = build(gammas)
+            u[-1, 0, 0] *= 1.0 + 1e-8
+            return u
+
+        monkeypatch.setattr(models, "_reflection_stack", corrupted)
+        gammas = sample_eta_batch(SeededRng(43), EnsembleParams(5, 2.0, 1.0), 20)
+        with pytest.raises(InvariantError, match="unitarity residual"):
+            spectra_from_gammas(gammas)
+
+    def test_invalid_rows_raise_as_in_the_single_path(self):
+        gammas = sample_eta_batch(SeededRng(44), EnsembleParams(4, 2.0, 1.0), 5)
+        outside = gammas.copy()
+        outside[3, 1] = 1.5
+        with pytest.raises(InvariantError, match="interior"):
+            spectra_from_gammas(outside)
+        degenerate = gammas.copy()
+        degenerate[2, 2] = 1.0 - 1e-15
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
+            spectra_from_gammas(degenerate)
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
+            reflection_product(DeformedCoeffs(degenerate[2]))
 
 
 def test_matrix_json_roundtrip(gen):

@@ -22,14 +22,13 @@ from circjacobi import (
 )
 from circjacobi.gof import disk_coefficient_chi2, disk_integral_quad
 from circjacobi.opuc import TWO_PI
+from circjacobi.tolerances import SE_BOUND, SIGNIFICANCE
 
-ALPHA = 1e-3  # per-test significance for the distributional checks
 
-
-def mean_within(values, target, k=3.0):
+def mean_within(values, target):
     values = np.asarray(values)
     se = values.std(ddof=1) / np.sqrt(values.size)
-    return abs(values.mean() - target) <= k * se
+    return abs(values.mean() - target) <= SE_BOUND * se
 
 
 class TestComplexLogGamma:
@@ -85,7 +84,7 @@ class TestNuS:
     def test_s3_radius_squared_uniform(self):
         z = sample_nu_s(SeededRng(2), 3.0, size=100_000)
         _, p = scipy.stats.kstest(np.abs(z) ** 2, lambda x: np.clip(x, 0, 1))
-        assert p >= ALPHA
+        assert p >= SIGNIFICANCE
 
     def test_s5_mean_radius_squared(self):
         z = sample_nu_s(SeededRng(3), 5.0, size=100_000)
@@ -97,7 +96,7 @@ class TestLambdaDelta:
         z = sample_lambda_delta(SeededRng(9), 0.0, size=100_000)
         _, p = scipy.stats.kstest(np.mod(np.angle(z), TWO_PI),
                                   lambda t: np.clip(t / TWO_PI, 0, 1))
-        assert p >= ALPHA
+        assert p >= SIGNIFICANCE
 
     def test_real_tilt_cosine_mean(self):
         # density 2(1 - cos t)/2 against uniform integrates cos to -1/2
@@ -110,7 +109,7 @@ class TestLambdaDelta:
         with caplog.at_level(logging.DEBUG, logger="circjacobi.sampling"):
             z = sample_lambda_delta(SeededRng(11), 1 + 1j, size=100_000)
         _, p, _ = circle_angle_chi2(np.angle(z), 1 + 1j)
-        assert p >= ALPHA
+        assert p >= SIGNIFICANCE
         rates = [rec.args[0] for rec in caplog.records
                  if "half-angle acceptance" in rec.msg]
         assert rates and min(rates) >= 1.0 / (2.0**2 * np.exp(np.pi))
@@ -165,10 +164,10 @@ class TestSampleGammaK:
         a = 2.0
         z = sample_gamma_k(SeededRng(13), DiskDensitySpec(a, 0.0), size=100_000)
         _, p = scipy.stats.kstest(np.abs(z) ** 2, scipy.stats.beta(1.0, a).cdf)
-        assert p >= ALPHA
+        assert p >= SIGNIFICANCE
         _, p = scipy.stats.kstest(np.mod(np.angle(z), TWO_PI),
                                   lambda t: np.clip(t / TWO_PI, 0, 1))
-        assert p >= ALPHA
+        assert p >= SIGNIFICANCE
 
     def test_mean_real_tilt(self):
         # E(1-z) = (a + 2 delta + 1)/(a + delta + 1) = 4/3 at a = delta = 1
@@ -186,7 +185,7 @@ class TestSampleGammaK:
         spec = DiskDensitySpec(1.5, 0.8 + 0.6j)
         z = sample_gamma_k(SeededRng(16), spec, size=100_000)
         _, p, _ = disk_coefficient_chi2(z, spec)
-        assert p >= ALPHA
+        assert p >= SIGNIFICANCE
 
     def test_large_tilt_regime_is_cheap_and_correct(self):
         # the scaling regime: a = 199, delta = 200 gives mean exactly -1/2
@@ -207,14 +206,14 @@ class TestSampleEta:
             a = params.beta_half * (params.n - k - 1)
             _, p = scipy.stats.kstest(np.abs(draws[:, k]) ** 2,
                                       scipy.stats.beta(1.0, a).cdf)
-            assert p >= ALPHA
+            assert p >= SIGNIFICANCE
 
     def test_rotational_invariance_of_angles(self):
         params = EnsembleParams(5, 2.0, 0.0)
         draws = sample_eta_batch(SeededRng(20), params, 40_000)
         _, p = scipy.stats.kstest(np.mod(np.angle(draws[:, 1]), TWO_PI),
                                   lambda t: np.clip(t / TWO_PI, 0, 1))
-        assert p >= ALPHA
+        assert p >= SIGNIFICANCE
 
     def test_single_coefficient_case(self):
         vec = sample_eta(SeededRng(21), EnsembleParams(1, 2.0, 1.0))
