@@ -29,7 +29,6 @@ __all__ = [
     "RateReport",
     "limit_params",
     "w_d",
-    "arc_support",
     "mu_d_grid",
     "haar_grid",
     "mu_d_cdf",
@@ -90,13 +89,6 @@ def limit_params(d: complex) -> LimitParams:
     return LimitParams(d, complex(alpha), theta_d, xi_d)
 
 
-def arc_support(params: LimitParams) -> tuple[float, float]:
-    """Open support interval of the limit density (full circle for d = 0)."""
-    if params.d == 0:
-        return (0.0, TWO_PI)
-    return params.support
-
-
 def w_d(params: LimitParams, theta):
     """Limit density against d(theta)/2pi; zero outside the support arc.
 
@@ -131,16 +123,6 @@ class GridMeasure:
 
     def moment(self, k: int) -> complex:
         return complex(np.sum(self.weights * np.exp(1j * k * self.thetas)))
-
-    def moments(self, kmax: int) -> np.ndarray:
-        """Moments 1..kmax by iterated phase accumulation (memory-light)."""
-        phases = np.exp(1j * self.thetas)
-        cur = np.ones_like(phases)
-        out = np.empty(kmax, dtype=np.complex128)
-        for k in range(kmax):
-            cur = cur * phases
-            out[k] = np.sum(self.weights * cur)
-        return out
 
     def reweighted(self, factor) -> "GridMeasure":
         """New measure with density multiplied by `factor(theta)`, renormalized."""

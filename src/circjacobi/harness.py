@@ -225,8 +225,6 @@ def _d_value(config) -> complex:
 def cmd_sample(config: dict) -> RunManifest:
     t0 = time.perf_counter()
     params = opuc.EnsembleParams(config["n"], config["beta"], _delta(config))
-    if params.delta.real < 0:
-        raise ParameterError("sampling requires Re(delta) >= 0")
     total = config["samples"]
     if total < 1:
         raise ParameterError("samples must be >= 1")
@@ -262,8 +260,6 @@ def cmd_sample(config: dict) -> RunManifest:
 def cmd_dump_matrix(config: dict) -> RunManifest:
     t0 = time.perf_counter()
     params = opuc.EnsembleParams(config["n"], config["beta"], _delta(config))
-    if params.delta.real < 0:
-        raise ParameterError("sampling requires Re(delta) >= 0")
     rng = sampling.SeededRng(config["seed"], config["stream"])
     gammas = sampling.sample_eta(rng, params)
     u = models.reflection_product(gammas)

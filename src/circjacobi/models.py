@@ -8,8 +8,9 @@ form (alternating block product) is available as well.  Spectra and spectral
 measures come from a dense complex Schur decomposition, which keeps the
 eigenvector frame orthonormal so the weights of a cyclic vector always sum
 to one.  `sample_cj_spectra` draws, builds and eigensolves a whole block of
-spectra per call with stacked NumPy operations (stacked `eig` for small n);
-the single-sample Schur path (`sample_cj_spectrum`) is its reference.
+spectra per call with stacked NumPy operations (stacked `eig` for small n).
+The one-spectrum path (`sample_cj_spectrum`) shares its build and every check
+and differs only in its Schur eigensolve, the reference for the batched one.
 """
 
 from __future__ import annotations
@@ -82,19 +83,30 @@ class DenseUnitary:
         return self.entries.shape[0]
 
     @classmethod
-    def from_entries(cls, m, *, residual_tol: float = tol.STRUCTURAL_TOL) -> "DenseUnitary":
+    def from_entries(cls, m) -> "DenseUnitary":
         arr = np.asarray(m, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvariantError(f"expected a square matrix, got shape {arr.shape}")
         arr = arr.copy()
-        gram = arr.conj().T @ arr
-        residual = float(np.max(np.abs(gram - np.eye(arr.shape[0]))))
-        if residual > residual_tol:
-            raise InvariantError(
-                f"unitarity residual {residual:.3e} exceeds {residual_tol:.1e}"
-            )
+        residual = _unitarity_residual(arr)
         arr.setflags(write=False)
         return cls(arr, residual)
+
+
+def _unitarity_residual(u: np.ndarray) -> float:
+    """Largest entry of |U^H U - Id| over a matrix or a stack (last two axes).
+
+    Raises `InvariantError` when it exceeds `STRUCTURAL_TOL` or is not finite.
+    """
+    gram = np.matmul(u.conj().swapaxes(-1, -2), u)
+    diag = np.arange(u.shape[-1])
+    gram[..., diag, diag] -= 1.0
+    residual = float(np.abs(gram).max())
+    if not residual <= tol.STRUCTURAL_TOL:
+        raise InvariantError(
+            f"unitarity residual {residual:.3e} exceeds {tol.STRUCTURAL_TOL:.1e}"
+        )
+    return residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,11 +186,9 @@ def _check_reflection_phases(gammas: np.ndarray) -> None:
 
 
 def _xi_block(gamma) -> np.ndarray:
-    """Reflection block of an interior coefficient, or blocks of shape (2, 2) + gamma.shape."""
+    """Reflection blocks of interior coefficients, shape (2, 2) + np.shape(gamma)."""
     phase = (1.0 - gamma) / (1.0 - np.conj(gamma))
-    # builtin abs, not np.abs: on a NumPy scalar they can differ in the last
-    # bit, and `reflection_product` keeps its results bit for bit
-    r = np.sqrt(np.clip(1.0 - abs(gamma) ** 2, 0.0, None))
+    r = np.sqrt(np.clip(1.0 - np.abs(gamma) ** 2, 0.0, None))
     return np.array(
         [[gamma, r * phase], [r, -np.conj(gamma) * phase]], dtype=np.complex128
     )
@@ -191,18 +201,7 @@ def reflection_product(coeffs: DeformedCoeffs) -> DenseUnitary:
     spectrum is {1, -phase}); the final factor scales the last coordinate by
     the unimodular last coefficient, renormalized onto the circle.
     """
-    g = coeffs.gammas
-    n = g.size
-    _check_reflection_phases(g[:-1])
-    u = np.eye(n, dtype=np.complex128)
-    for k in range(n - 1):
-        _apply_block_columns(u, k, _xi_block(g[k]))
-    last = g[n - 1]
-    correction = abs(abs(last) - 1.0)
-    if correction > 0:
-        log.debug("renormalizing last coefficient onto the circle (off by %.2e)", correction)
-    u[:, n - 1] *= last / abs(last)
-    return DenseUnitary.from_entries(u)
+    return DenseUnitary.from_entries(_reflection_stack(coeffs.gammas[None, :])[0])
 
 
 def cmv_from_alpha(coeffs: VerblunskyCoeffs) -> DenseUnitary:
@@ -223,9 +222,7 @@ def cmv_from_alpha(coeffs: VerblunskyCoeffs) -> DenseUnitary:
     return DenseUnitary.from_entries(lmat @ mmat)
 
 
-def eigen_unitary(
-    u: DenseUnitary, *, residual_tol: float = tol.EIGEN_RESIDUAL_TOL
-) -> EigenDecomposition:
+def eigen_unitary(u: DenseUnitary) -> EigenDecomposition:
     """Full eigendecomposition of a unitary matrix.
 
     Uses a dense complex Schur decomposition; for a (numerically) unitary
@@ -240,19 +237,12 @@ def eigen_unitary(
     lam = np.diag(t).copy()
     n = u.n
     off = float(np.max(np.abs(t - np.diag(lam)))) if n > 1 else 0.0
-    if off > residual_tol * max(n, 10):
+    if not off <= tol.EIGEN_RESIDUAL_TOL * max(n, 10):
         raise ConvergenceError(f"Schur factor not diagonal (off-diagonal {off:.2e})")
-    if np.max(np.abs(np.abs(lam) - 1.0)) > residual_tol:
-        raise ConvergenceError("computed eigenvalues drifted off the unit circle")
-    angles = np.mod(np.angle(lam), TWO_PI)
-    first_row_weight = np.abs(q[0, :]) ** 2
-    order = np.lexsort((-first_row_weight, angles))
+    _check_eigenpairs(u.entries, lam, q)
+    _, _, order = _angle_order(lam, q)
     lam = lam[order]
     q = q[:, order]
-    residual = float(np.max(np.linalg.norm(u.entries @ q - q * lam[None, :], axis=0)))
-    if residual > residual_tol:
-        raise ConvergenceError(f"eigenpair residual {residual:.2e} exceeds {residual_tol:.1e}")
-    q = q.copy()
     lam.setflags(write=False)
     q.setflags(write=False)
     return EigenDecomposition(lam, q)
@@ -261,15 +251,8 @@ def eigen_unitary(
 def spectral_measure(u: DenseUnitary) -> SpectralMeasure:
     """Spectral measure of (U, e_1): eigenangles weighted by |<e_1, v_j>|^2."""
     dec = eigen_unitary(u)
-    w = np.abs(dec.eigenvectors[0, :]) ** 2
-    if np.any(w < tol.WEIGHT_FLOOR):
-        raise NonCyclicVectorError(
-            f"weight {w.min():.2e} below cyclicity floor {tol.WEIGHT_FLOOR:.0e}"
-        )
-    s = float(w.sum())
-    if abs(s - 1.0) > tol.STRUCTURAL_TOL:
-        raise InvariantError(f"weights sum to {s!r}, not 1")
-    return SpectralMeasure(dec.angles, w / s)
+    thetas, weights = _measure_rows(dec.eigenvalues[None], dec.eigenvectors[None])
+    return SpectralMeasure(thetas[0], weights[0])
 
 
 def sample_cj_matrix(rng: SeededRng, params: EnsembleParams) -> DenseUnitary:
@@ -283,7 +266,12 @@ def sample_cj_spectrum(rng: SeededRng, params: EnsembleParams) -> SpectralMeasur
 
 
 def _reflection_stack(gammas: np.ndarray) -> np.ndarray:
-    """`reflection_product` of every coefficient row, shape (count, n, n), unchecked."""
+    """`reflection_product` of every coefficient row, shape (count, n, n).
+
+    Checks the reflection phases; the rows must otherwise be valid
+    coefficient sequences.
+    """
+    _check_reflection_phases(gammas[:, :-1])
     count, n = gammas.shape
     u = np.zeros((count, n, n), dtype=np.complex128)
     u[:, np.arange(n), np.arange(n)] = 1.0
@@ -317,47 +305,54 @@ def _eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([np.diag(t) for t, _ in pairs]), np.array([q for _, q in pairs])
 
 
-def _spectra_of_stack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and weights of each matrix of a stack, with the checks of the Schur path.
+def _check_eigenpairs(u: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
+    """Raise `ConvergenceError` unless the eigenpairs of a matrix or a stack hold.
 
-    Each matrix must pass the Gram check, have unimodular eigenvalues and
-    small eigenpair residuals; the weights |v_j[0]|^2 of its unit
-    eigenvectors must clear the cyclicity floor and sum to 1, and its atoms
-    must be distinct.
+    Each eigenvalue `lam` (..., n) must be unimodular and each unit
+    eigenvector, a column of `vec` (..., n, n), must have a small residual.
     """
-    n = u.shape[-1]
-    diag = np.arange(n)
-    gram = np.matmul(u.conj().swapaxes(-1, -2), u)
-    gram[:, diag, diag] -= 1.0
-    residual = float(np.abs(gram).max())
-    if residual > tol.STRUCTURAL_TOL:
-        raise InvariantError(
-            f"unitarity residual {residual:.3e} exceeds {tol.STRUCTURAL_TOL:.1e}"
-        )
-    lam, vec = _eigenpairs(u)
-    if np.max(np.abs(np.abs(lam) - 1.0)) > tol.EIGEN_RESIDUAL_TOL:
+    drift = float(np.max(np.abs(np.abs(lam) - 1.0)))
+    if not drift <= tol.EIGEN_RESIDUAL_TOL:
         raise ConvergenceError("computed eigenvalues drifted off the unit circle")
-    residual = float(np.linalg.norm(u @ vec - vec * lam[:, None, :], axis=1).max())
-    if residual > tol.EIGEN_RESIDUAL_TOL:
+    residual = float(np.linalg.norm(u @ vec - vec * lam[..., None, :], axis=-2).max())
+    if not residual <= tol.EIGEN_RESIDUAL_TOL:
         raise ConvergenceError(
             f"eigenpair residual {residual:.2e} exceeds {tol.EIGEN_RESIDUAL_TOL:.1e}"
         )
-    w = np.abs(vec[:, 0, :]) ** 2
-    if np.any(w < tol.WEIGHT_FLOOR):
+
+
+def _angle_order(lam: np.ndarray, vec: np.ndarray):
+    """Angles in [0, 2pi), weights |v_j[0]|^2 and the order of the eigenpairs of each row.
+
+    The order is by angle, ties broken by the larger weight.
+    """
+    angles = np.mod(np.angle(lam), TWO_PI)
+    w = np.abs(vec[..., 0, :]) ** 2
+    return angles, w, np.lexsort((-w, angles), axis=-1)
+
+
+def _measure_rows(lam: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral measures at e_1 of the eigenpairs of each row of a stack.
+
+    `lam` (count, n) and unit eigenvectors `vec` (count, n, n).  The weights
+    |v_j[0]|^2 must clear the cyclicity floor and sum to 1, and the atoms
+    must be distinct.  Returns (thetas, weights), each (count, n), in the
+    order of `_angle_order`.
+    """
+    angles, w, order = _angle_order(lam, vec)
+    if not np.all(w >= tol.WEIGHT_FLOOR):
         raise NonCyclicVectorError(
             f"weight {w.min():.2e} below cyclicity floor {tol.WEIGHT_FLOOR:.0e}"
         )
     s = w.sum(axis=1, keepdims=True)
     worst = float(np.max(np.abs(s - 1.0)))
-    if worst > tol.STRUCTURAL_TOL:
+    if not worst <= tol.STRUCTURAL_TOL:
         raise InvariantError(f"weights sum to 1 only within {worst:.3e}")
-    angles = np.mod(np.angle(lam), TWO_PI)
-    order = np.lexsort((-w, angles), axis=-1)
     # the second reduction maps an angle that rounded up to 2pi back to 0, as
     # `SpectralMeasure` does
     thetas = np.mod(np.take_along_axis(angles, order, axis=-1), TWO_PI)
     weights = np.take_along_axis(w / s, order, axis=-1)
-    if n > 1 and np.any(min_atom_gap(thetas) <= tol.ATOM_GAP_TOL):
+    if thetas.shape[-1] > 1 and not np.all(min_atom_gap(thetas) > tol.ATOM_GAP_TOL):
         raise InvariantError("atoms must be pairwise distinct on the circle")
     return thetas, weights
 
@@ -376,14 +371,16 @@ def spectra_from_gammas(gammas) -> tuple[np.ndarray, np.ndarray]:
     if g.ndim != 2:
         raise InvariantError(f"expected coefficient rows of shape (count, n), got {g.shape}")
     check_coefficient_rows(g)
-    _check_reflection_phases(g[:, :-1])
     count, n = g.shape
     thetas = np.empty((count, n))
     weights = np.empty((count, n))
     step = max(1, BATCH_ENTRY_BUDGET // (n * n))
     for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        thetas[lo:hi], weights[lo:hi] = _spectra_of_stack(_reflection_stack(g[lo:hi]))
+        u = _reflection_stack(g[lo : lo + step])
+        _unitarity_residual(u)
+        lam, vec = _eigenpairs(u)
+        _check_eigenpairs(u, lam, vec)
+        thetas[lo : lo + step], weights[lo : lo + step] = _measure_rows(lam, vec)
     return thetas, weights
 
 

@@ -85,28 +85,30 @@ class EnsembleParams:
         return 0.5 * self.beta
 
 
-def check_coefficient_rows(arr: np.ndarray, unit_tol: float = tol.UNIT_MODULUS_TOL) -> None:
+def check_coefficient_rows(arr: np.ndarray) -> None:
     """Raise `InvariantError` unless every row (last axis) of `arr` is a coefficient sequence.
 
-    Interior entries lie strictly inside the unit disk; the last entry is
-    unimodular within `unit_tol`.
+    Entries are finite; interior entries lie strictly inside the unit disk;
+    the last entry is unimodular within `UNIT_MODULUS_TOL`.
     """
     if arr.shape[-1] < 1:
         raise InvariantError("coefficient sequence must have length >= 1")
+    if not np.all(np.isfinite(arr)):
+        raise InvariantError("coefficients must be finite")
     mods = np.abs(arr)
     if np.any(mods[..., :-1] >= 1.0):
         raise InvariantError("interior coefficients must lie strictly inside the unit disk")
     off = np.abs(mods[..., -1] - 1.0)
-    if np.any(off > unit_tol):
+    if np.any(off > tol.UNIT_MODULUS_TOL):
         raise InvariantError(
-            f"last coefficient must be unimodular within {unit_tol:g}, "
+            f"last coefficient must be unimodular within {tol.UNIT_MODULUS_TOL:g}, "
             f"got modulus {mods[..., -1].flat[np.argmax(off)]!r}"
         )
 
 
-def _coefficient_vector(values, unit_tol: float) -> np.ndarray:
+def _coefficient_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
-    check_coefficient_rows(arr, unit_tol)
+    check_coefficient_rows(arr)
     arr.setflags(write=False)
     return arr
 
@@ -118,9 +120,7 @@ class VerblunskyCoeffs:
     alphas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "alphas", _coefficient_vector(self.alphas, tol.UNIT_MODULUS_TOL)
-        )
+        object.__setattr__(self, "alphas", _coefficient_vector(self.alphas))
 
     @property
     def n(self) -> int:
@@ -139,9 +139,7 @@ class DeformedCoeffs:
     gammas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "gammas", _coefficient_vector(self.gammas, tol.UNIT_MODULUS_TOL)
-        )
+        object.__setattr__(self, "gammas", _coefficient_vector(self.gammas))
 
     @property
     def n(self) -> int:
@@ -163,10 +161,13 @@ class SpectralMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        th = np.mod(np.asarray(self.thetas, dtype=float).reshape(-1), TWO_PI)
+        th = np.asarray(self.thetas, dtype=float).reshape(-1)
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if th.size != w.size or th.size < 1:
             raise InvariantError("thetas and weights must have equal positive length")
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(w))):
+            raise InvariantError("thetas and weights must be finite")
+        th = np.mod(th, TWO_PI)
         if np.any(w <= 0.0):
             raise InvariantError("all weights must be positive")
         s = w.sum()
@@ -367,9 +368,7 @@ def _monic_gs_alphas(thetas, weights, count) -> np.ndarray:
     return alphas
 
 
-def verblunsky_from_measure(
-    measure: SpectralMeasure, *, cond_limit: float = tol.GRAM_COND_LIMIT
-) -> VerblunskyCoeffs:
+def verblunsky_from_measure(measure: SpectralMeasure) -> VerblunskyCoeffs:
     """Recover the n recursion coefficients of an n-atom measure.
 
     Inverse of spectral-measure extraction: building the matrix model from the
@@ -378,15 +377,15 @@ def verblunsky_from_measure(
     Raises
     ------
     NumericDegeneracyError
-        If the moment (Gram) matrix conditioning exceeds `cond_limit`,
+        If the moment (Gram) matrix conditioning exceeds `GRAM_COND_LIMIT`,
         which happens for nearly coincident atoms.
     """
     n = measure.n
     if n > 1:
         cond = np.linalg.cond(_moment_matrix(measure.thetas, measure.weights))
-        if not cond < cond_limit:
+        if not cond < tol.GRAM_COND_LIMIT:
             raise NumericDegeneracyError(
-                f"moment matrix conditioning {cond:.3e} exceeds {cond_limit:.1e}"
+                f"moment matrix conditioning {cond:.3e} exceeds {tol.GRAM_COND_LIMIT:.1e}"
             )
     alphas = np.empty(n, dtype=np.complex128)
     if n > 1:

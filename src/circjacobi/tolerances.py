@@ -1,7 +1,7 @@
 """Named tolerances used by constructors, checks and tests.
 
 Single source of truth: code and tests import these rather than repeating
-literals.  Functions that enforce one accept a keyword override.
+literals.
 """
 
 # coefficient bijections (alpha <-> gamma) round-trip agreement

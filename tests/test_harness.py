@@ -268,8 +268,9 @@ class TestExitCodes:
         assert main(["sample", "--beta", "-1", "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_negative_tilt_is_config_error(self, tmp_path):
-        assert main(["sample", "--delta-re", "-0.3",
-                     "--out", str(tmp_path / "x.csv")]) == 2
+        for command in ("sample", "dump-matrix"):
+            assert main([command, "--delta-re", "-0.3",
+                         "--out", str(tmp_path / "x.out")]) == 2, command
 
     def test_unknown_config_key_is_two(self, tmp_path):
         cfg = tmp_path / "c.cfg"

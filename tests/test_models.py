@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from circjacobi import (
     CircJacobiError,
+    ConvergenceError,
     DeformedCoeffs,
     DegenerateCoefficientError,
     DenseUnitary,
@@ -11,6 +13,7 @@ from circjacobi import (
     NonCyclicVectorError,
     ParameterError,
     SeededRng,
+    SpectralMeasure,
     VerblunskyCoeffs,
     agr_product,
     alpha_from_gamma,
@@ -331,6 +334,40 @@ class TestBatchedSpectra:
             spectra_from_gammas(degenerate)
         with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
             reflection_product(DeformedCoeffs(degenerate[2]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DeformedCoeffs([np.nan, 1.0]),
+    lambda: VerblunskyCoeffs([0.1, np.nan]),
+    lambda: DenseUnitary.from_entries([[np.nan, 0.0], [0.0, 1.0]]),
+    lambda: SpectralMeasure([0.0, np.nan], [0.5, 0.5]),
+    lambda: spectra_from_gammas([[np.nan, 1.0]]),
+], ids=["deformed", "verblunsky", "dense-unitary", "spectral-measure", "spectra"])
+def test_nan_is_rejected(build):
+    with pytest.raises(InvariantError):
+        build()
+
+
+@pytest.mark.parametrize("path", ["spectral_measure", "eig", "schur"])
+def test_perturbed_eigenvector_fails_eigenpair_check(path, monkeypatch):
+    owner, name = (np.linalg, "eig") if path == "eig" else (scipy.linalg, "schur")
+    solve = getattr(owner, name)
+
+    def perturbed(*args, **kwargs):
+        values, vectors = solve(*args, **kwargs)
+        vectors = vectors.copy()
+        vectors[..., 0, 0] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(owner, name, perturbed)
+    if path == "schur":
+        monkeypatch.setattr(models, "SCHUR_MIN_N", 1)
+    gammas = sample_eta_batch(SeededRng(45), EnsembleParams(6, 2.0, 1.0), 3)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        if path == "spectral_measure":
+            spectral_measure(reflection_product(DeformedCoeffs(gammas[0])))
+        else:
+            spectra_from_gammas(gammas)
 
 
 def test_matrix_json_roundtrip(gen):
