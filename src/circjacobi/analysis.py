@@ -72,19 +72,19 @@ class LimitParams:
 
 
 def limit_params(d: complex) -> LimitParams:
-    """Compute the limit constants; requires Re(d) >= 0."""
+    """Compute the limit constants; requires a finite d with Re(d) >= 0."""
     d = complex(d)
-    if d.real < 0:
-        raise ParameterError(f"limit regime requires Re(d) >= 0, got {d}")
+    if not (np.isfinite(d) and d.real >= 0):
+        raise ParameterError(f"limit regime requires a finite d with Re(d) >= 0, got {d}")
     if d == 0:
         return LimitParams(0j, 0j, 0.0, 0.0)
     alpha = -np.conj(d) / (1.0 + np.conj(d))
     ratio = min(abs(d / (1.0 + d)), 1.0)
     theta_d = 2.0 * float(np.arcsin(ratio))
     xi_d = float(np.angle((1.0 + d) / (1.0 + np.conj(d))))
-    if abs(xi_d) > theta_d + 1e-12:
+    if not abs(xi_d) <= theta_d + 1e-12:
         raise ParameterError(f"rotation {xi_d!r} outside [-theta_d, theta_d] for d={d}")
-    if abs(alpha + 0.5) > 0.5 + 1e-12:
+    if not abs(alpha + 0.5) <= 0.5 + 1e-12:
         raise ParameterError(f"limit coefficient {alpha!r} outside the admissible disk")
     return LimitParams(d, complex(alpha), theta_d, xi_d)
 

@@ -26,7 +26,7 @@ class PoleError(CircJacobiError, ArithmeticError):
 
 
 class NumericDegeneracyError(CircJacobiError, RuntimeError):
-    """Conditioning too poor to trust the result (nearly coincident atoms)."""
+    """Inverse spectral map lost to rounding: an interior coefficient reached the circle."""
 
 
 class NonCyclicVectorError(CircJacobiError, RuntimeError):

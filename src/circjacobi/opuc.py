@@ -10,7 +10,7 @@ alpha_{n-1} on the circle.  This module provides
   coefficients (gamma_k), which share the same moduli but multiply out the
   characteristic polynomial at 1,
 * the coefficient functions z -> gamma_k(z) that factor Phi_k pointwise,
-* extraction of coefficients from a discrete measure (monic Gram-Schmidt),
+* extraction of coefficients from a discrete measure (isometric Arnoldi),
   and the Caratheodory/Schur transforms of a measure.
 
 Everything here is pure and deterministic; randomness lives in `sampling`.
@@ -71,11 +71,11 @@ class EnsembleParams:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be > 0, got {self.beta!r}")
+        if not 0 < self.beta < np.inf:
+            raise ParameterError(f"beta must be finite and > 0, got {self.beta!r}")
         d = complex(self.delta)
-        if not d.real > -0.5:
-            raise ParameterError(f"Re(delta) must exceed -1/2, got {d}")
+        if not (np.isfinite(d) and d.real > -0.5):
+            raise ParameterError(f"delta must be finite with Re(delta) > -1/2, got {d}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "delta", d)
@@ -323,48 +323,40 @@ def char_poly_at_one(coeffs: DeformedCoeffs) -> complex:
     return complex(np.prod(1.0 - coeffs.gammas))
 
 
-def _moment_matrix(thetas: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    n = thetas.size
-    ks = np.arange(-(n - 1), n)
-    moments = (weights[None, :] * np.exp(1j * np.outer(ks, thetas))).sum(axis=1)
-    idx = np.subtract.outer(np.arange(n), np.arange(n))  # G[i, j] = m_{j-i}
-    return moments[-idx + (n - 1)]
+def _arnoldi_alphas(thetas, weights, count) -> np.ndarray:
+    """First `count` coefficients of the measure by the isometric Arnoldi process.
 
-
-def _monic_gs_alphas(thetas, weights, count) -> np.ndarray:
-    """First `count` coefficients of the measure via monic Gram-Schmidt.
-
-    Orthogonalizes 1, z, z^2, ... in L2 of the atomic measure with one
-    reorthogonalization pass; coefficients are read off from the constant
-    terms, conj(alpha_k) = -Phi_{k+1}(0).
+    Runs `count` Arnoldi steps on diag(e^{i theta}) from the unit vector
+    sqrt(w), with classical Gram-Schmidt applied twice per step (Gragg 1993).
+    The subdiagonal entries are residual norms, real and positive, so the
+    Hessenberg matrix is a leading block of the one `ggt_from_alpha` builds.
+    Its factors Theta(alpha_k) are then peeled off one at a time: alpha_k =
+    conj(h[k, k]) once Theta(alpha_0), ..., Theta(alpha_{k-1}) are divided out
+    from the left (Ammar-Gragg-Reichel 1991).
     """
     z = np.exp(1j * np.asarray(thetas, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    basis_vals = [np.ones_like(z)]
-    basis_coef = [np.array([1.0 + 0.0j])]
-    norms = [w.sum()]
+    q = np.empty((count + 1, z.size), dtype=np.complex128)
+    q[0] = np.sqrt(weights)
+    q[0] /= np.linalg.norm(q[0])
+    h = np.zeros((count + 1, count), dtype=np.complex128)
+    for k in range(count):
+        v = z * q[k]
+        for _ in range(2):
+            c = np.conj(q[: k + 1] @ np.conj(v))
+            v -= c @ q[: k + 1]
+            h[: k + 1, k] += c
+        h[k + 1, k] = r = np.linalg.norm(v)
+        if not r > 0.0:
+            raise NumericDegeneracyError(f"Arnoldi residual {k + 1} vanished; atoms too close")
+        q[k + 1] = v / r
     alphas = np.empty(count, dtype=np.complex128)
-    power = np.ones_like(z)
-    for k in range(1, count + 1):
-        power = power * z
-        vals = power.copy()
-        coef = np.zeros(k + 1, dtype=np.complex128)
-        coef[k] = 1.0
-        for _ in range(2):  # reorthogonalize once
-            for j in range(k):
-                pr = np.sum(w * np.conj(basis_vals[j]) * vals) / norms[j]
-                vals = vals - pr * basis_vals[j]
-                coef[: j + 1] -= pr * basis_coef[j]
-        alphas[k - 1] = -np.conj(coef[0])
-        if k < count:
-            nrm = float(np.sum(w * np.abs(vals) ** 2))
-            if nrm <= 0.0:
-                raise NumericDegeneracyError(
-                    f"degree-{k} residual norm vanished; atoms too close"
-                )
-            basis_vals.append(vals)
-            basis_coef.append(coef)
-            norms.append(nrm)
+    for k in range(count):
+        a = alphas[k] = np.conj(h[k, k])
+        if not abs(a) < 1.0:
+            raise NumericDegeneracyError(f"|alpha_{k}| = {abs(a):.17g} rounds onto the circle")
+        # rows k, k+1 <- Theta(alpha_k)^H times them
+        r = h[k + 1, k].real
+        h[k : k + 2, k + 1 :] = np.array([[a, r], [r, -np.conj(a)]]) @ h[k : k + 2, k + 1 :]
     return alphas
 
 
@@ -372,24 +364,18 @@ def verblunsky_from_measure(measure: SpectralMeasure) -> VerblunskyCoeffs:
     """Recover the n recursion coefficients of an n-atom measure.
 
     Inverse of spectral-measure extraction: building the matrix model from the
-    result and re-extracting the measure reproduces atoms and weights.
+    result and re-extracting the measure reproduces atoms and weights.  The
+    interior coefficients come from the isometric Arnoldi process.
 
     Raises
     ------
     NumericDegeneracyError
-        If the moment (Gram) matrix conditioning exceeds `GRAM_COND_LIMIT`,
-        which happens for nearly coincident atoms.
+        If an Arnoldi residual vanishes or an interior coefficient rounds onto
+        the unit circle, which happens for nearly coincident atoms.
     """
     n = measure.n
-    if n > 1:
-        cond = np.linalg.cond(_moment_matrix(measure.thetas, measure.weights))
-        if not cond < tol.GRAM_COND_LIMIT:
-            raise NumericDegeneracyError(
-                f"moment matrix conditioning {cond:.3e} exceeds {tol.GRAM_COND_LIMIT:.1e}"
-            )
     alphas = np.empty(n, dtype=np.complex128)
-    if n > 1:
-        alphas[: n - 1] = _monic_gs_alphas(measure.thetas, measure.weights, n - 1)
+    alphas[: n - 1] = _arnoldi_alphas(measure.thetas, measure.weights, n - 1)
     # Phi_n is the node polynomial prod_j (z - z_j), so its constant term is
     # exact: conj(alpha_{n-1}) = -Phi_n(0) = -prod_j(-z_j).
     last = -np.conj(np.prod(-measure.atoms()))

@@ -84,11 +84,11 @@ class DiskDensitySpec:
     delta: complex = 0j
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ParameterError(f"radial exponent a must be > 0, got {self.a!r}")
+        if not 0 < self.a < np.inf:
+            raise ParameterError(f"radial exponent a must be finite and > 0, got {self.a!r}")
         d = complex(self.delta)
-        if not d.real > -0.5:
-            raise ParameterError(f"Re(delta) must exceed -1/2, got {d}")
+        if not (np.isfinite(d) and d.real > -0.5):
+            raise ParameterError(f"delta must be finite with Re(delta) > -1/2, got {d}")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "delta", d)
 

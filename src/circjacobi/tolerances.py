@@ -25,9 +25,6 @@ WEIGHT_FLOOR = 1e-14
 # |Phi_k(z)| below this counts as a pole of the coefficient functions
 POLE_TOL = 1e-14
 
-# moment (Gram) matrix conditioning limit for measure -> coefficients
-GRAM_COND_LIMIT = 1e12
-
 # |1 - gamma_j| below this makes the phase factor numerically meaningless
 DEGENERATE_PHASE_TOL = 1e-14
 

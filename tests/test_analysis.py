@@ -29,7 +29,7 @@ from circjacobi import (
     weight_gap_stat,
 )
 from circjacobi.gof import partition_quad, tilted_disk_power_moment
-from circjacobi.opuc import TWO_PI, _monic_gs_alphas
+from circjacobi.opuc import TWO_PI, _arnoldi_alphas
 from circjacobi.tolerances import SE_BOUND
 
 
@@ -101,7 +101,7 @@ class TestLimitDensity:
         lp = limit_params(1 + 1j)
         grid = mu_d_grid(lp, panels=64, order=48)
         weights = grid.weights / grid.weights.sum()
-        alphas = _monic_gs_alphas(grid.thetas, weights, 6)
+        alphas = _arnoldi_alphas(grid.thetas, weights, 6)
         ks = np.arange(6)
         expected = lp.alpha_d * np.exp(-1j * (ks + 1) * lp.xi_d)
         assert abs(alphas[0] - expected[0]) < 1e-4

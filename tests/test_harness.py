@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circjacobi import ParameterError, SeededRng
+from circjacobi import ParameterError, SeededRng, tolerances
 from circjacobi.cli import main
 from circjacobi.harness import (
     _stat_checks,
@@ -96,6 +97,15 @@ def test_cli_import_loads_no_scipy_submodule():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == ""
+
+
+def test_every_tolerance_is_used_outside_its_module():
+    # a bound whose check is deleted must not linger in `tolerances`
+    package = Path(tolerances.__file__).parent
+    text = "\n".join(p.read_text() for p in package.glob("*.py") if p.name != "tolerances.py")
+    names = [name for name in vars(tolerances) if not name.startswith("_")]
+    assert names
+    assert [name for name in names if not re.search(rf"\b{name}\b", text)] == []
 
 
 class TestSampleCommand:
@@ -271,6 +281,16 @@ class TestExitCodes:
         for command in ("sample", "dump-matrix"):
             assert main([command, "--delta-re", "-0.3",
                          "--out", str(tmp_path / "x.out")]) == 2, command
+
+    def test_nan_tilt_is_config_error(self, tmp_path):
+        for command in ("sample", "dump-matrix"):
+            assert main([command, "--delta-im", "nan",
+                         "--out", str(tmp_path / "x.out")]) == 2, command
+
+    @pytest.mark.parametrize("flag", ["--d-re", "--d-im"])
+    def test_nan_limit_parameter_is_config_error(self, flag, tmp_path):
+        assert main(["plot-data", flag, "nan", "--grid", "64",
+                     "--out", str(tmp_path / "p.csv")]) == 2
 
     def test_unknown_config_key_is_two(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -35,7 +35,7 @@ from circjacobi import (
 from circjacobi import models
 from circjacobi.models import _xi_block, matrix_from_json_dict, matrix_to_json_dict
 from circjacobi.opuc import TWO_PI
-from circjacobi.tolerances import SE_BOUND
+from circjacobi.tolerances import MEASURE_ROUNDTRIP_TOL, SE_BOUND
 
 from conftest import random_alphas
 
@@ -334,6 +334,26 @@ class TestBatchedSpectra:
             spectra_from_gammas(degenerate)
         with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
             reflection_product(DeformedCoeffs(degenerate[2]))
+
+
+@pytest.mark.parametrize("n", [2, 8, 50, 200])
+def test_inverse_map_recovers_sampled_gammas(n):
+    # output-side oracle with no second eigensolver: the coefficients read
+    # back from each sampled spectrum are the ones it was built from
+    rows = {2: 6, 8: 6, 50: 3, 200: 2}[n]
+    worst, inverted = 0.0, 0
+    for beta in (0.5, 2.0, 4.0):
+        for delta in (0.0, 1.0, 1 + 1j, 0.5 * beta * n):
+            for row in sample_eta_batch(SeededRng(100 + n), EnsembleParams(n, beta, delta), rows):
+                try:
+                    thetas, weights = spectra_from_gammas(row[None, :])
+                except NonCyclicVectorError:  # the small-beta weight floor
+                    continue
+                alphas = verblunsky_from_measure(SpectralMeasure(thetas[0], weights[0]))
+                worst = max(worst, np.max(np.abs(gamma_from_alpha(alphas).gammas - row)))
+                inverted += 1
+    assert inverted >= 10 * rows
+    assert worst <= MEASURE_ROUNDTRIP_TOL
 
 
 @pytest.mark.parametrize("build", [

@@ -5,6 +5,7 @@ from numpy.polynomial import polynomial as npoly
 from circjacobi import (
     DegenerateCoefficientError,
     DeformedCoeffs,
+    EnsembleParams,
     InvariantError,
     MonicPolyPair,
     NumericDegeneracyError,
@@ -45,6 +46,15 @@ class TestTypes:
     def test_coincident_atoms_rejected(self):
         with pytest.raises(InvariantError):
             SpectralMeasure([1.0, 1.0 + 1e-12], [0.5, 0.5])
+
+    @pytest.mark.parametrize("beta,delta", [
+        (np.inf, 0.0), (np.nan, 0.0),
+        (2.0, complex(np.inf, 0.0)), (2.0, complex(np.nan, 0.0)),
+        (2.0, complex(1.0, np.inf)), (2.0, complex(1.0, -np.inf)), (2.0, complex(1.0, np.nan)),
+    ])
+    def test_non_finite_ensemble_parameters_rejected(self, beta, delta):
+        with pytest.raises(ParameterError):
+            EnsembleParams(4, beta, delta)
 
     def test_monic_pair_requires_unit_leading_coefficient(self):
         with pytest.raises(InvariantError):

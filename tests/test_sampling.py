@@ -153,6 +153,15 @@ class TestGammaKDensity:
         with pytest.raises(ParameterError):
             gamma_k_density(DiskDensitySpec(1.0, 0.0), 1.2)
 
+    @pytest.mark.parametrize("a,delta", [
+        (np.inf, 0.0), (np.nan, 0.0),
+        (1.0, complex(np.inf, 0.0)), (1.0, complex(np.nan, 0.0)),
+        (1.0, complex(1.0, np.inf)), (1.0, complex(1.0, -np.inf)), (1.0, complex(1.0, np.nan)),
+    ])
+    def test_non_finite_parameters_rejected(self, a, delta):
+        with pytest.raises(ParameterError):
+            DiskDensitySpec(a, delta)
+
     def test_pole_warning_for_negative_tilt(self):
         spec = DiskDensitySpec(1.0, -0.3)
         with pytest.warns(RuntimeWarning):
