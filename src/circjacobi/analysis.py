@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
+from . import tolerances as tol
 from .errors import ParameterError, TruncationWarning
+from .gof import tilted_disk_power_moment
 from .opuc import TWO_PI, EnsembleParams, SpectralMeasure
 from .sampling import complex_log_gamma
 
@@ -226,17 +228,7 @@ def moment_one_minus_gamma(k: int, params: EnsembleParams, s) -> complex:
     """E[(1 - gamma_k)^s] for coefficient index k (the last one included)."""
     if not 0 <= k < params.n:
         raise ParameterError(f"coefficient index {k} outside 0..{params.n - 1}")
-    s = complex(s)
-    d = params.delta
-    a = params.beta_half * (params.n - k - 1)
-    two_c = 2.0 * d.real
-    log_val = (
-        complex_log_gamma(a + two_c + s + 1.0)
-        + complex_log_gamma(a + np.conj(d) + 1.0)
-        - complex_log_gamma(a + two_c + 1.0)
-        - complex_log_gamma(a + np.conj(d) + s + 1.0)
-    )
-    return complex(np.exp(log_val))
+    return tilted_disk_power_moment(params.beta_half * (params.n - k - 1), params.delta, s, 0.0)
 
 
 def log_partition_zst(n: int, beta: float, s, t) -> complex:
@@ -328,8 +320,10 @@ class EmpiricalMeasure:
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if th.size != w.size or th.size < 1:
             raise ParameterError("thetas and weights must have equal positive length")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ParameterError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
+        if abs(w.sum() - 1.0) > tol.STRUCTURAL_TOL:
+            raise ParameterError(
+                f"weights must sum to 1 within {tol.STRUCTURAL_TOL:g}, got {w.sum()!r}"
+            )
         order = np.argsort(th, kind="stable")
         th = th[order]
         w = w[order]

@@ -1,7 +1,8 @@
 """Reproducible experiment runner behind the command-line interface.
 
 Parses flat key=value config files merged with command-line overrides,
-validates them against per-command schemas (unknown keys are rejected),
+validates them against the per-command defaults (unknown keys are rejected,
+and each value takes the type of its default),
 executes the command bodies, and emits deterministic CSV/JSON data plus a
 JSON manifest for every run.
 """
@@ -24,27 +25,7 @@ from .opuc import TWO_PI
 # ---------------------------------------------------------------------------
 # configuration
 
-_COMMON = {"seed": int, "stream": int, "out": str, "format": str}
-
-SCHEMAS: dict[str, dict[str, type]] = {
-    "sample": {
-        "n": int, "beta": float, "delta_re": float, "delta_im": float,
-        "samples": int, **_COMMON,
-    },
-    "dump-matrix": {
-        "n": int, "beta": float, "delta_re": float, "delta_im": float, **_COMMON,
-    },
-    "verify": {"seed": int, "scale": float, "inject_bug": bool, "out": str},
-    "esd-convergence": {
-        "d_re": float, "d_im": float, "beta": float, "ladder": str, "reps": int,
-        **_COMMON,
-    },
-    "plot-data": {
-        "d_re": float, "d_im": float, "grid": int, "mft_n": int, "mft_beta": float,
-        **_COMMON,
-    },
-}
-
+# each command's config keys; a key's default also fixes its type
 DEFAULTS: dict[str, dict] = {
     "sample": {
         "n": 4, "beta": 2.0, "delta_re": 0.0, "delta_im": 0.0, "samples": 10,
@@ -82,10 +63,10 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(command: str, key: str, value):
-    schema = SCHEMAS[command]
-    if key not in schema:
+    defaults = DEFAULTS[command]
+    if key not in defaults:
         raise ParameterError(f"unknown config key {key!r} for command {command!r}")
-    target = schema[key]
+    target = type(defaults[key])
     if isinstance(value, target):
         return value
     try:
@@ -104,8 +85,8 @@ def _coerce(command: str, key: str, value):
 
 
 def build_config(command: str, file_values: dict | None = None, overrides: dict | None = None) -> dict:
-    """Defaults <- config file <- explicit overrides, all schema-validated."""
-    if command not in SCHEMAS:
+    """Defaults <- config file <- explicit overrides, each typed like its default."""
+    if command not in DEFAULTS:
         raise ParameterError(f"unknown command {command!r}")
     config = dict(DEFAULTS[command])
     for source in (file_values or {}), (overrides or {}):
@@ -177,12 +158,6 @@ class RunManifest:
         self.manifest_path = path
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_rows(path: str, header: list[str], rows, cfg_hash: str, fmt: str) -> None:
     """Write an iterable of row tuples as CSV or JSON.
 
@@ -193,7 +168,7 @@ def write_rows(path: str, header: list[str], rows, cfg_hash: str, fmt: str) -> N
         payload = {
             "config_hash": cfg_hash,
             "columns": header,
-            "rows": [[r if not isinstance(r, float) else float(_fmt(r)) for r in row] for row in rows],
+            "rows": list(rows),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)

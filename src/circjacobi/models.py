@@ -1,16 +1,19 @@
 """Unitary matrix models and spectral-measure extraction.
 
-Three equivalent dense constructions of the same unitary matrix are provided:
-the Hessenberg form written directly from the plain coefficients, the product
-of embedded 2x2 rotation-like blocks, and the product of n elementary
-reflections parameterized by the deformed coefficients.  A pentadiagonal
-form (alternating block product) is available as well.  Spectra and spectral
-measures come from a dense complex Schur decomposition, which keeps the
-eigenvector frame orthonormal so the weights of a cyclic vector always sum
-to one.  `sample_cj_spectra` draws, builds and eigensolves a whole block of
-spectra per call with stacked NumPy operations (stacked `eig` for small n).
-The one-spectrum path (`sample_cj_spectrum`) shares its build and every check
-and differs only in its Schur eigensolve, the reference for the batched one.
+The Hessenberg matrix of the plain coefficients is written down entrywise
+(`ggt_from_alpha`), the reference for every other construction.  The others
+are one product of embedded 2x2 factors and a last phase (`_factor_product`)
+taken in two orders.  In index order it gives the same matrix, both as the
+Ammar-Gragg-Reichel product of the Theta(alpha_k) and as the product of n
+elementary reflections of the deformed coefficients; even indices first, it
+gives the pentadiagonal (CMV) form of the same spectral measure.  Spectra
+and spectral measures come from a dense complex Schur decomposition, which
+keeps the eigenvector frame orthonormal so the weights of a cyclic vector
+always sum to one.  `sample_cj_spectra` draws, builds and eigensolves a
+whole block of spectra per call with stacked NumPy operations (stacked `eig`
+for small n).  The one-spectrum path (`sample_cj_spectrum`) shares its build
+and every check and differs only in its Schur eigensolve, the reference for
+the batched one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import scipy
 from . import tolerances as tol
 from .errors import (
     ConvergenceError,
-    DegenerateCoefficientError,
     InvariantError,
     NonCyclicVectorError,
     ParameterError,
@@ -37,6 +39,7 @@ from .opuc import (
     VerblunskyCoeffs,
     check_coefficient_rows,
     min_atom_gap,
+    reflection_phases,
 )
 from .sampling import SeededRng, sample_eta, sample_eta_batch
 
@@ -160,37 +163,47 @@ def _apply_block_columns(u: np.ndarray, k: int, block) -> None:
     u[..., :, k + 1] = c0 * b[0, 1] + c1 * b[1, 1]
 
 
-def _theta_block(alpha: complex) -> np.ndarray:
-    r = np.sqrt(max(1.0 - abs(alpha) ** 2, 0.0))
-    return np.array([[np.conj(alpha), r], [r, -alpha]], dtype=np.complex128)
+def _theta_block(alphas) -> np.ndarray:
+    """Theta(alpha) = [[conj(alpha), rho], [rho, -alpha]] of each alpha: (2, 2) + its shape."""
+    r = _rho(alphas)
+    return np.array([[np.conj(alphas), r], [r, -alphas]], dtype=np.complex128)
+
+
+def _xi_block(gammas) -> np.ndarray:
+    """Theta(conj(gamma)) diag(1, phase) of each gamma, `reflection_phases` giving the phase."""
+    block = _theta_block(np.conj(gammas))
+    block[:, 1] *= reflection_phases(gammas)
+    return block
+
+
+def _factor_product(blocks: np.ndarray, last: np.ndarray, order) -> np.ndarray:
+    """Stack of products of embedded factors, shape (count, n, n).
+
+    `blocks` (2, 2, count, n - 1) holds the 2x2 factors acting on coordinates
+    (k, k+1) and `last` (count,) the phase of the last coordinate.  Starting
+    from the identity, each index of `order` multiplies by its factor on the
+    right: block k for k < n - 1, the last phase for k = n - 1.
+    """
+    count = last.shape[0]
+    n = blocks.shape[-1] + 1
+    u = np.zeros((count, n, n), dtype=np.complex128)
+    u[:, np.arange(n), np.arange(n)] = 1.0
+    for k in order:
+        if k == n - 1:
+            u[:, :, k] *= last[:, None]
+        else:
+            _apply_block_columns(u, k, blocks[..., k])
+    return u
 
 
 def agr_product(coeffs: VerblunskyCoeffs) -> DenseUnitary:
-    """Product of embedded 2x2 blocks; equals `ggt_from_alpha` entrywise."""
+    """Theta(alpha_0) ... Theta(alpha_{n-2}) diag(1, ..., 1, conj(alpha_{n-1})).
+
+    The Ammar-Gragg-Reichel factorization; equals `ggt_from_alpha` entrywise.
+    """
     a = coeffs.alphas
-    n = a.size
-    u = np.eye(n, dtype=np.complex128)
-    for k in range(n - 1):
-        _apply_block_columns(u, k, _theta_block(a[k]))
-    u[:, n - 1] *= np.conj(a[n - 1])
-    return DenseUnitary.from_entries(u)
-
-
-def _check_reflection_phases(gammas: np.ndarray) -> None:
-    """Raise if an interior coefficient equals 1; the last axis indexes the coefficients."""
-    bad = np.nonzero(np.abs(1.0 - gammas) < tol.DEGENERATE_PHASE_TOL)[-1]
-    if bad.size:
-        raise DegenerateCoefficientError(
-            f"coefficient {bad.min()} equals 1; reflection phase undefined"
-        )
-
-
-def _xi_block(gamma) -> np.ndarray:
-    """Reflection blocks of interior coefficients, shape (2, 2) + np.shape(gamma)."""
-    phase = (1.0 - gamma) / (1.0 - np.conj(gamma))
-    r = np.sqrt(np.clip(1.0 - np.abs(gamma) ** 2, 0.0, None))
-    return np.array(
-        [[gamma, r * phase], [r, -np.conj(gamma) * phase]], dtype=np.complex128
+    return DenseUnitary.from_entries(
+        _factor_product(_theta_block(a[None, :-1]), np.conj(a[-1:]), range(a.size))[0]
     )
 
 
@@ -205,21 +218,19 @@ def reflection_product(coeffs: DeformedCoeffs) -> DenseUnitary:
 
 
 def cmv_from_alpha(coeffs: VerblunskyCoeffs) -> DenseUnitary:
-    """Pentadiagonal model: product of the even-index and odd-index block stacks.
+    """Pentadiagonal model: the `agr_product` factors, even indices first.
 
-    Same spectrum and spectral measure as the Hessenberg form; entries at
-    distance > 2 from the diagonal vanish.
+    The even-index factors multiply to one block-diagonal matrix and the
+    odd-index ones to another (the last phase joins the group of its index
+    parity); their product has the spectrum and spectral measure of the
+    Hessenberg form, and entries at distance > 2 from the diagonal vanish.
     """
     a = coeffs.alphas
     n = a.size
-    lmat = np.eye(n, dtype=np.complex128)
-    mmat = np.eye(n, dtype=np.complex128)
-    for k in range(n - 1):
-        target = lmat if k % 2 == 0 else mmat
-        target[k : k + 2, k : k + 2] = _theta_block(a[k])
-    target = lmat if (n - 1) % 2 == 0 else mmat
-    target[n - 1, n - 1] = np.conj(a[n - 1])
-    return DenseUnitary.from_entries(lmat @ mmat)
+    order = [*range(0, n, 2), *range(1, n, 2)]
+    return DenseUnitary.from_entries(
+        _factor_product(_theta_block(a[None, :-1]), np.conj(a[-1:]), order)[0]
+    )
 
 
 def eigen_unitary(u: DenseUnitary) -> EigenDecomposition:
@@ -271,22 +282,14 @@ def _reflection_stack(gammas: np.ndarray) -> np.ndarray:
     Checks the reflection phases; the rows must otherwise be valid
     coefficient sequences.
     """
-    _check_reflection_phases(gammas[:, :-1])
-    count, n = gammas.shape
-    u = np.zeros((count, n, n), dtype=np.complex128)
-    u[:, np.arange(n), np.arange(n)] = 1.0
-    blocks = _xi_block(gammas[:, :-1])
-    for k in range(n - 1):
-        _apply_block_columns(u, k, blocks[..., k])
     last = gammas[:, -1]
     correction = np.abs(np.abs(last) - 1.0)
     if correction.any():
         log.debug(
             "renormalizing last coefficient onto the circle in %d of %d rows (worst off by %.2e)",
-            np.count_nonzero(correction), count, correction.max(),
+            np.count_nonzero(correction), gammas.shape[0], correction.max(),
         )
-    u[:, :, n - 1] *= (last / np.abs(last))[:, None]
-    return u
+    return _factor_product(_xi_block(gammas[:, :-1]), last / np.abs(last), range(gammas.shape[1]))
 
 
 def _eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ n coefficients: alpha_0, ..., alpha_{n-2} in the open unit disk and
 alpha_{n-1} on the circle.  This module provides
 
 * the one-step polynomial recursion and its reversed-conjugate companion,
-* the bijection between the plain coefficients (alpha_k) and the deformed
+* the reflection phases (1 - gamma) / (1 - conj(gamma)) and, built on them,
+  the bijection between the plain coefficients (alpha_k) and the deformed
   coefficients (gamma_k), which share the same moduli but multiply out the
   characteristic polynomial at 1,
 * the coefficient functions z -> gamma_k(z) that factor Phi_k pointwise,
@@ -40,6 +41,7 @@ __all__ = [
     "MonicPolyPair",
     "szego_step",
     "szego_polynomials",
+    "reflection_phases",
     "gamma_from_alpha",
     "alpha_from_gamma",
     "check_coefficient_rows",
@@ -237,7 +239,7 @@ class MonicPolyPair:
 def szego_step(pair: MonicPolyPair, alpha: complex) -> MonicPolyPair:
     """Advance the recursion: Phi_{j+1}(z) = z Phi_j(z) - conj(alpha) Phi_j*(z)."""
     alpha = complex(alpha)
-    if abs(alpha) > 1.0 + 1e-12:
+    if abs(alpha) > 1.0 + tol.UNIT_MODULUS_TOL:
         raise ParameterError(f"|alpha| must be <= 1, got {abs(alpha)!r}")
     shifted = np.concatenate(([0.0 + 0.0j], pair.phi))
     padded_star = np.concatenate((pair.phi_star, [0.0 + 0.0j]))
@@ -261,20 +263,31 @@ def szego_polynomials(coeffs) -> list[MonicPolyPair]:
     return chain
 
 
-def _phase_update(gamma: complex, index: int) -> complex:
-    if abs(1.0 - gamma) < tol.DEGENERATE_PHASE_TOL:
+def reflection_phases(gammas) -> np.ndarray:
+    """Phases (1 - gamma) / (1 - conj(gamma)) of interior coefficients, any shape.
+
+    The last axis indexes the coefficients.  Raises
+    `DegenerateCoefficientError` naming the first index along it where a
+    coefficient equals 1 within `DEGENERATE_PHASE_TOL`.
+    """
+    g = np.asarray(gammas, dtype=np.complex128)
+    gap = 1.0 - g
+    bad = np.abs(gap) < tol.DEGENERATE_PHASE_TOL
+    if np.count_nonzero(bad):
+        index = np.nonzero(np.atleast_1d(bad))[-1].min()
         raise DegenerateCoefficientError(
-            f"coefficient {index} equals 1; phase factor undefined"
+            f"coefficient {index} equals 1; reflection phase undefined"
         )
-    return (1.0 - np.conj(gamma)) / (1.0 - gamma)
+    return gap / (1.0 - np.conj(g))
 
 
 def gamma_from_alpha(coeffs: VerblunskyCoeffs) -> DeformedCoeffs:
     """Map plain coefficients to deformed ones.
 
     gamma_0 = conj(alpha_0) and for k >= 1
-    gamma_k = conj(alpha_k) * prod_{j<k} (1 - conj(gamma_j)) / (1 - gamma_j).
-    Moduli are preserved, so validity of the input gives validity of the output.
+    gamma_k = conj(alpha_k) * prod_{j<k} conj(phase_j), phase_j the reflection
+    phase of gamma_j.  Moduli are preserved, so validity of the input gives
+    validity of the output.
     """
     alphas = coeffs.alphas
     n = alphas.size
@@ -283,21 +296,16 @@ def gamma_from_alpha(coeffs: VerblunskyCoeffs) -> DeformedCoeffs:
     for k in range(n):
         gammas[k] = np.conj(alphas[k]) * phase
         if k < n - 1:
-            phase *= _phase_update(gammas[k], k)
+            # the phases of the whole prefix, so that an error names index k
+            phase *= np.conj(reflection_phases(gammas[: k + 1])[k])
     return DeformedCoeffs(gammas)
 
 
 def alpha_from_gamma(coeffs: DeformedCoeffs) -> VerblunskyCoeffs:
     """Exact inverse of `gamma_from_alpha` (same cumulative phase, conjugated read-out)."""
     gammas = coeffs.gammas
-    n = gammas.size
-    alphas = np.empty(n, dtype=np.complex128)
-    phase = 1.0 + 0.0j
-    for k in range(n):
-        alphas[k] = np.conj(gammas[k]) * phase
-        if k < n - 1:
-            phase *= _phase_update(gammas[k], k)
-    return VerblunskyCoeffs(alphas)
+    phases = np.cumprod(np.conj(reflection_phases(gammas[:-1])))
+    return VerblunskyCoeffs(np.conj(gammas) * np.concatenate(([1.0 + 0.0j], phases)))
 
 
 def gamma_functions_at(coeffs: VerblunskyCoeffs, z: complex) -> np.ndarray:

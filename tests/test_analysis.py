@@ -9,6 +9,7 @@ from circjacobi import (
     EnsembleParams,
     ParameterError,
     SeededRng,
+    SpectralMeasure,
     TruncationWarning,
     b_const,
     b_const_finite_n,
@@ -30,7 +31,7 @@ from circjacobi import (
 )
 from circjacobi.gof import partition_quad, tilted_disk_power_moment
 from circjacobi.opuc import TWO_PI, _arnoldi_alphas
-from circjacobi.tolerances import SE_BOUND
+from circjacobi.tolerances import SE_BOUND, STRUCTURAL_TOL
 
 
 def closed_form_b(d):
@@ -342,6 +343,13 @@ class TestWeightGap:
         se = dev4.std(ddof=1) / np.sqrt(dev4.size)
         assert abs(dev4.mean() - exact) <= SE_BOUND * se
         assert exact <= 10.0 * k * (n - k) / n**4
+
+    def test_accepts_every_valid_spectral_measure(self):
+        # `SpectralMeasure` admits weight sums within STRUCTURAL_TOL of 1
+        w = np.array([0.25, 0.25, 0.5 + 0.5 * STRUCTURAL_TOL])
+        m = SpectralMeasure([0.5, 2.0, 4.0], w)
+        assert abs(weight_gap_stat(m) - 1.0 / 6.0) < 1e-9
+        assert abs(ks_distance(m, lambda t: np.asarray(t) / TWO_PI) - (1.0 - 4.0 / TWO_PI)) < 1e-9
 
     def test_gap_decays_with_dimension(self):
         rng = SeededRng(14)

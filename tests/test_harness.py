@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from circjacobi import ParameterError, SeededRng, tolerances
-from circjacobi.cli import main
+from circjacobi.cli import build_parser, main
 from circjacobi.harness import (
+    DEFAULTS,
     _stat_checks,
     build_config,
     check_weights_law,
@@ -97,6 +99,17 @@ def test_cli_import_loads_no_scipy_submodule():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == ""
+
+
+def test_cli_flags_are_the_config_keys():
+    # every flag of a subcommand is a key of its config and every key has a
+    # flag; --config names the config file and is not itself a key
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(DEFAULTS)
+    for command, sub in commands.choices.items():
+        flags = {a.dest for a in sub._actions} - {"help", "config"}
+        assert flags == set(DEFAULTS[command]), command
 
 
 def test_every_tolerance_is_used_outside_its_module():

@@ -117,6 +117,21 @@ class TestCMV:
             cmv_from_alpha(coeffs).entries, ggt_from_alpha(coeffs).entries
         )
 
+    def test_matches_block_diagonal_product(self, gen):
+        # oracle: L holds the even-index blocks, M the odd-index ones, and the
+        # last phase sits in the factor of its index parity
+        for n in (1, 2, 3, 8, 17):
+            a = random_alphas(gen, n).alphas
+            lmat = np.eye(n, dtype=complex)
+            mmat = np.eye(n, dtype=complex)
+            for k in range(n - 1):
+                r = np.sqrt(1.0 - abs(a[k]) ** 2)
+                target = lmat if k % 2 == 0 else mmat
+                target[k : k + 2, k : k + 2] = [[np.conj(a[k]), r], [r, -a[k]]]
+            (lmat if (n - 1) % 2 == 0 else mmat)[n - 1, n - 1] = np.conj(a[n - 1])
+            diff = np.abs(cmv_from_alpha(VerblunskyCoeffs(a)).entries - lmat @ mmat)
+            assert np.max(diff) <= 1e-14
+
     def test_same_spectrum_as_hessenberg(self, gen):
         coeffs = random_alphas(gen, 8)
         lam_c = eigen_unitary(cmv_from_alpha(coeffs)).eigenvalues

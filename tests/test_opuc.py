@@ -135,10 +135,19 @@ class TestCoefficientBijection:
 
     def test_degenerate_coefficient_raises(self):
         near_one = 1.0 - 5e-15
-        with pytest.raises(DegenerateCoefficientError):
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 0 "):
             gamma_from_alpha(VerblunskyCoeffs([near_one, 1.0]))
-        with pytest.raises(DegenerateCoefficientError):
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 0 "):
             alpha_from_gamma(DeformedCoeffs([near_one, 1.0]))
+        # the same coefficient after two regular ones; the plain coefficients
+        # are those of these deformed ones, written out by hand
+        gammas = np.array([0.3j, -0.2 + 0.1j, near_one])
+        phases = np.conj((1.0 - gammas[:2]) / (1.0 - np.conj(gammas[:2])))
+        alphas = np.conj(gammas) * np.concatenate(([1.0], np.cumprod(phases)))
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
+            gamma_from_alpha(VerblunskyCoeffs([*alphas, 1.0]))
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
+            alpha_from_gamma(DeformedCoeffs([*gammas, 1.0]))
 
 
 class TestGammaFunctions:
