@@ -263,6 +263,11 @@ def szego_polynomials(coeffs) -> list[MonicPolyPair]:
     return chain
 
 
+def _reflection_phase(gammas):
+    """(1 - gamma) / (1 - conj(gamma)), the same arithmetic for arrays and NumPy scalars."""
+    return (1.0 - gammas) / (1.0 - gammas.conjugate())
+
+
 def reflection_phases(gammas) -> np.ndarray:
     """Phases (1 - gamma) / (1 - conj(gamma)) of interior coefficients, any shape.
 
@@ -271,14 +276,13 @@ def reflection_phases(gammas) -> np.ndarray:
     coefficient equals 1 within `DEGENERATE_PHASE_TOL`.
     """
     g = np.asarray(gammas, dtype=np.complex128)
-    gap = 1.0 - g
-    bad = np.abs(gap) < tol.DEGENERATE_PHASE_TOL
+    bad = np.abs(1.0 - g) < tol.DEGENERATE_PHASE_TOL
     if np.count_nonzero(bad):
         index = np.nonzero(np.atleast_1d(bad))[-1].min()
         raise DegenerateCoefficientError(
             f"coefficient {index} equals 1; reflection phase undefined"
         )
-    return gap / (1.0 - np.conj(g))
+    return _reflection_phase(g)
 
 
 def gamma_from_alpha(coeffs: VerblunskyCoeffs) -> DeformedCoeffs:
@@ -289,16 +293,20 @@ def gamma_from_alpha(coeffs: VerblunskyCoeffs) -> DeformedCoeffs:
     phase of gamma_j.  Moduli are preserved, so validity of the input gives
     validity of the output.
     """
-    alphas = coeffs.alphas
-    n = alphas.size
-    gammas = np.empty(n, dtype=np.complex128)
+    conj_alphas = np.conj(coeffs.alphas)
+    gammas = []
     phase = 1.0 + 0.0j
-    for k in range(n):
-        gammas[k] = np.conj(alphas[k]) * phase
-        if k < n - 1:
-            # the phases of the whole prefix, so that an error names index k
-            phase *= np.conj(reflection_phases(gammas[: k + 1])[k])
-    return DeformedCoeffs(gammas)
+    # NumPy scalar steps: the same arithmetic as the arrays of `reflection_phases`
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for conj_alpha in conj_alphas[:-1]:
+            gamma = conj_alpha * phase
+            gammas.append(gamma)
+            phase *= _reflection_phase(gamma).conjugate()
+    gammas.append(conj_alphas[-1] * phase)
+    # every gamma up to the first degenerate one is exact, so this names the
+    # same index as a check at each step would
+    reflection_phases(gammas[:-1])
+    return DeformedCoeffs(np.array(gammas))
 
 
 def alpha_from_gamma(coeffs: DeformedCoeffs) -> VerblunskyCoeffs:

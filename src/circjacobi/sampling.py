@@ -14,8 +14,12 @@ the pair (t, psi) decouples into
 
 on (0,1) x (-pi/2, pi/2).  For Im(delta) = 0 the psi law is an arcsine-type
 transform of a symmetric Beta, so the draw costs two Beta variates and no
-rejection at any parameter size; Im(delta) != 0 adds a rejection step with
-acceptance near exp(-pi |Im delta|).
+rejection at any parameter size.  For Im(delta) != 0 the log-density of psi
+is concave, and psi is drawn by Devroye's log-concave rejection (Devroye
+1986, ch. VII): a flat envelope between the points where the log-density is
+1 below its maximum and tangent exponentials beyond, at acceptance about
+0.75 for every tilt.  At K = 0 the psi law is a truncated exponential,
+drawn by inversion.
 
 Reproducibility contract: a fixed (seed, stream_id) and call sequence yields
 bit-identical output on the same build.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -129,31 +134,115 @@ def sample_nu_s(rng: SeededRng, s: float, size=None):
     return complex(out) if size is None else out
 
 
-def _half_angle(gen: np.random.Generator, big_k: float, m: float, size: int) -> np.ndarray:
+HALF_PI = 0.5 * np.pi
+# Halvings of each envelope-root bracket.  The envelope is exact for any
+# bracket point; this many put it within pi * 2**-40 of the root, far below
+# the width ~ 1/sqrt(2K) of the psi law at any K in use.
+_ROOT_HALVINGS = 40
+
+
+def _log_cos_tilt(psi, big_k, m):
+    """h(psi) = 2K log cos(psi) + 2 m psi, the log of the unnormalized psi density."""
+    return 2.0 * big_k * np.log(np.cos(psi)) + 2.0 * m * psi
+
+
+def _trunc_exp(u, rate, width):
+    """Inverse cdf at u of the exponential law with `rate` > 0 truncated to [0, width]."""
+    return -np.log1p(u * np.expm1(-rate * width)) / rate
+
+
+class _Envelope(NamedTuple):
+    """Log-concave rejection envelope of the psi law (Devroye 1986, ch. VII).
+
+    h is concave with its maximum `top` at atan2(m, K).  The envelope is
+    exp(top) on [-edge[1], edge[0]], where edge[s] is the point past which h
+    is more than 1 below `top` on side s (0 right, 1 left mirrored to psi > 0;
+    pi/2 when there is none).  Beyond it lies the tangent exponential with
+    log-offset `drop[s]` at the edge and decay `rate[s]`, cut at +-pi/2, of
+    mass `area[s]` in units of exp(top).  Fields carry leading axes when
+    built for several K at once; `row` picks one.
+    """
+
+    top: np.ndarray
+    edge: np.ndarray
+    drop: np.ndarray
+    rate: np.ndarray
+    area: np.ndarray
+
+    def row(self, index: int) -> "_Envelope":
+        return _Envelope(*(field[index] for field in self))
+
+
+def _half_angle_envelopes(big_k, m: float) -> _Envelope:
+    """Envelopes of the psi law for every K > 0 in `big_k` at one tilt m.
+
+    Both sides of every K are bracketed in one vectorized bisection; side 1
+    is side 0 of the mirror law (K, -m) under psi -> -psi.
+    """
+    k = np.asarray(big_k, dtype=float)[..., None]
+    tilt = np.array([m, -m])
+    mode = np.arctan2(tilt, k)
+    top = _log_cos_tilt(mode, k, tilt)
+    level = top - 1.0
+    lo, hi = mode, np.full_like(mode, HALF_PI)
+    has_root = _log_cos_tilt(hi, k, tilt) < level
+    for _ in range(_ROOT_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = _log_cos_tilt(mid, k, tilt) < level
+        lo = np.where(below, lo, mid)
+        hi = np.where(below, mid, hi)
+    edge = np.where(has_root, hi, HALF_PI)
+    drop = _log_cos_tilt(edge, k, tilt) - top
+    rate = 2.0 * k * np.tan(edge) - 2.0 * tilt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = np.where(has_root, np.exp(drop) * -np.expm1(-rate * (HALF_PI - edge)) / rate, 0.0)
+    return _Envelope(top[..., 0], edge, drop, rate, area)
+
+
+def _half_angle(gen: np.random.Generator, big_k: float, m: float, size: int,
+                envelope: _Envelope | None = None) -> np.ndarray:
     """psi on (-pi/2, pi/2) with density ~ cos(psi)^(2K) * exp(2 m psi).
 
-    sin(psi) of the untilted law is an affine symmetric Beta; the exponential
-    tilt is handled by rejection with the global bound exp(pi |m|).
+    m == 0: sin(psi) is an affine symmetric Beta.  K == 0: psi is a
+    truncated exponential, drawn by inversion.  Otherwise the log-density is
+    concave and psi is drawn by rejection from `_Envelope` (built here
+    unless given), at acceptance about 0.75 for every (K, m).
     """
     if m == 0.0:
         u = 2.0 * gen.beta(big_k + 0.5, big_k + 0.5, size=size) - 1.0
         return np.arcsin(u)
+    if big_k == 0.0:
+        log.debug("tilted half-angle acceptance %.4f (K=%.3g, m=%.3g)", 1.0, big_k, m)
+        return np.copysign(HALF_PI - _trunc_exp(gen.random(size), 2.0 * abs(m), np.pi), m)
+    top, edge, drop, rate, area = _half_angle_envelopes(big_k, m) if envelope is None else envelope
+    flat = edge[0] + edge[1]
+    total = flat + area[0] + area[1]
     out = np.empty(size, dtype=float)
     filled = 0
     proposed = accepted = 0
-    rate_guess = float(np.exp(-np.pi * abs(m)))
+    rate_guess = 0.75
     while filled < size:
         need = size - filled
-        batch = min(max(int(need / max(rate_guess, 1e-3)), need, 64), 8_000_000)
-        u = 2.0 * gen.beta(big_k + 0.5, big_k + 0.5, size=batch) - 1.0
-        psi = np.arcsin(u)
-        keep = np.log(gen.random(batch)) < 2.0 * m * psi - np.pi * abs(m)
+        batch = max(int(need / rate_guess) + 1, 64)
+        u, v = gen.random((2, batch))
+        u *= total
+        # u picks the piece and the point: [0, flat) the flat top, then the
+        # right tail, then the left tail, each by inversion of its cdf
+        tail = u >= flat
+        side = (u >= flat + area[0]).astype(np.intp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = _trunc_exp((u - flat - area[0] * side) / area[side], rate[side],
+                           HALF_PI - edge[side])
+            psi = np.where(tail, (1 - 2 * side) * (edge[side] + x), u - edge[1])
+            log_envelope = top + np.where(tail, drop[side] - rate[side] * x, 0.0)
+            # log(1 - v) is the log of a uniform on (0, 1]; NaN psi never passes
+            keep = np.log1p(-v) < _log_cos_tilt(psi, big_k, m) - log_envelope
         got = psi[keep]
         take = min(got.size, need)
         out[filled : filled + take] = got[:take]
         filled += take
         proposed += batch
-        accepted += int(keep.sum())
+        accepted += got.size
         if accepted:
             rate_guess = accepted / proposed
     log.debug("tilted half-angle acceptance %.4f (K=%.3g, m=%.3g)", accepted / proposed, big_k, m)
@@ -164,8 +253,9 @@ def sample_lambda_delta(rng: SeededRng, delta: complex, size=None):
     """Exact draw from the tilted circle law (density `lambda_delta_density`).
 
     Writing the angle as theta = pi + 2 psi, the half-angle psi follows the
-    cos-power law with K = Re(delta), so the draw is a Beta transform plus a
-    rejection step only when Im(delta) != 0.  Requires Re(delta) >= 0.
+    cos-power law with K = Re(delta): a Beta transform for real delta, an
+    inverted truncated exponential for Re(delta) = 0, and otherwise a
+    rejection step at acceptance about 0.75.  Requires Re(delta) >= 0.
     """
     d = complex(delta)
     if d.real < 0:
@@ -227,12 +317,14 @@ def gamma_k_density(spec: DiskDensitySpec, z):
     return float(out) if np.isscalar(z) else out
 
 
-def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None):
+def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None, *,
+                   envelope: _Envelope | None = None):
     """Exact draw from `gamma_k_density` via the (t, psi) polar factorization.
 
     Cost is two Beta variates per draw for real delta, independent of the
-    parameter size; Im(delta) != 0 adds the half-angle rejection step.
-    Requires Re(delta) >= 0.
+    parameter size; Im(delta) != 0 draws psi by rejection at acceptance
+    about 0.75, against `envelope` when given (the half-angle envelope at
+    K = a + Re(delta), m = Im(delta)).  Requires Re(delta) >= 0.
     """
     d = spec.delta
     if d.real < 0:
@@ -241,14 +333,14 @@ def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None):
     count = 1 if size is None else int(np.prod(size))
     gen = rng.generator
     t = gen.beta(a + 2.0 * c + 1.0, a, size=count)
-    psi = _half_angle(gen, a + c, m, count)
+    psi = _half_angle(gen, a + c, m, count, envelope)
     z = 1.0 - 2.0 * t * np.cos(psi) * np.exp(1j * psi)
     # Beta draws can land on the boundary in extreme parameter regimes; redraw.
     bad = np.abs(z) >= 1.0
     while np.any(bad):
         nbad = int(bad.sum())
         t_new = gen.beta(a + 2.0 * c + 1.0, a, size=nbad)
-        psi_new = _half_angle(gen, a + c, m, nbad)
+        psi_new = _half_angle(gen, a + c, m, nbad, envelope)
         z[bad] = 1.0 - 2.0 * t_new * np.cos(psi_new) * np.exp(1j * psi_new)
         bad = np.abs(z) >= 1.0
     if size is None:
@@ -271,10 +363,15 @@ def sample_eta_batch(rng: SeededRng, params: EnsembleParams, count: int) -> np.n
         raise ParameterError(f"sampling requires Re(delta) >= 0, got {params.delta}")
     if count < 1:
         raise ParameterError("count must be >= 1")
-    n, bh = params.n, params.beta_half
+    n, bh, d = params.n, params.beta_half, params.delta
     out = np.empty((count, n), dtype=np.complex128)
+    envelopes = None
+    if d.imag != 0.0:
+        # every half-angle envelope of the block in one pass, K = a_k + Re(delta)
+        envelopes = _half_angle_envelopes(bh * np.arange(n - 1, 0, -1) + d.real, d.imag)
     for k in range(n - 1):
-        spec = DiskDensitySpec(a=bh * (n - k - 1), delta=params.delta)
-        out[:, k] = sample_gamma_k(rng, spec, size=count)
-    out[:, n - 1] = sample_lambda_delta(rng, params.delta, size=count)
+        spec = DiskDensitySpec(a=bh * (n - k - 1), delta=d)
+        envelope = None if envelopes is None else envelopes.row(k)
+        out[:, k] = sample_gamma_k(rng, spec, size=count, envelope=envelope)
+    out[:, n - 1] = sample_lambda_delta(rng, d, size=count)
     return out

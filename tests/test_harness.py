@@ -224,6 +224,24 @@ class TestEsdConvergenceCommand:
         data = json.loads((tmp_path / "esd.csv.manifest.json").read_text())
         assert set(data["summary"]["medians"]) == {"16", "32"}
 
+    def test_imaginary_scaling_is_feasible(self, tmp_path):
+        # Im delta = (beta/2) n d_im = 5 at n = 50; run in a child process so
+        # that a slow sampler fails on the time bound instead of hanging
+        out = tmp_path / "tilted.csv"
+        src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from circjacobi.cli import main; "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        args = ["esd-convergence", "--d-re", "1", "--d-im", "0.1", "--ladder", "50",
+                "--reps", "4", "--out", str(out)]
+        subprocess.run([sys.executable, "-c", code, *args], check=True, timeout=60,
+                       capture_output=True)
+        _, _, rows = read_csv(out)
+        assert len(rows) == 4
+        data = json.loads((tmp_path / "tilted.csv.manifest.json").read_text())
+        assert data["passed"] and all(check["passed"] for check in data["checks"])
+
     def test_bad_ladder_rejected(self, tmp_path):
         args = ["esd-convergence", "--ladder", "16,x", "--out",
                 str(tmp_path / "e.csv")]

@@ -25,7 +25,7 @@ from circjacobi import (
     szego_step,
     verblunsky_from_measure,
 )
-from circjacobi.opuc import TWO_PI, coeffs_from_pairs, coeffs_to_pairs
+from circjacobi.opuc import TWO_PI, coeffs_from_pairs, coeffs_to_pairs, reflection_phases
 
 from conftest import random_alphas
 
@@ -120,6 +120,20 @@ class TestCoefficientBijection:
             back = alpha_from_gamma(gamma_from_alpha(coeffs))
             worst = max(worst, float(np.max(np.abs(back.alphas - coeffs.alphas))))
         assert worst < 1e-12
+
+    def test_matches_stepwise_reference(self):
+        # the recursion with the vectorized phase of each prefix, one call per
+        # step, gives bit for bit the same coefficients
+        gen = np.random.default_rng(8)
+        for n in list(range(1, 65)) * 2:
+            alphas = random_alphas(gen, n).alphas
+            reference = np.empty(n, dtype=np.complex128)
+            phase = 1.0 + 0.0j
+            for k in range(n):
+                reference[k] = np.conj(alphas[k]) * phase
+                if k < n - 1:
+                    phase *= np.conj(reflection_phases(reference[: k + 1])[k])
+            assert np.array_equal(gamma_from_alpha(VerblunskyCoeffs(alphas)).gammas, reference)
 
     def test_modulus_preserved(self, gen):
         coeffs = random_alphas(gen, 40)

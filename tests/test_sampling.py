@@ -1,8 +1,15 @@
 import logging
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circjacobi import (
     DiskDensitySpec,
@@ -20,8 +27,14 @@ from circjacobi import (
     sample_lambda_delta,
     sample_nu_s,
 )
-from circjacobi.gof import disk_coefficient_chi2, disk_integral_quad
+from circjacobi.gof import (
+    circle_angle_chi2,
+    disk_coefficient_chi2,
+    disk_integral_quad,
+    tilted_disk_power_moment,
+)
 from circjacobi.opuc import TWO_PI
+from circjacobi.sampling import _half_angle
 from circjacobi.tolerances import SE_BOUND, SIGNIFICANCE
 
 
@@ -29,6 +42,31 @@ def mean_within(values, target):
     values = np.asarray(values)
     se = values.std(ddof=1) / np.sqrt(values.size)
     return abs(values.mean() - target) <= SE_BOUND * se
+
+
+class _AcceptanceLog(logging.Handler):
+    """Collects the acceptance rates of the tilted half-angle draws."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.rates = []
+
+    def emit(self, record):
+        if record.msg.startswith("tilted half-angle acceptance"):
+            self.rates.append(record.args[0])
+
+
+def half_angle_rates(big_k, m, size):
+    logger = logging.getLogger("circjacobi.sampling")
+    handler, level = _AcceptanceLog(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        _half_angle(np.random.default_rng(0), big_k, m, size)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return handler.rates
 
 
 class TestComplexLogGamma:
@@ -104,15 +142,20 @@ class TestLambdaDelta:
         assert mean_within(z.real, -0.5)
 
     def test_complex_tilt_matches_density(self, caplog):
-        from circjacobi.gof import circle_angle_chi2
-
         with caplog.at_level(logging.DEBUG, logger="circjacobi.sampling"):
             z = sample_lambda_delta(SeededRng(11), 1 + 1j, size=100_000)
         _, p, _ = circle_angle_chi2(np.angle(z), 1 + 1j)
         assert p >= SIGNIFICANCE
         rates = [rec.args[0] for rec in caplog.records
                  if "half-angle acceptance" in rec.msg]
-        assert rates and min(rates) >= 1.0 / (2.0**2 * np.exp(np.pi))
+        assert rates and min(rates) >= 0.5
+
+    @pytest.mark.parametrize("delta", [3j, 8j])
+    def test_pure_imaginary_tilt_matches_density(self, delta):
+        # Re(delta) = 0: the half angle is a truncated exponential, drawn by inversion
+        z = sample_lambda_delta(SeededRng(25), delta, size=100_000)
+        _, p, _ = circle_angle_chi2(np.angle(z), delta)
+        assert p >= SIGNIFICANCE
 
     def test_negative_real_part_rejected(self):
         with pytest.raises(ParameterError):
@@ -120,13 +163,37 @@ class TestLambdaDelta:
 
     def test_density_normalization(self):
         # direct quadrature of the density against uniform measure
-        import scipy.integrate
-
         for delta in (0.7, 1 + 1j, -0.3 + 0.2j):
             total, _ = scipy.integrate.quad(
                 lambda t: lambda_delta_density(delta, t), 0.0, TWO_PI, limit=200
             )
             assert abs(total / TWO_PI - 1.0) < 1e-8
+
+
+def half_angle_cdf(big_k, m):
+    """cdf of psi ~ cos(psi)^(2K) exp(2 m psi) on a fine grid, by the trapezoid rule."""
+    psi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 400_001)[1:-1]
+    log_f = 2.0 * big_k * np.log(np.cos(psi)) + 2.0 * m * psi
+    cdf = scipy.integrate.cumulative_trapezoid(np.exp(log_f - log_f.max()), psi, initial=0.0)
+    return lambda x: np.interp(x, psi, cdf / cdf[-1])
+
+
+class TestHalfAngle:
+    @pytest.mark.parametrize("big_k,m", [
+        (50, 4), (50, 6), (200, 50), (0.6, 3), (1e4, 1e3), (2, 0.1), (3, -2), (0, 3), (0, -8),
+    ])
+    def test_matches_quadrature_cdf(self, big_k, m):
+        psi = _half_angle(np.random.default_rng(26), big_k, m, 50_000)
+        _, p = scipy.stats.kstest(psi, half_angle_cdf(big_k, m))
+        assert p >= SIGNIFICANCE
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(big_k=st.floats(0.0, 1e4),
+           m=st.floats(0.0, 1e3, exclude_min=True),
+           mirrored=st.booleans())
+    def test_acceptance_at_least_half(self, big_k, m, mirrored):
+        rates = half_angle_rates(big_k, -m if mirrored else m, 4000)
+        assert rates and min(rates) >= 0.5
 
 
 class TestGammaKDensity:
@@ -202,6 +269,17 @@ class TestSampleGammaK:
         assert mean_within(z.real, -0.5)
         assert np.max(np.abs(z)) < 1.0
 
+    @pytest.mark.parametrize("a,delta", [(50.0, 6j), (200.0, 50j)])
+    def test_large_imaginary_tilt_is_cheap_and_correct(self, a, delta):
+        # rejection against the global bound exp(pi |m|) needs about 36 s per 100 draws at (50, 5i)
+        start = time.perf_counter()
+        z = sample_gamma_k(SeededRng(27), DiskDensitySpec(a, delta), size=50_000)
+        assert time.perf_counter() - start < 5.0
+        expected = 1.0 - tilted_disk_power_moment(a, delta, 1.0, 0.0)
+        assert mean_within(z.real, expected.real)
+        assert mean_within(z.imag, expected.imag)
+        assert np.max(np.abs(z)) < 1.0
+
     def test_negative_real_part_rejected(self):
         with pytest.raises(ParameterError):
             sample_gamma_k(SeededRng(18), DiskDensitySpec(1.0, -0.1))
@@ -242,6 +320,35 @@ class TestSampleEta:
             assert mean_within(draws[:, k].real, expected.real)
             assert mean_within(draws[:, k].imag, expected.imag)
 
+    def test_block_envelopes_match_per_call_draws(self):
+        # the envelopes built once per block give the draws that each call
+        # would give with its own envelope
+        params = EnsembleParams(12, 2.0, 1.5 + 4j)
+        block = sample_eta_batch(SeededRng(28), params, 50)
+        rng = SeededRng(28)
+        for k in range(params.n - 1):
+            spec = DiskDensitySpec(params.beta_half * (params.n - k - 1), params.delta)
+            assert np.array_equal(block[:, k], sample_gamma_k(rng, spec, size=50))
+        assert np.array_equal(block[:, -1], sample_lambda_delta(rng, params.delta, size=50))
+
     def test_requires_nonnegative_tilt(self):
         with pytest.raises(ParameterError):
             sample_eta(SeededRng(24), EnsembleParams(3, 2.0, -0.2))
+
+
+def test_tilted_draws_load_no_scipy_submodule():
+    # the half-angle envelope is found with NumPy alone; scipy.optimize would
+    # roughly double the peak memory of a tilted run
+    src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.stats", "scipy.integrate")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from circjacobi.sampling import DiskDensitySpec, SeededRng, sample_gamma_k, "
+        "sample_lambda_delta; "
+        "sample_gamma_k(SeededRng(1), DiskDensitySpec(50.0, 1 + 6j), size=100); "
+        "sample_lambda_delta(SeededRng(2), 1 + 3j, size=100); "
+        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == ""
