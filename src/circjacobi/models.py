@@ -6,14 +6,16 @@ are one product of embedded 2x2 factors and a last phase (`_factor_product`)
 taken in two orders.  In index order it gives the same matrix, both as the
 Ammar-Gragg-Reichel product of the Theta(alpha_k) and as the product of n
 elementary reflections of the deformed coefficients; even indices first, it
-gives the pentadiagonal (CMV) form of the same spectral measure.  Spectra
-and spectral measures come from a dense complex Schur decomposition, which
-keeps the eigenvector frame orthonormal so the weights of a cyclic vector
-always sum to one.  `sample_cj_spectra` draws, builds and eigensolves a
-whole block of spectra per call with stacked NumPy operations (stacked `eig`
-for small n).  The one-spectrum path (`sample_cj_spectrum`) shares its build
-and every check and differs only in its Schur eigensolve, the reference for
-the batched one.
+gives the pentadiagonal (CMV) form of the same spectral measure.  The
+reference spectra and spectral measures come from a dense complex Schur
+decomposition, which keeps the eigenvector frame orthonormal so the weights
+of a cyclic vector always sum to one.  `sample_cj_spectra` draws, builds and
+eigensolves a whole block of spectra per call with stacked NumPy operations:
+stacked `eig` for small n, and from `CAYLEY_MIN_N` on one stacked Hermitian
+`eigh` of the Cayley transforms, which have the eigenvectors of the unitary
+matrices.  The one-spectrum path (`sample_cj_spectrum`) shares its build and
+every check and differs only in its Schur eigensolve, the reference for the
+batched one.
 """
 
 from __future__ import annotations
@@ -67,11 +69,22 @@ log = logging.getLogger(__name__)
 # (one matrix at least), which bounds the working set, not the output
 BATCH_ENTRY_BUDGET = 2**15
 
-# from this dimension on, `spectra_from_gammas` runs one Schur decomposition
-# per matrix instead of stacked `eig`: eig's eigenvector back-substitution
-# then costs more (about 12% at n = 400), and a Python call per matrix no
-# longer shows
-SCHUR_MIN_N = 64
+# from this dimension on, `spectra_from_gammas` eigensolves the Cayley
+# transform of each matrix (`_cayley_eigenpairs`) instead of running stacked
+# `eig`: one Cayley solve took 16 ms against 64 ms for Schur and 82 ms for
+# eig at n = 200, and 94 against 367 and 447 ms at n = 400 (one BLAS thread,
+# Xeon).  It is faster below 64 too, but there `perfbench`'s `sample-small`
+# keeps every command's rows alive, so its peak RSS grows with throughput;
+# small n stays on `eig` until that is mended
+CAYLEY_MIN_N = 64
+
+# a row is solved again with its Cayley pole moved to the middle of the
+# widest gap between its computed eigenvalues when the nearest one lies
+# within this fraction of that gap from the pole; the residual of a Cayley
+# solve grows like 1e-15 / (angular distance of an eigenvalue to the pole)
+CAYLEY_POLE_CLEARANCE = 0.25
+# solves after the first that may move the pole of a row
+CAYLEY_POLE_MOVES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,17 +308,59 @@ def _reflection_stack(gammas: np.ndarray) -> np.ndarray:
 def _eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit eigenvectors of each matrix of a unitary stack (count, n, n).
 
-    Below `SCHUR_MIN_N`, one stacked `np.linalg.eig` call; from it on, the
-    Schur vectors of each matrix, which are its eigenvectors when the Schur
-    factor is diagonal (the caller's eigenpair residual check).
+    Below `CAYLEY_MIN_N`, one stacked `np.linalg.eig` call; from it on,
+    `_cayley_eigenpairs`.  The caller checks the eigenpair residual on `u`.
     """
     try:
-        if u.shape[-1] < SCHUR_MIN_N:
-            return np.linalg.eig(u)
-        pairs = [scipy.linalg.schur(m, output="complex") for m in u]
+        if u.shape[-1] >= CAYLEY_MIN_N:
+            return _cayley_eigenpairs(u)
+        return np.linalg.eig(u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - budget exhaustion
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return np.array([np.diag(t) for t, _ in pairs]), np.array([q for _, q in pairs])
+
+
+def _cayley_eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a unitary stack from the Hermitian Cayley transform of each matrix.
+
+    For a pole c on the unit circle, H = i (U - c)^{-1} (U + c) is Hermitian
+    with the eigenvectors of U, and its eigenvalue x is that of
+    lambda = c (x + i) / (x - i).  One stacked `np.linalg.eigh` solves the
+    (symmetrized) H of every row.  The first pole is 1, where the
+    circular-Jacobi density vanishes for Re delta > 0.  A row whose nearest
+    computed eigenvalue lies within `CAYLEY_POLE_CLEARANCE` times its widest
+    eigenvalue gap of the pole is solved again with the pole in the middle of
+    that gap, and a singular solve turns the pole by pi / n; the pole moves
+    at most `CAYLEY_POLE_MOVES` times.  The widest gap is at least 2 pi / n,
+    so after a move |H| stays below about 2 n / pi.
+    """
+    count, n, _ = u.shape
+    eye = np.eye(n)
+    # rows whose every solve was singular keep NaN, which the eigenpair check rejects
+    lam = np.full((count, n), np.nan, dtype=np.complex128)
+    vec = np.empty_like(u)
+    pole = np.ones(count, dtype=np.complex128)
+    rows = np.arange(count)
+    for _ in range(1 + CAYLEY_POLE_MOVES):
+        c = pole[rows, None, None]
+        try:
+            h = 1j * np.linalg.solve(u[rows] - c * eye, u[rows] + c * eye)
+        except np.linalg.LinAlgError:  # the pole is an eigenvalue of some row
+            pole[rows] *= np.exp(1j * np.pi / n)
+            continue
+        x, vec[rows] = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+        seen = (x + 1j) / (x - 1j)  # the eigenvalues seen from the pole
+        lam[rows] = pole[rows, None] * seen
+        rel = np.sort(np.angle(seen), axis=-1)
+        gaps = np.diff(rel, axis=-1, append=rel[:, :1] + TWO_PI)
+        widest = gaps.argmax(axis=-1)[:, None]
+        width = np.take_along_axis(gaps, widest, axis=-1)[:, 0]
+        near = np.abs(rel).min(axis=-1) < CAYLEY_POLE_CLEARANCE * width
+        middle = np.take_along_axis(rel, widest, axis=-1)[:, 0] + 0.5 * width
+        rows = rows[near]
+        pole[rows] *= np.exp(1j * middle[near])
+        if rows.size == 0:
+            break
+    return lam, vec
 
 
 def _check_eigenpairs(u: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
@@ -334,18 +389,25 @@ def _angle_order(lam: np.ndarray, vec: np.ndarray):
     return angles, w, np.lexsort((-w, angles), axis=-1)
 
 
-def _measure_rows(lam: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _measure_rows(
+    lam: np.ndarray, vec: np.ndarray, first_row: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Spectral measures at e_1 of the eigenpairs of each row of a stack.
 
     `lam` (count, n) and unit eigenvectors `vec` (count, n, n).  The weights
     |v_j[0]|^2 must clear the cyclicity floor and sum to 1, and the atoms
     must be distinct.  Returns (thetas, weights), each (count, n), in the
-    order of `_angle_order`.
+    order of `_angle_order`.  Errors number the rows from `first_row`.
     """
     angles, w, order = _angle_order(lam, vec)
-    if not np.all(w >= tol.WEIGHT_FLOOR):
+    cyclic = np.all(w >= tol.WEIGHT_FLOOR, axis=-1)
+    if not cyclic.all():
+        failing = np.flatnonzero(~cyclic)
+        last_row = first_row + cyclic.size - 1
         raise NonCyclicVectorError(
-            f"weight {w.min():.2e} below cyclicity floor {tol.WEIGHT_FLOOR:.0e}"
+            f"weight {w[failing[0]].min():.2e} of row {first_row + failing[0]} below "
+            f"cyclicity floor {tol.WEIGHT_FLOOR:.0e} ({failing.size} of rows "
+            f"{first_row}-{last_row} below it)"
         )
     s = w.sum(axis=1, keepdims=True)
     worst = float(np.max(np.abs(s - 1.0)))
@@ -383,7 +445,7 @@ def spectra_from_gammas(gammas) -> tuple[np.ndarray, np.ndarray]:
         _unitarity_residual(u)
         lam, vec = _eigenpairs(u)
         _check_eigenpairs(u, lam, vec)
-        thetas[lo : lo + step], weights[lo : lo + step] = _measure_rows(lam, vec)
+        thetas[lo : lo + step], weights[lo : lo + step] = _measure_rows(lam, vec, lo)
     return thetas, weights
 
 

@@ -101,6 +101,22 @@ def test_cli_import_loads_no_scipy_submodule():
     assert out.stdout.strip() == ""
 
 
+def test_batched_spectra_load_no_scipy_linalg():
+    # the batched eigensolves are NumPy's; loading scipy.linalg raises the
+    # peak memory of a large-n `sample` run by about a third
+    src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from circjacobi import EnsembleParams, SeededRng, sample_cj_spectra; "
+        "sample_cj_spectra(SeededRng(1), EnsembleParams(64, 2.0, 1.0), 3); "
+        "sample_cj_spectra(SeededRng(2), EnsembleParams(400, 2.0, 1.0), 1); "
+        "print('scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_flags_are_the_config_keys():
     # every flag of a subcommand is a key of its config and every key has a
     # flag; --config names the config file and is not itself a key

@@ -284,10 +284,10 @@ class TestBatchedSpectra:
     ROWS = {2: 30, 8: 30, 50: 6, 200: 1, 400: 1}
 
     @pytest.mark.parametrize("n,solver", [
-        (2, "eig"), (8, "eig"), (50, "eig"), (200, "schur"), (400, "eig"),
+        (2, "eig"), (8, "eig"), (50, "eig"), (200, "cayley"), (400, "eig"), (400, "cayley"),
     ])
     def test_matches_schur_oracle_on_identical_gammas(self, n, solver, monkeypatch):
-        monkeypatch.setattr(models, "SCHUR_MIN_N", n + 1 if solver == "eig" else n)
+        monkeypatch.setattr(models, "CAYLEY_MIN_N", n + 1 if solver == "eig" else n)
         worst_theta = worst_weight = 0.0
         for beta in (0.5, 2.0, 4.0):
             for delta in (0.0, 1.0, 1 + 1j, 0.5 * beta * n):
@@ -337,6 +337,13 @@ class TestBatchedSpectra:
         with pytest.raises(InvariantError, match="unitarity residual"):
             spectra_from_gammas(gammas)
 
+    def test_non_cyclic_error_names_the_failing_rows(self, monkeypatch):
+        gammas = sample_eta_batch(SeededRng(46), EnsembleParams(6, 2.0, 1.0), 12)
+        gammas[[5, 7], 0] = 1j * (1.0 - 1e-15)  # e_1 nearly decouples: weights of 1e-16
+        monkeypatch.setattr(models, "BATCH_ENTRY_BUDGET", 4 * 36)  # chunks of 4 rows
+        with pytest.raises(NonCyclicVectorError, match=r"of row 5 .*\(2 of rows 4-7 "):
+            spectra_from_gammas(gammas)
+
     def test_invalid_rows_raise_as_in_the_single_path(self):
         gammas = sample_eta_batch(SeededRng(44), EnsembleParams(4, 2.0, 1.0), 5)
         outside = gammas.copy()
@@ -349,6 +356,46 @@ class TestBatchedSpectra:
             spectra_from_gammas(degenerate)
         with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
             reflection_product(DeformedCoeffs(degenerate[2]))
+
+
+def _circular_match(thetas, weights, want: SpectralMeasure):
+    """Largest circular angle distance and weight difference to the nearest atom of `want`."""
+    dist = np.abs(np.angle(np.exp(1j * (thetas[:, None] - want.thetas[None, :]))))
+    nearest = dist.argmin(axis=1)
+    return dist.min(axis=1).max(), np.abs(weights - want.weights[nearest]).max()
+
+
+@pytest.mark.parametrize("n", [64, 200])
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_cayley_solve_near_its_first_pole(n, delta):
+    # rotate each matrix so that an eigenvalue sits at angle d from 1, the
+    # first pole; with the pole kept there the residual grows like 1e-15 / d
+    u = models._reflection_stack(sample_eta_batch(SeededRng(47), EnsembleParams(n, 2.0, delta), 2))
+    first = np.angle(np.linalg.eigvals(u)[:, :1])
+    for d in (1e-2, 1e-6, 1e-10, 1e-14, 0.0):
+        rotated = u * np.exp(1j * (d - first))[:, :, None]
+        lam, vec = models._eigenpairs(rotated)
+        models._check_eigenpairs(rotated, lam, vec)
+        thetas, weights = models._measure_rows(lam, vec)
+        for i, m in enumerate(rotated):
+            angle_gap, weight_gap = _circular_match(
+                thetas[i], weights[i], spectral_measure(DenseUnitary.from_entries(m))
+            )
+            assert angle_gap <= 1e-12 and weight_gap <= 1e-12, (d, i)
+
+
+def test_cayley_pole_on_an_exact_eigenvalue_moves():
+    # zero interior coefficients and last coefficient 1: a cyclic shift with
+    # eigenvalue exactly 1, so the first Cayley solve is singular
+    n = 64
+    gammas = np.zeros((2, n), dtype=np.complex128)
+    gammas[:, -1] = 1.0
+    gammas[1, 0] = 0.3
+    thetas, weights = spectra_from_gammas(gammas)
+    assert np.max(np.abs(thetas[0] - TWO_PI * np.arange(n) / n)) <= 1e-12
+    assert np.max(np.abs(weights[0] - 1.0 / n)) <= 1e-12
+    angle_gap, weight_gap = _circular_match(thetas[1], weights[1], _oracle(gammas[1]))
+    assert angle_gap <= 1e-12 and weight_gap <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 8, 50, 200])
@@ -383,9 +430,9 @@ def test_nan_is_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("path", ["spectral_measure", "eig", "schur"])
+@pytest.mark.parametrize("path", ["spectral_measure", "eig", "eigh"])
 def test_perturbed_eigenvector_fails_eigenpair_check(path, monkeypatch):
-    owner, name = (np.linalg, "eig") if path == "eig" else (scipy.linalg, "schur")
+    owner, name = (scipy.linalg, "schur") if path == "spectral_measure" else (np.linalg, path)
     solve = getattr(owner, name)
 
     def perturbed(*args, **kwargs):
@@ -395,14 +442,28 @@ def test_perturbed_eigenvector_fails_eigenpair_check(path, monkeypatch):
         return values, vectors
 
     monkeypatch.setattr(owner, name, perturbed)
-    if path == "schur":
-        monkeypatch.setattr(models, "SCHUR_MIN_N", 1)
+    if path == "eigh":
+        monkeypatch.setattr(models, "CAYLEY_MIN_N", 1)
     gammas = sample_eta_batch(SeededRng(45), EnsembleParams(6, 2.0, 1.0), 3)
     with pytest.raises(ConvergenceError, match="eigenpair residual"):
         if path == "spectral_measure":
             spectral_measure(reflection_product(DeformedCoeffs(gammas[0])))
         else:
             spectra_from_gammas(gammas)
+
+
+def test_perturbed_cayley_eigenvalue_fails_eigenpair_check(monkeypatch):
+    solve = np.linalg.eigh
+
+    def perturbed(h):
+        values, vectors = solve(h)
+        return values + 1e-6, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    monkeypatch.setattr(models, "CAYLEY_MIN_N", 1)
+    gammas = sample_eta_batch(SeededRng(45), EnsembleParams(6, 2.0, 1.0), 3)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        spectra_from_gammas(gammas)
 
 
 def test_matrix_json_roundtrip(gen):
