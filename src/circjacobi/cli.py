@@ -2,12 +2,17 @@
 
 Subcommands: sample, verify, esd-convergence, plot-data, dump-matrix.
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
+`--log-level`, given before the subcommand, prints the package's log
+records (sampler acceptance, last-coefficient renormalisation, Cayley pole
+moves at debug level) on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
+from contextlib import contextmanager
 
 from . import __version__, harness
 from .errors import CircJacobiError
@@ -27,6 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Circular Jacobi beta-ensemble sampling and verification harness",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", dest="log_level",
+                        choices=("debug", "info", "warning", "error"),
+                        help="print circjacobi log records of this level and above on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample spectra; emit per-sample angles and weights")
@@ -73,16 +81,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _log_to_stderr(level: str | None):
+    """Print the package's log records of `level` and above on stderr for the block."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("circjacobi")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.setLevel(level.upper())
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config", None)
+    log_level = args.pop("log_level")  # how a run reports, not what it computes
     overrides = {k: v for k, v in args.items() if v is not None}
     try:
-        file_values = harness.parse_config_file(config_path) if config_path else None
-        config = harness.build_config(command, file_values, overrides)
-        manifest = harness.COMMANDS[command](config)
+        with _log_to_stderr(log_level):
+            file_values = harness.parse_config_file(config_path) if config_path else None
+            config = harness.build_config(command, file_values, overrides)
+            manifest = harness.COMMANDS[command](config)
     except (CircJacobiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,10 @@ of a cyclic vector always sum to one.  `sample_cj_spectra` draws, builds and
 eigensolves a whole block of spectra per call with stacked NumPy operations:
 stacked `eig` for small n, and from `CAYLEY_MIN_N` on one stacked Hermitian
 `eigh` of the Cayley transforms, which have the eigenvectors of the unitary
-matrices.  The one-spectrum path (`sample_cj_spectrum`) shares its build and
-every check and differs only in its Schur eigensolve, the reference for the
-batched one.
+matrices; a matrix is solved a second time, with the Cayley pole moved, only
+when the norm of its transform exceeds n.  The one-spectrum path
+(`sample_cj_spectrum`) shares its build and every check and differs only in
+its Schur eigensolve, the reference for the batched one.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ BATCH_ENTRY_BUDGET = 2**15
 # small n stays on `eig` until that is mended
 CAYLEY_MIN_N = 64
 
-# a row is solved again with its Cayley pole moved to the middle of the
-# widest gap between its computed eigenvalues when the nearest one lies
-# within this fraction of that gap from the pole; the residual of a Cayley
-# solve grows like 1e-15 / (angular distance of an eigenvalue to the pole)
-CAYLEY_POLE_CLEARANCE = 0.25
-# solves after the first that may move the pole of a row
-CAYLEY_POLE_MOVES = 3
+# a Hermitian solve is accurate to about eps |H|, and |H| = max |x| grows
+# like 2 / (angular distance of the nearest eigenvalue to the pole); a row
+# whose first solve has max |x| > n, where that bound exceeds the n eps of
+# the Schur reference, is solved again with its pole in the middle of the
+# widest gap between its eigenvalues, which brings max |x| below
+# cot(pi / 2n) < 2n / pi.  The solves after the first are that one move and
+# one turn of the pole by pi / n after a singular solve
+CAYLEY_POLE_MOVES = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,12 +328,12 @@ def _cayley_eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with the eigenvectors of U, and its eigenvalue x is that of
     lambda = c (x + i) / (x - i).  One stacked `np.linalg.eigh` solves the
     (symmetrized) H of every row.  The first pole is 1, where the
-    circular-Jacobi density vanishes for Re delta > 0.  A row whose nearest
-    computed eigenvalue lies within `CAYLEY_POLE_CLEARANCE` times its widest
-    eigenvalue gap of the pole is solved again with the pole in the middle of
-    that gap, and a singular solve turns the pole by pi / n; the pole moves
-    at most `CAYLEY_POLE_MOVES` times.  The widest gap is at least 2 pi / n,
-    so after a move |H| stays below about 2 n / pi.
+    circular-Jacobi density vanishes for Re delta > 0.  The solve is
+    accurate to about eps |H| with |H| = max |x|, so a row with max |x| > n
+    is solved once more with the pole in the middle of its widest eigenvalue
+    gap; that gap is at least 2 pi / n, so max |x| is then below 2 n / pi.
+    A singular solve turns the pole of every pending row by pi / n.  The
+    pole moves at most `CAYLEY_POLE_MOVES` times.
     """
     count, n, _ = u.shape
     eye = np.eye(n)
@@ -340,26 +342,34 @@ def _cayley_eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vec = np.empty_like(u)
     pole = np.ones(count, dtype=np.complex128)
     rows = np.arange(count)
+    moved = np.zeros(count, dtype=bool)
+    turned = np.zeros(count, dtype=bool)
     for _ in range(1 + CAYLEY_POLE_MOVES):
         c = pole[rows, None, None]
         try:
             h = 1j * np.linalg.solve(u[rows] - c * eye, u[rows] + c * eye)
         except np.linalg.LinAlgError:  # the pole is an eigenvalue of some row
             pole[rows] *= np.exp(1j * np.pi / n)
+            moved[rows] = turned[rows] = True
             continue
         x, vec[rows] = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         seen = (x + 1j) / (x - 1j)  # the eigenvalues seen from the pole
         lam[rows] = pole[rows, None] * seen
+        far = np.abs(x).max(axis=-1) > n
+        rows, seen = rows[far], seen[far]
+        if rows.size == 0:
+            break
         rel = np.sort(np.angle(seen), axis=-1)
         gaps = np.diff(rel, axis=-1, append=rel[:, :1] + TWO_PI)
         widest = gaps.argmax(axis=-1)[:, None]
-        width = np.take_along_axis(gaps, widest, axis=-1)[:, 0]
-        near = np.abs(rel).min(axis=-1) < CAYLEY_POLE_CLEARANCE * width
-        middle = np.take_along_axis(rel, widest, axis=-1)[:, 0] + 0.5 * width
-        rows = rows[near]
-        pole[rows] *= np.exp(1j * middle[near])
-        if rows.size == 0:
-            break
+        middle = np.take_along_axis(rel + 0.5 * gaps, widest, axis=-1)[:, 0]
+        pole[rows] *= np.exp(1j * middle)
+        moved[rows] = True
+    if moved.any():
+        log.debug(
+            "cayley pole moved in %d of %d rows (%d turned after a singular solve)",
+            np.count_nonzero(moved), count, np.count_nonzero(turned),
+        )
     return lam, vec
 
 

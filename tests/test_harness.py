@@ -163,6 +163,17 @@ class TestSampleCommand:
         assert main(main_args) == 0
         assert out.read_bytes() == first
 
+    def test_log_level_prints_debug_records_on_stderr(self, tmp_path, capsys):
+        # the flag comes before the subcommand and leaves the output and its
+        # config hash as they are
+        args = ["sample", "--n", "64", "--samples", "4", "--seed", "1"]
+        assert main([*args, "--out", str(tmp_path / "quiet.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["--log-level", "debug", *args, "--out", str(tmp_path / "loud.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "DEBUG circjacobi.models: cayley pole moved in 3 of 4 rows" in err
+        assert (tmp_path / "loud.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
+
     def test_support_window_fraction_reported(self, tmp_path):
         out = tmp_path / "w.csv"
         args = ["sample", "--n", "50", "--beta", "2.0", "--delta-re", "50",

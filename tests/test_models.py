@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -384,18 +386,112 @@ def test_cayley_solve_near_its_first_pole(n, delta):
             assert angle_gap <= 1e-12 and weight_gap <= 1e-12, (d, i)
 
 
-def test_cayley_pole_on_an_exact_eigenvalue_moves():
+def _cyclic_shift_rows(n):
     # zero interior coefficients and last coefficient 1: a cyclic shift with
-    # eigenvalue exactly 1, so the first Cayley solve is singular
-    n = 64
+    # eigenvalue exactly 1, so the first Cayley solve is singular; the second
+    # row has a first coefficient of 0.3
     gammas = np.zeros((2, n), dtype=np.complex128)
     gammas[:, -1] = 1.0
     gammas[1, 0] = 0.3
+    return gammas
+
+
+def _widest_gap(u):
+    """Angle of the eigenvalue that ends the widest eigenvalue gap of each matrix, and that gap."""
+    angles = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    gaps = np.diff(angles, axis=-1, prepend=angles[:, -1:] - TWO_PI)
+    widest = gaps.argmax(axis=-1)[:, None]
+    return np.take_along_axis(angles, widest, -1)[:, 0], np.take_along_axis(gaps, widest, -1)[:, 0]
+
+
+def _pole_records(caplog):
+    return [r.getMessage() for r in caplog.records if r.msg.startswith("cayley pole moved")]
+
+
+def test_cayley_pole_on_an_exact_eigenvalue_moves():
+    n = 64
+    gammas = _cyclic_shift_rows(n)
     thetas, weights = spectra_from_gammas(gammas)
     assert np.max(np.abs(thetas[0] - TWO_PI * np.arange(n) / n)) <= 1e-12
     assert np.max(np.abs(weights[0] - 1.0 / n)) <= 1e-12
     angle_gap, weight_gap = _circular_match(thetas[1], weights[1], _oracle(gammas[1]))
     assert angle_gap <= 1e-12 and weight_gap <= 1e-12
+
+
+def test_cayley_pole_moves_are_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
+        spectra_from_gammas(_cyclic_shift_rows(64))
+    assert _pole_records(caplog) == [
+        "cayley pole moved in 2 of 2 rows (2 turned after a singular solve)"
+    ]
+    caplog.clear()
+    # rotated so that the pole 1 sits mid-gap: max |x| <= cot(pi / 2n) < n
+    u = models._reflection_stack(sample_eta_batch(SeededRng(48), EnsembleParams(64, 2.0, 1.0), 4))
+    end, width = _widest_gap(u)
+    with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
+        models._cayley_eigenpairs(u * np.exp(-1j * (end - 0.5 * width))[:, None, None])
+    assert _pole_records(caplog) == []
+
+
+def test_cayley_solves_a_row_twice_only_when_its_norm_exceeds_n(monkeypatch):
+    # each eigh call records max |x| and the first-row weights of its rows
+    solve = np.linalg.eigh
+    passes = []
+
+    def spy(h):
+        x, vec = solve(h)
+        passes.append((np.abs(x).max(axis=-1), np.abs(vec[..., 0, :]) ** 2))
+        return x, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    n, count, twice = 200, 10, 0
+    for delta in (0.0, 1.0):
+        passes.clear()
+        u = models._reflection_stack(
+            sample_eta_batch(SeededRng(49), EnsembleParams(n, 2.0, delta), count)
+        )
+        models._cayley_eigenpairs(u)
+        (first, first_w), *rest = passes
+        assert first.size == count and len(rest) <= 1
+        far = first > n
+        final = first.copy()
+        if rest:
+            (second, second_w), = rest
+            # the second pass solves the rows over the bound, in order: the
+            # same eigenvectors, seen from another pole
+            assert second.size == np.count_nonzero(far)
+            same = np.abs(np.sort(second_w, -1) - np.sort(first_w[far], -1))
+            assert np.all(same <= 1e-12)
+            assert np.all(second <= 2 * n / np.pi)
+            final[far] = second
+        else:
+            assert not far.any()
+        assert np.all(final <= n)
+        twice += np.count_nonzero(far)
+    assert 0 < twice < 2 * count
+
+
+@pytest.mark.parametrize("n", [64, 200])
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_cayley_solve_on_both_sides_of_its_norm_bound(n, steps, caplog):
+    # the nearest eigenvalue at d = steps / n from the first pole gives
+    # max |x| = cot(d / 2): about 2n (solved again), just under n and about
+    # n / 2 (solved once)
+    d = steps / n
+    u = models._reflection_stack(sample_eta_batch(SeededRng(50), EnsembleParams(n, 2.0, 1.0), 2))
+    end, width = _widest_gap(u)
+    assert np.all(width > 2 * d)  # the eigenvalue before the gap stays farther than d
+    rotated = u * np.exp(1j * (d - end))[:, None, None]
+    with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
+        lam, vec = models._eigenpairs(rotated)
+    assert len(_pole_records(caplog)) == (steps == 1)
+    models._check_eigenpairs(rotated, lam, vec)
+    thetas, weights = models._measure_rows(lam, vec)
+    for i, m in enumerate(rotated):
+        angle_gap, weight_gap = _circular_match(
+            thetas[i], weights[i], spectral_measure(DenseUnitary.from_entries(m))
+        )
+        assert angle_gap <= 1e-12 and weight_gap <= 1e-12, i
 
 
 @pytest.mark.parametrize("n", [2, 8, 50, 200])
