@@ -46,6 +46,7 @@ __all__ = [
     "rate_function",
     "ks_distance",
     "weight_gap_stat",
+    "convergence_stats",
 ]
 
 
@@ -308,6 +309,16 @@ def potential_q(d: complex, theta):
 # empirical measures, entropy, rate function
 
 
+def _check_unit_mass(sums) -> None:
+    """Raise `ParameterError` unless each weight sum is within `STRUCTURAL_TOL` of 1."""
+    sums = np.asarray(sums, dtype=float)
+    bad = ~(np.abs(sums - 1.0) <= tol.STRUCTURAL_TOL)
+    if bad.any():
+        raise ParameterError(
+            f"weights must sum to 1 within {tol.STRUCTURAL_TOL:g}, got {sums[bad].flat[0]!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Atomic measure with atoms sorted by angle (uniform or spectral weights)."""
@@ -320,10 +331,7 @@ class EmpiricalMeasure:
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if th.size != w.size or th.size < 1:
             raise ParameterError("thetas and weights must have equal positive length")
-        if abs(w.sum() - 1.0) > tol.STRUCTURAL_TOL:
-            raise ParameterError(
-                f"weights must sum to 1 within {tol.STRUCTURAL_TOL:g}, got {w.sum()!r}"
-            )
+        _check_unit_mass(w.sum())
         order = np.argsort(th, kind="stable")
         th = th[order]
         w = w[order]
@@ -480,6 +488,47 @@ def weight_gap_stat(measure) -> float:
         measure = EmpiricalMeasure.from_spectral(measure)
     if not isinstance(measure, EmpiricalMeasure):
         raise ParameterError(f"unsupported measure type {type(measure)!r}")
-    n = measure.n
-    cum = np.cumsum(measure.weights)
-    return float(np.max(np.abs(cum - np.arange(1, n + 1) / n)))
+    return float(_weight_gaps(np.cumsum(measure.weights)))
+
+
+def _weight_gaps(cum: np.ndarray) -> np.ndarray:
+    """max_k |S_k - k/n| over the last axis of cumulative weights `cum`."""
+    n = cum.shape[-1]
+    return np.max(np.abs(cum - np.arange(1, n + 1) / n), axis=-1)
+
+
+def _ks_to_cdf(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """KS distance, per row, of atoms with cumulative weights `cum` to cdf values `f` at them.
+
+    Both cdf conventions of `ks_distance` on strictly ascending atoms: the
+    mass of [0, t) is the cumulative weight of the atoms before t.
+    """
+    cum = np.broadcast_to(cum, f.shape)
+    left = np.concatenate((np.zeros_like(f[..., :1]), cum[..., :-1]), axis=-1)
+    return np.maximum(np.max(np.abs(left - f), axis=-1), np.max(np.abs(cum - f), axis=-1))
+
+
+def convergence_stats(thetas, weights, cdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """KS distances of the ESD and of the spectral measure to `cdf`, and the weight gap.
+
+    `thetas` and `weights` are (count, n) blocks: each row of angles strictly
+    ascending in [0, 2pi), each row of weights summing to 1 within
+    `STRUCTURAL_TOL`.  Returns three (count,) arrays whose entry i equals
+    `ks_distance(EmpiricalMeasure.esd(thetas[i]), cdf)`,
+    `ks_distance(EmpiricalMeasure(thetas[i], weights[i]), cdf)` and
+    `weight_gap_stat` of that measure, bit for bit.  `cdf` is called once,
+    on the whole angle block.
+    """
+    th = np.asarray(thetas, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if th.ndim != 2 or th.shape != w.shape or th.shape[1] < 1:
+        raise ParameterError(
+            f"expected angle and weight blocks of one shape (count, n), got {th.shape}, {w.shape}"
+        )
+    if not (np.all(th >= 0.0) and np.all(th < TWO_PI) and np.all(np.diff(th, axis=1) > 0.0)):
+        raise ParameterError("angles of each row must ascend strictly in [0, 2pi)")
+    _check_unit_mass(w.sum(axis=1))
+    n = th.shape[1]
+    f = np.asarray(cdf(th), dtype=float)
+    cum = np.cumsum(w, axis=1)
+    return _ks_to_cdf(np.cumsum(np.full(n, 1.0 / n)), f), _ks_to_cdf(cum, f), _weight_gaps(cum)

@@ -273,6 +273,8 @@ def cmd_esd_convergence(config: dict) -> RunManifest:
         raise ParameterError(f"cannot parse ladder {config['ladder']!r}") from exc
     if not ladder or any(n < 2 for n in ladder):
         raise ParameterError("ladder must list dimensions >= 2")
+    if len(set(ladder)) < len(ladder):
+        raise ParameterError(f"ladder {config['ladder']!r} repeats a dimension")
     reps = config["reps"]
     lp = analysis.limit_params(d)
     cdf = lambda t: analysis.mu_d_cdf(lp, t)  # noqa: E731
@@ -282,22 +284,13 @@ def cmd_esd_convergence(config: dict) -> RunManifest:
     rng = sampling.SeededRng(config["seed"], config["stream"])
     for n in ladder:
         params = opuc.EnsembleParams(n, beta, 0.5 * beta * n * d)
-        ks_esd_vals, ks_sp_vals, gap_vals = [], [], []
         thetas, weights = models.sample_cj_spectra(rng, params, reps)
-        for rep in range(reps):
-            esd = analysis.EmpiricalMeasure.esd(thetas[rep])
-            spectral = analysis.EmpiricalMeasure(thetas[rep], weights[rep])
-            ks_esd = analysis.ks_distance(esd, cdf)
-            ks_sp = analysis.ks_distance(spectral, cdf)
-            gap = analysis.weight_gap_stat(spectral)
-            rows.append((n, rep, ks_esd, ks_sp, gap))
-            ks_esd_vals.append(ks_esd)
-            ks_sp_vals.append(ks_sp)
-            gap_vals.append(gap)
+        ks_esd, ks_sp, gap = (a.tolist() for a in analysis.convergence_stats(thetas, weights, cdf))
+        rows.extend(zip([n] * reps, range(reps), ks_esd, ks_sp, gap))
         medians[n] = {
-            "ks_esd": statistics.median(ks_esd_vals),
-            "ks_sp": statistics.median(ks_sp_vals),
-            "weight_gap": statistics.median(gap_vals),
+            "ks_esd": statistics.median(ks_esd),
+            "ks_sp": statistics.median(ks_sp),
+            "weight_gap": statistics.median(gap),
         }
 
     manifest = RunManifest("esd-convergence", config)
@@ -581,10 +574,8 @@ def median_esd_ks(rng: sampling.SeededRng, params: opuc.EnsembleParams, reps: in
                   lp: analysis.LimitParams) -> float:
     """Median KS distance to the arc law `lp` of `reps` sampled eigenangle distributions."""
     cdf = lambda t: analysis.mu_d_cdf(lp, t)  # noqa: E731
-    thetas, _ = models.sample_cj_spectra(rng, params, reps)
-    return statistics.median(
-        analysis.ks_distance(analysis.EmpiricalMeasure.esd(row), cdf) for row in thetas
-    )
+    ks_esd, _, _ = analysis.convergence_stats(*models.sample_cj_spectra(rng, params, reps), cdf)
+    return statistics.median(ks_esd.tolist())
 
 
 def _stat_checks(seed: int, scale: float) -> list[CheckResult]:

@@ -11,10 +11,10 @@ reference spectra and spectral measures come from a dense complex Schur
 decomposition, which keeps the eigenvector frame orthonormal so the weights
 of a cyclic vector always sum to one.  `sample_cj_spectra` draws, builds and
 eigensolves a whole block of spectra per call with stacked NumPy operations:
-stacked `eig` for small n, and from `CAYLEY_MIN_N` on one stacked Hermitian
-`eigh` of the Cayley transforms, which have the eigenvectors of the unitary
-matrices; a matrix is solved a second time, with the Cayley pole moved, only
-when the norm of its transform exceeds n.  The one-spectrum path
+from `CAYLEY_MIN_N` = 16 on, one stacked Hermitian `eigh` of the Cayley
+transforms, which have the eigenvectors of the unitary matrices, and below
+it stacked `eig`; a matrix is solved a second time, with the Cayley pole
+moved, only when the norm of its transform exceeds n.  The one-spectrum path
 (`sample_cj_spectrum`) shares its build and every check and differs only in
 its Schur eigensolve, the reference for the batched one.
 """
@@ -72,12 +72,14 @@ BATCH_ENTRY_BUDGET = 2**15
 
 # from this dimension on, `spectra_from_gammas` eigensolves the Cayley
 # transform of each matrix (`_cayley_eigenpairs`) instead of running stacked
-# `eig`: one Cayley solve took 16 ms against 64 ms for Schur and 82 ms for
-# eig at n = 200, and 94 against 367 and 447 ms at n = 400 (one BLAS thread,
-# Xeon).  It is faster below 64 too, but there `perfbench`'s `sample-small`
-# keeps every command's rows alive, so its peak RSS grows with throughput;
-# small n stays on `eig` until that is mended
-CAYLEY_MIN_N = 64
+# `eig`.  Per matrix of a full chunk (one BLAS thread, Xeon), eig took 1.9x
+# the Cayley time at n = 16 and 25 and 2.8x at n = 50; one Cayley solve took
+# 16 ms against 64 ms for Schur and 82 ms for eig at n = 200, and 94 against
+# 367 and 447 ms at n = 400.  It is faster below 16 too (1.9x at n = 8), but
+# there `perfbench`'s `sample-small` (n = 8) keeps every command's rows
+# alive, so its peak RSS grows with throughput; when the benchmark stops
+# doing that, this constant and the `eig` branch go
+CAYLEY_MIN_N = 16
 
 # a Hermitian solve is accurate to about eps |H|, and |H| = max |x| grows
 # like 2 / (angular distance of the nearest eigenvalue to the pole); a row
@@ -310,8 +312,10 @@ def _reflection_stack(gammas: np.ndarray) -> np.ndarray:
 def _eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit eigenvectors of each matrix of a unitary stack (count, n, n).
 
-    Below `CAYLEY_MIN_N`, one stacked `np.linalg.eig` call; from it on,
-    `_cayley_eigenpairs`.  The caller checks the eigenpair residual on `u`.
+    From `CAYLEY_MIN_N` (16) on, `_cayley_eigenpairs`, about twice as fast
+    as `eig` there; below it, one stacked `np.linalg.eig` call, kept only for
+    the benchmark memory reason given at the constant.  The caller checks the
+    eigenpair residual on `u`.
     """
     try:
         if u.shape[-1] >= CAYLEY_MIN_N:

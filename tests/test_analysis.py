@@ -13,6 +13,7 @@ from circjacobi import (
     TruncationWarning,
     b_const,
     b_const_finite_n,
+    convergence_stats,
     haar_grid,
     ks_distance,
     limit_params,
@@ -25,6 +26,7 @@ from circjacobi import (
     partition_zst,
     potential_q,
     rate_function,
+    sample_cj_spectra,
     sigma_energy,
     w_d,
     weight_gap_stat,
@@ -362,3 +364,37 @@ class TestWeightGap:
                 stats.append(weight_gap_stat(m))
             medians.append(np.median(stats))
         assert medians[0] > medians[1] > medians[2]
+
+
+class TestConvergenceStats:
+    @pytest.mark.parametrize("n", [2, 8, 50])
+    @pytest.mark.parametrize("d", [0.0, 1.0, 1 + 0.3j])
+    def test_equals_the_per_row_statistics(self, n, d):
+        lp = limit_params(d)
+        cdf = lambda t: mu_d_cdf(lp, t)  # noqa: E731
+        thetas, weights = sample_cj_spectra(SeededRng(15), EnsembleParams(n, 2.0, n * d), 12)
+        ks_esd, ks_sp, gap = convergence_stats(thetas, weights, cdf)
+        for i in range(thetas.shape[0]):
+            spectral = EmpiricalMeasure(thetas[i], weights[i])
+            assert ks_esd[i] == ks_distance(EmpiricalMeasure.esd(thetas[i]), cdf)
+            assert ks_sp[i] == ks_distance(spectral, cdf)
+            assert gap[i] == weight_gap_stat(spectral)
+
+    @pytest.mark.parametrize("fault", [
+        "repeated", "descending", "at 2pi", "negative", "weight sum",
+    ])
+    def test_invalid_rows_rejected(self, fault):
+        thetas, weights = sample_cj_spectra(SeededRng(16), EnsembleParams(6, 2.0, 1.0), 4)
+        if fault == "repeated":
+            thetas[2, 3] = thetas[2, 2]
+        elif fault == "descending":
+            thetas[2, [2, 3]] = thetas[2, [3, 2]]
+        elif fault == "at 2pi":
+            thetas[2, -1] = TWO_PI
+        elif fault == "negative":
+            thetas[2, 0] = -1e-3
+        else:
+            weights[2] /= weights[2].sum()
+            weights[2, 0] += 1e-9
+        with pytest.raises(ParameterError):
+            convergence_stats(thetas, weights, lambda t: np.asarray(t) / TWO_PI)

@@ -108,6 +108,7 @@ def test_batched_spectra_load_no_scipy_linalg():
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
         "from circjacobi import EnsembleParams, SeededRng, sample_cj_spectra; "
+        "sample_cj_spectra(SeededRng(3), EnsembleParams(16, 2.0, 1.0), 3); "
         "sample_cj_spectra(SeededRng(1), EnsembleParams(64, 2.0, 1.0), 3); "
         "sample_cj_spectra(SeededRng(2), EnsembleParams(400, 2.0, 1.0), 1); "
         "print('scipy.linalg' in sys.modules)"
@@ -273,6 +274,14 @@ class TestEsdConvergenceCommand:
         args = ["esd-convergence", "--ladder", "16,x", "--out",
                 str(tmp_path / "e.csv")]
         assert main(args) == 2
+
+    def test_repeated_ladder_dimension_rejected(self, tmp_path):
+        # the manifest keys its medians by dimension, so a repeat would
+        # silently drop a block and spoil both monotonicity flags
+        out = tmp_path / "e.csv"
+        args = ["esd-convergence", "--ladder", "25,25", "--reps", "3", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
 
     def test_flat_case_distance_decreases(self, tmp_path):
         # d = 0: distance of the empirical law to the flat cdf shrinks with n

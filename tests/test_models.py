@@ -283,10 +283,11 @@ def _batched(row):
 
 class TestBatchedSpectra:
     # coefficient rows drawn per (beta, delta) at each n
-    ROWS = {2: 30, 8: 30, 50: 6, 200: 1, 400: 1}
+    ROWS = {2: 30, 8: 30, 16: 10, 50: 6, 200: 1, 400: 1}
 
     @pytest.mark.parametrize("n,solver", [
-        (2, "eig"), (8, "eig"), (50, "eig"), (200, "cayley"), (400, "eig"), (400, "cayley"),
+        (2, "eig"), (8, "eig"), (16, "cayley"), (50, "eig"), (50, "cayley"), (200, "cayley"),
+        (400, "eig"), (400, "cayley"),
     ])
     def test_matches_schur_oracle_on_identical_gammas(self, n, solver, monkeypatch):
         monkeypatch.setattr(models, "CAYLEY_MIN_N", n + 1 if solver == "eig" else n)
@@ -367,7 +368,7 @@ def _circular_match(thetas, weights, want: SpectralMeasure):
     return dist.min(axis=1).max(), np.abs(weights - want.weights[nearest]).max()
 
 
-@pytest.mark.parametrize("n", [64, 200])
+@pytest.mark.parametrize("n", [16, 64, 200])
 @pytest.mark.parametrize("delta", [0.0, 1.0])
 def test_cayley_solve_near_its_first_pole(n, delta):
     # rotate each matrix so that an eigenvalue sits at angle d from 1, the
@@ -384,6 +385,23 @@ def test_cayley_solve_near_its_first_pole(n, delta):
                 thetas[i], weights[i], spectral_measure(DenseUnitary.from_entries(m))
             )
             assert angle_gap <= 1e-12 and weight_gap <= 1e-12, (d, i)
+
+
+def test_eigensolver_switches_to_cayley_at_its_threshold(monkeypatch):
+    calls = []
+    for name in ("eig", "eigh"):
+        solve = getattr(np.linalg, name)
+
+        def spy(a, _solve=solve, _name=name):
+            calls.append(_name)
+            return _solve(a)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for n, want in ((models.CAYLEY_MIN_N - 1, {"eig"}), (models.CAYLEY_MIN_N, {"eigh"})):
+        u = models._reflection_stack(sample_eta_batch(SeededRng(51), EnsembleParams(n, 2.0, 1.0), 3))
+        calls.clear()
+        models._check_eigenpairs(u, *models._eigenpairs(u))
+        assert set(calls) == want, n
 
 
 def _cyclic_shift_rows(n):
@@ -471,7 +489,7 @@ def test_cayley_solves_a_row_twice_only_when_its_norm_exceeds_n(monkeypatch):
     assert 0 < twice < 2 * count
 
 
-@pytest.mark.parametrize("n", [64, 200])
+@pytest.mark.parametrize("n", [16, 64, 200])
 @pytest.mark.parametrize("steps", [1, 2, 4])
 def test_cayley_solve_on_both_sides_of_its_norm_bound(n, steps, caplog):
     # the nearest eigenvalue at d = steps / n from the first pole gives
