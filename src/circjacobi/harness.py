@@ -14,6 +14,7 @@ import json
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -376,6 +377,12 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+def _worst(values) -> float:
+    """The value of largest magnitude; NaN if any value is NaN, so that a NaN fails every bound."""
+    arr = np.asarray(list(values), dtype=float)
+    return float(arr[np.argmax(np.abs(arr))])
+
+
 # Each check takes its inputs -- coefficient sets, parameter tuples or an
 # already-drawn sample -- and reads its bound from `tolerances`.  `verify`
 # and the acceptance tests call the same functions on their own corpora.
@@ -383,12 +390,13 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def check_factorization(corpus, *, inject_bug: bool = False) -> CheckResult:
     """GGT matrix = AGR block product = reflection product of the gammas."""
-    worst = 0.0
+    spreads = []
     for coeffs in corpus:
         ggt = models.ggt_from_alpha(coeffs, _alpha_init=1.0 if inject_bug else -1.0).entries
         agr = models.agr_product(coeffs).entries
         refl = models.reflection_product(opuc.gamma_from_alpha(coeffs)).entries
-        worst = max(worst, _max_abs_diff(ggt, agr), _max_abs_diff(ggt, refl))
+        spreads += [_max_abs_diff(ggt, agr), _max_abs_diff(ggt, refl)]
+    worst = _worst(spreads)
     return CheckResult("factorization-three-models", "deterministic",
                        worst <= tol.STRUCTURAL_TOL, worst,
                        "max entrywise spread across constructions")
@@ -396,11 +404,12 @@ def check_factorization(corpus, *, inject_bug: bool = False) -> CheckResult:
 
 def check_char_poly(corpus) -> CheckResult:
     """det(Id - U) = prod_k (1 - gamma_k), relative error."""
-    worst = 0.0
+    errors = []
     for coeffs in corpus:
         lam = models.eigen_unitary(models.ggt_from_alpha(coeffs)).eigenvalues
         rhs = opuc.char_poly_at_one(opuc.gamma_from_alpha(coeffs))
-        worst = max(worst, _rel_err(complex(np.prod(1.0 - lam)), rhs))
+        errors.append(_rel_err(complex(np.prod(1.0 - lam)), rhs))
+    worst = _worst(errors)
     return CheckResult("char-poly-product", "deterministic",
                        worst <= tol.CHAR_POLY_REL_TOL, worst)
 
@@ -415,26 +424,27 @@ def check_cmv(coeffs: opuc.VerblunskyCoeffs) -> CheckResult:
     spec_diff = float(np.max(np.min(np.abs(lam_c[:, None] - lam_h[None, :]), axis=1)))
     ok = off_band <= tol.CMV_BAND_TOL and spec_diff <= tol.EIGEN_RESIDUAL_TOL
     return CheckResult("cmv-bandwidth-and-spectrum", "deterministic", ok,
-                       max(off_band, spec_diff))
+                       _worst([off_band, spec_diff]))
 
 
 def check_coefficient_roundtrip(corpus) -> CheckResult:
     """alpha -> gamma -> alpha reproduces the coefficients."""
-    worst = 0.0
-    for coeffs in corpus:
-        back = opuc.alpha_from_gamma(opuc.gamma_from_alpha(coeffs))
-        worst = max(worst, _max_abs_diff(back.alphas, coeffs.alphas))
+    worst = _worst(
+        _max_abs_diff(opuc.alpha_from_gamma(opuc.gamma_from_alpha(coeffs)).alphas, coeffs.alphas)
+        for coeffs in corpus
+    )
     return CheckResult("coefficient-roundtrip", "deterministic",
                        worst <= tol.ROUNDTRIP_TOL, worst)
 
 
 def check_measure_roundtrip(corpus) -> CheckResult:
     """alpha -> spectral measure of the GGT matrix -> alpha reproduces the coefficients."""
-    worst = 0.0
+    errors = []
     for coeffs in corpus:
         measure = models.spectral_measure(models.ggt_from_alpha(coeffs))
         back = opuc.verblunsky_from_measure(measure)
-        worst = max(worst, _max_abs_diff(back.alphas, coeffs.alphas))
+        errors.append(_max_abs_diff(back.alphas, coeffs.alphas))
+    worst = _worst(errors)
     return CheckResult("measure-roundtrip", "deterministic",
                        worst <= tol.MEASURE_ROUNDTRIP_TOL, worst)
 
@@ -442,50 +452,50 @@ def check_measure_roundtrip(corpus) -> CheckResult:
 def check_szego_pointwise(coeffs: opuc.VerblunskyCoeffs, zs: np.ndarray) -> CheckResult:
     """Phi_{j+1}(z) = z Phi_j(z) - conj(alpha_j) Phi_j^*(z) at the points zs."""
     chain = opuc.szego_polynomials(coeffs)
-    worst = 0.0
+    errors = []
     for j, a in enumerate(coeffs.alphas):
         lhs = chain[j + 1].eval_phi(zs)
         rhs = zs * chain[j].eval_phi(zs) - np.conj(a) * chain[j].eval_phi_star(zs)
-        worst = max(worst, _max_abs_diff(lhs, rhs))
+        errors.append(_max_abs_diff(lhs, rhs))
+    worst = _worst(errors)
     return CheckResult("szego-pointwise", "deterministic", worst <= tol.RECURSION_TOL, worst)
 
 
 def check_coefficient_function_factorization(coeffs: opuc.VerblunskyCoeffs, zs) -> CheckResult:
-    """Phi_k(z) = prod_{j<k} (z - gamma_j(z)) at each point z of zs."""
+    """Phi_k(z) = prod_{j<k} (z - gamma_j(z)) at each point z of zs, relative error.
+
+    The products come from the value recursion (`gamma_functions_at`), the
+    reference from the coefficient form of `szego_polynomials`.
+    """
+    zs = np.asarray(zs, dtype=np.complex128).reshape(-1)
+    products = np.cumprod(zs[:, None] - opuc.gamma_functions_at(coeffs, zs), axis=1)
     chain = opuc.szego_polynomials(coeffs)
-    worst = 0.0
-    for z in zs:
-        gvals = opuc.gamma_functions_at(coeffs, z)
-        for k in range(1, coeffs.n + 1):
-            worst = max(worst, _rel_err(complex(np.prod(z - gvals[:k])),
-                                        complex(chain[k].eval_phi(z))))
+    reference = np.stack([pair.eval_phi(zs) for pair in chain[1:]], axis=1)
+    worst = _worst((np.abs(products - reference)
+                    / np.maximum(np.abs(reference), np.finfo(float).tiny)).ravel())
     return CheckResult("coefficient-function-factorization", "deterministic",
                        worst <= tol.STRUCTURAL_TOL, worst)
 
 
 def check_disk_integral(triples) -> CheckResult:
     """Quadrature of the disk integral at each (ell, s, t) against its closed form."""
-    worst = 0.0
-    for ell, s, t in triples:
-        worst = max(worst, _rel_err(gof.disk_integral_quad(ell, s, t),
-                                    gof.disk_integral_closed(ell, s, t)))
+    worst = _worst(_rel_err(gof.disk_integral_quad(ell, s, t), gof.disk_integral_closed(ell, s, t))
+                   for ell, s, t in triples)
     return CheckResult("disk-integral-identity", "deterministic",
                        worst <= tol.QUAD_REL_TOL, worst)
 
 
 def check_partition_quadrature(cases) -> CheckResult:
     """Closed-form angular partition function at each (n, beta, s, t) against quadrature."""
-    worst = 0.0
-    for n, beta, s, t in cases:
-        worst = max(worst, _rel_err(gof.partition_quad(n, beta, s, t),
-                                    analysis.partition_zst(n, beta, s, t)))
+    worst = _worst(_rel_err(gof.partition_quad(n, beta, s, t), analysis.partition_zst(n, beta, s, t))
+                   for n, beta, s, t in cases)
     return CheckResult("partition-quadrature", "deterministic",
                        worst <= tol.PARTITION_REL_TOL, worst)
 
 
 def check_mft_factorization(params: opuc.EnsembleParams, exponents) -> CheckResult:
     """The joint transform of det(Id - U) at each (s, t) factorizes over the coefficients."""
-    worst = 0.0
+    errors = []
     for s, t in exponents:
         whole = analysis.mellin_fourier(params, s, t)
         parts = 1.0 + 0.0j
@@ -494,22 +504,22 @@ def check_mft_factorization(params: opuc.EnsembleParams, exponents) -> CheckResu
             parts *= gof.tilted_disk_power_moment(
                 params.beta_half * (params.n - k - 1), params.delta, u, v
             )
-        worst = max(worst, _rel_err(parts, whole))
+        errors.append(_rel_err(parts, whole))
+    worst = _worst(errors)
     return CheckResult("mft-factorization", "deterministic", worst <= tol.STRUCTURAL_TOL, worst)
 
 
 def check_b_const_two_route(ds) -> CheckResult:
     """B(d) in closed form against its finite-n route at n = 400, for each d."""
-    diff = max(abs(analysis.b_const(d) - analysis.b_const_finite_n(d, 400)) for d in ds)
+    diff = _worst(abs(analysis.b_const(d) - analysis.b_const_finite_n(d, 400)) for d in ds)
     return CheckResult("b-const-two-route", "deterministic",
                        diff <= tol.B_CONST_TWO_ROUTE_TOL, diff)
 
 
 def check_rate_at_minimizer(ds) -> CheckResult:
     """The rate function vanishes at the limit measure mu_d, for each d."""
-    rates = [analysis.rate_function(d, analysis.mu_d_grid(analysis.limit_params(d))).rate
-             for d in ds]
-    worst = max(rates, key=abs)
+    worst = _worst(analysis.rate_function(d, analysis.mu_d_grid(analysis.limit_params(d))).rate
+                   for d in ds)
     return CheckResult("rate-at-minimizer", "deterministic",
                        abs(worst) <= tol.RATE_AT_MINIMIZER_TOL, worst)
 
@@ -558,7 +568,7 @@ def check_weights_law(weights: np.ndarray, thetas: np.ndarray, beta_half: float)
     m2_dev = abs(second.mean() - m2_exact) / (second.std(ddof=1) / np.sqrt(reps))
     c1 = abs(np.corrcoef(first, np.cos(thetas).sum(axis=1))[0, 1]) * np.sqrt(reps)
     c2 = abs(np.corrcoef(first, np.cos(2 * thetas).sum(axis=1))[0, 1]) * np.sqrt(reps)
-    worst = max(m1_dev, m2_dev, c1, c2)
+    worst = _worst([m1_dev, m2_dev, c1, c2])
     return CheckResult("weights-dirichlet-and-independence", "statistical",
                        worst <= tol.SE_BOUND, worst,
                        f"moment devs {m1_dev:.2f}, {m2_dev:.2f} s.e.; "
@@ -570,83 +580,99 @@ def se_deviation(x: np.ndarray, target: float) -> float:
     return float(abs(x.mean() - target) / (x.std() / np.sqrt(x.size)))
 
 
-def median_esd_ks(rng: sampling.SeededRng, params: opuc.EnsembleParams, reps: int,
-                  lp: analysis.LimitParams) -> float:
-    """Median KS distance to the arc law `lp` of `reps` sampled eigenangle distributions."""
+def check_coefficient_mean(z: np.ndarray) -> CheckResult:
+    """Draws with radial exponent 1 and tilt 1 have mean real part -1/3 (in standard errors)."""
+    dev = se_deviation(z.real, -1.0 / 3.0)
+    return CheckResult("coefficient-mean-closed-form", "statistical",
+                       dev <= tol.SE_BOUND, dev, "|mean - (-1/3)| in standard errors")
+
+
+def median_esd_ks(thetas: np.ndarray, weights: np.ndarray, lp: analysis.LimitParams) -> float:
+    """Median KS distance to the arc law `lp` of the eigenangle distributions, one spectrum per row."""
     cdf = lambda t: analysis.mu_d_cdf(lp, t)  # noqa: E731
-    ks_esd, _, _ = analysis.convergence_stats(*models.sample_cj_spectra(rng, params, reps), cdf)
+    ks_esd, _, _ = analysis.convergence_stats(thetas, weights, cdf)
     return statistics.median(ks_esd.tolist())
 
 
-def _stat_checks(seed: int, scale: float) -> list[CheckResult]:
+def check_esd_ks_smoke(thetas: np.ndarray, weights: np.ndarray) -> CheckResult:
+    """Sampled spectra at n = 50, d = 1 are close to the arc law (median KS distance)."""
+    med = median_esd_ks(thetas, weights, analysis.limit_params(1.0))
+    return CheckResult("esd-ks-smoke", "statistical", med <= tol.ESD_KS_SMOKE_MAX, med,
+                       "median KS to the limit at n=50")
+
+
+def _stat_plan(seed: int, scale: float):
+    """The statistical checks of `verify`, each bound to its freshly drawn sample."""
     size = lambda base: max(int(base * scale), 2000)  # noqa: E731
-    out = [check_nu_s_radial(sampling.sample_nu_s(sampling.SeededRng(seed, 101), 3.0,
-                                                  size=size(20000)))]
-
+    yield partial(check_nu_s_radial,
+                  sampling.sample_nu_s(sampling.SeededRng(seed, 101), 3.0, size=size(20000)))
     spec = sampling.DiskDensitySpec(1.5, 1.0 + 0.5j)
-    out.append(check_disk_coefficient(
-        sampling.sample_gamma_k(sampling.SeededRng(seed, 102), spec, size=size(30000)), spec))
-
+    yield partial(check_disk_coefficient,
+                  sampling.sample_gamma_k(sampling.SeededRng(seed, 102), spec, size=size(30000)),
+                  spec)
     delta = 1.0 + 1.0j
-    out.append(check_circle_tilt(
-        sampling.sample_lambda_delta(sampling.SeededRng(seed, 103), delta, size=size(30000)),
-        delta))
-
-    z = sampling.sample_gamma_k(sampling.SeededRng(seed, 104),
-                                sampling.DiskDensitySpec(1.0, 1.0), size=size(50000))
-    dev = se_deviation(z.real, -1.0 / 3.0)
-    out.append(CheckResult("coefficient-mean-closed-form", "statistical",
-                           dev <= tol.SE_BOUND, dev, "|mean - (-1/3)| in standard errors"))
-
+    yield partial(check_circle_tilt,
+                  sampling.sample_lambda_delta(sampling.SeededRng(seed, 103), delta,
+                                               size=size(30000)),
+                  delta)
+    yield partial(check_coefficient_mean,
+                  sampling.sample_gamma_k(sampling.SeededRng(seed, 104),
+                                          sampling.DiskDensitySpec(1.0, 1.0), size=size(50000)))
     params = opuc.EnsembleParams(4, 2.0, 1.0)
     thetas, weights = models.sample_cj_spectra(sampling.SeededRng(seed, 105), params, size(20000))
-    out.append(check_weights_law(weights, thetas, params.beta_half))
-
-    med = median_esd_ks(sampling.SeededRng(seed, 106), opuc.EnsembleParams(50, 2.0, 50.0), 8,
-                        analysis.limit_params(1.0))
-    out.append(CheckResult("esd-ks-smoke", "statistical", med <= tol.ESD_KS_SMOKE_MAX, med,
-                           "median KS to the limit at n=50"))
-    return out
+    yield partial(check_weights_law, weights, thetas, params.beta_half)
+    yield partial(check_esd_ks_smoke,
+                  *models.sample_cj_spectra(sampling.SeededRng(seed, 106),
+                                            opuc.EnsembleParams(50, 2.0, 50.0), 8))
 
 
-def run_verify_checks(seed: int, scale: float = 1.0, inject_bug: bool = False) -> list[CheckResult]:
+def _verify_plan(seed: int, scale: float, inject_bug: bool):
+    """Each check of `verify` in order, as a call bound to its inputs.
+
+    A check's inputs are drawn when the generator reaches it, so the draws
+    from `gen` keep their order however long the consumer takes.
+    """
     gen = np.random.default_rng(seed)
 
     def corpus(sizes, per_size):
         return [random_alphas(gen, n) for n in sizes for _ in range(per_size)]
 
-    # arguments are evaluated in order, so the draws from `gen` keep their order
-    checks = [
-        check_factorization(corpus((2, 4, 8, 16, 32), 8), inject_bug=inject_bug),
-        check_char_poly(corpus((2, 4, 8, 16, 32), 4)),
-        check_cmv(random_alphas(gen, 16)),
-        check_coefficient_roundtrip(corpus((2, 5, 16, 64), 10)),
-        check_measure_roundtrip(corpus((2, 8, 16), 1)),
-        check_szego_pointwise(random_alphas(gen, 12), np.exp(1j * gen.uniform(0.0, TWO_PI, 50))),
-        check_coefficient_function_factorization(
-            random_alphas(gen, 10),
-            [gen.uniform(0, 0.9) * np.exp(1j * gen.uniform(0, TWO_PI)) for _ in range(50)],
-        ),
-        check_disk_integral([(1.0, 1.0, 1.0), (2.5, 1 + 1j, 1 - 1j), (0.5, 0.5, 0.5)]),
-        check_partition_quadrature([(1, 2.0, 1.0, 1.0), (2, 2.0, 1.0, 1.0)]),
-        check_mft_factorization(opuc.EnsembleParams(6, 3.0, 0.7 + 0.4j),
-                                [(0.0, 1.0), (1.0, 2.0), (-0.5, 1.5)]),
-        check_b_const_two_route([1.0]),
-        check_rate_at_minimizer([1.0]),
-        check_limit_params_example(),
-    ]
-    checks.extend(_stat_checks(seed, scale))
-    return checks
+    yield partial(check_factorization, corpus((2, 4, 8, 16, 32), 8), inject_bug=inject_bug)
+    yield partial(check_char_poly, corpus((2, 4, 8, 16, 32), 4))
+    yield partial(check_cmv, random_alphas(gen, 16))
+    yield partial(check_coefficient_roundtrip, corpus((2, 5, 16, 64), 10))
+    yield partial(check_measure_roundtrip, corpus((2, 8, 16), 1))
+    yield partial(check_szego_pointwise, random_alphas(gen, 12),
+                  np.exp(1j * gen.uniform(0.0, TWO_PI, 50)))
+    yield partial(check_coefficient_function_factorization, random_alphas(gen, 10),
+                  [gen.uniform(0, 0.9) * np.exp(1j * gen.uniform(0, TWO_PI)) for _ in range(50)])
+    yield partial(check_disk_integral, [(1.0, 1.0, 1.0), (2.5, 1 + 1j, 1 - 1j), (0.5, 0.5, 0.5)])
+    yield partial(check_partition_quadrature, [(1, 2.0, 1.0, 1.0), (2, 2.0, 1.0, 1.0)])
+    yield partial(check_mft_factorization, opuc.EnsembleParams(6, 3.0, 0.7 + 0.4j),
+                  [(0.0, 1.0), (1.0, 2.0), (-0.5, 1.5)])
+    yield partial(check_b_const_two_route, [1.0])
+    yield partial(check_rate_at_minimizer, [1.0])
+    yield check_limit_params_example
+    yield from _stat_plan(seed, scale)
+
+
+def run_verify_checks(seed: int, scale: float = 1.0, inject_bug: bool = False) -> list[CheckResult]:
+    return [check() for check in _verify_plan(seed, scale, inject_bug)]
 
 
 def cmd_verify(config: dict) -> RunManifest:
     t0 = time.perf_counter()
-    checks = run_verify_checks(config["seed"], config["scale"], config["inject_bug"])
+    checks, wall = [], {}
+    for check in _verify_plan(config["seed"], config["scale"], config["inject_bug"]):
+        start = time.perf_counter()  # after the check's inputs are drawn
+        checks.append(check())
+        wall[checks[-1].check_id] = time.perf_counter() - start
     manifest = RunManifest("verify", config)
     manifest.checks = checks
     manifest.summary = {
         "total": len(checks),
         "failed": [c.check_id for c in checks if not c.passed],
+        "check_wall_s": wall,
     }
     manifest.wall_clock_s = time.perf_counter() - t0
     manifest.write(config["out"])

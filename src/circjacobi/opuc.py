@@ -41,6 +41,7 @@ __all__ = [
     "MonicPolyPair",
     "szego_step",
     "szego_polynomials",
+    "szego_values",
     "reflection_phases",
     "gamma_from_alpha",
     "alpha_from_gamma",
@@ -316,22 +317,46 @@ def alpha_from_gamma(coeffs: DeformedCoeffs) -> VerblunskyCoeffs:
     return VerblunskyCoeffs(np.conj(gammas) * np.concatenate(([1.0 + 0.0j], phases)))
 
 
-def gamma_functions_at(coeffs: VerblunskyCoeffs, z: complex) -> np.ndarray:
+def szego_values(coeffs, z) -> tuple[np.ndarray, np.ndarray]:
+    """Values Phi_k(z) and Phi_k*(z), k = 0..n, at every point of z.
+
+    Runs the value recursion Phi_{k+1}(z) = z Phi_k(z) - conj(alpha_k) Phi_k*(z),
+    Phi_{k+1}*(z) = Phi_k*(z) - alpha_k z Phi_k(z) on the whole array of points
+    at once.  Returns two arrays of shape (n + 1, *z.shape); row k holds the
+    degree-k values.
+    """
+    alphas = _alpha_array(coeffs)
+    z = np.asarray(z, dtype=np.complex128)
+    phi = np.empty((alphas.size + 1, *z.shape), dtype=np.complex128)
+    phi_star = np.empty_like(phi)
+    phi[0] = phi_star[0] = 1.0
+    for k, a in enumerate(alphas):
+        phi[k + 1] = z * phi[k] - np.conj(a) * phi_star[k]
+        phi_star[k + 1] = phi_star[k] - a * z * phi[k]
+    return phi, phi_star
+
+
+def gamma_functions_at(coeffs: VerblunskyCoeffs, z) -> np.ndarray:
     """Coefficient functions gamma_k(z) = z - Phi_{k+1}(z)/Phi_k(z), k = 0..n-1.
 
-    Requires Phi_k(z) != 0 for k < n; at unit modulus |gamma_k(z)| = |alpha_k|,
-    and at z = 1 this reduces to `gamma_from_alpha`.
+    `z` is a point or an array of points; the result has shape
+    (*z.shape, n), and its entry at a point equals the call at that point
+    alone.  The values come from `szego_values` in the form
+    gamma_k(z) = conj(alpha_k) Phi_k*(z)/Phi_k(z).  Requires Phi_k(z) != 0
+    for k < n at every point (else `PoleError`, naming the first such point
+    and its smallest k); at unit modulus |gamma_k(z)| = |alpha_k|, and at
+    z = 1 this reduces to `gamma_from_alpha`.
     """
-    z = complex(z)
-    chain = szego_polynomials(coeffs)
-    n = coeffs.n
-    values = np.array([pair.eval_phi(z) for pair in chain])
-    out = np.empty(n, dtype=np.complex128)
-    for k in range(n):
-        if abs(values[k]) < tol.POLE_TOL:
-            raise PoleError(f"Phi_{k}(z) vanishes at z={z}; gamma_{k}(z) has a pole")
-        out[k] = z - values[k + 1] / values[k]
-    return out
+    alphas = _alpha_array(coeffs)
+    z = np.asarray(z, dtype=np.complex128)
+    phi, phi_star = szego_values(alphas[:-1], z.reshape(-1))
+    poles = np.abs(phi) < tol.POLE_TOL
+    if poles.any():
+        j = int(np.argmax(poles.any(axis=0)))
+        k = int(np.argmax(poles[:, j]))
+        raise PoleError(f"Phi_{k}(z) vanishes at z={complex(z.flat[j])}; gamma_{k}(z) has a pole")
+    gammas = np.conj(alphas)[:, None] * phi_star / phi
+    return gammas.T.reshape(*z.shape, alphas.size)
 
 
 def char_poly_at_one(coeffs: DeformedCoeffs) -> complex:

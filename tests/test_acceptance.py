@@ -166,7 +166,8 @@ def test_criterion_09_limit_measure_convergence():
     lp = limit_params(d)
     rng = SeededRng(501)
     medians = [
-        median_esd_ks(rng, EnsembleParams(n, beta, 0.5 * beta * n * d), reps, lp) for n in ladder
+        median_esd_ks(*sample_cj_spectra(rng, EnsembleParams(n, beta, 0.5 * beta * n * d), reps), lp)
+        for n in ladder
     ]
     elapsed = time.perf_counter() - t0
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))

@@ -8,12 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circjacobi import ParameterError, SeededRng, tolerances
+from circjacobi import ParameterError, SeededRng, analysis, gof, models, tolerances
 from circjacobi.cli import build_parser, main
 from circjacobi.harness import (
     DEFAULTS,
-    _stat_checks,
+    _stat_plan,
+    _verify_plan,
     build_config,
+    check_disk_integral,
+    check_factorization,
+    check_partition_quadrature,
     check_weights_law,
     cmd_sample,
     config_hash,
@@ -23,6 +27,8 @@ from circjacobi.harness import (
 )
 from circjacobi.models import matrix_from_json_dict
 from circjacobi.opuc import TWO_PI
+
+from conftest import random_alphas
 
 
 def read_csv(path):
@@ -202,6 +208,10 @@ class TestVerifyCommand:
         assert data["passed"] and len(data["checks"]) >= 15
         for check in data["checks"]:
             assert check["check_id"] and check["kind"] in ("deterministic", "statistical")
+        wall = data["summary"]["check_wall_s"]
+        assert len(data["checks"]) == 19
+        assert set(wall) == {check["check_id"] for check in data["checks"]}
+        assert all(value >= 0.0 for value in wall.values())
 
     def test_injected_fault_is_caught(self, tmp_path):
         out = tmp_path / "vb.json"
@@ -217,7 +227,7 @@ class TestVerifyCommand:
         # always pass; demand at least 19 clean sweeps out of 20 seeds
         clean = 0
         for seed in range(20):
-            checks = _stat_checks(seed, scale=0.05)
+            checks = [check() for check in _stat_plan(seed, scale=0.05)]
             clean += all(c.passed for c in checks)
         assert clean >= 19
 
@@ -238,6 +248,87 @@ class TestVerifyCommand:
             checks = run_verify_checks(seed, scale=0.05)
             det = [c for c in checks if c.kind == "deterministic"]
             assert all(c.passed for c in det)
+
+
+def verify_inputs(check):
+    """The inputs `verify` passes to a deterministic check that takes one argument."""
+    for call in _verify_plan(1234, 0.1, False):
+        if getattr(call, "func", None) is check:
+            return call.args[0]
+    raise LookupError(check.__name__)
+
+
+CRITERION_03_TRIPLES = [
+    (ell, s, t) for ell in (0.5, 1.0, 2.5) for s in (0.5, 1 + 1j, 2.0) for t in (0.5, 1 - 1j, 1.0)
+]
+CRITERION_08_CASES = [(1, 2.0, 1.0, 1.0), (1, 2.0, 0.5, 0.7), (2, 2.0, 1.0, 1.0)]
+# (ell, s, t) of the density normalization test: (a, conj(delta), delta)
+NORMALIZATION_TRIPLES = [(1.0, 1.0, 1.0), (2.5, 1 - 1j, 1 + 1j)]
+
+
+class TestQuadratureOracles:
+    ORACLE_REL_TOL = 1e-9
+
+    def test_disk_integral_matches_closed_form(self):
+        triples = (CRITERION_03_TRIPLES + verify_inputs(check_disk_integral)
+                   + NORMALIZATION_TRIPLES)
+        for ell, s, t in triples:
+            quad = gof.disk_integral_quad(ell, s, t)
+            closed = gof.disk_integral_closed(ell, s, t)
+            assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (ell, s, t)
+
+    def test_partition_matches_closed_form(self):
+        for n, beta, s, t in CRITERION_08_CASES + verify_inputs(check_partition_quadrature):
+            quad = gof.partition_quad(n, beta, s, t)
+            closed = analysis.partition_zst(n, beta, s, t)
+            assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (n, beta, s, t)
+
+    @pytest.mark.parametrize("beta,s,t", [(1.0, 0.5, 0.7), (3.0, 1.0, 1.0), (0.5, 0.3 + 0.2j, 0.3)])
+    def test_partition_graded_at_coincident_angles(self, beta, s, t):
+        # beta not even: |e^{i theta_1} - e^{i theta_2}|^beta is not smooth at theta_2 = theta_1
+        quad = gof.partition_quad(2, beta, s, t)
+        closed = analysis.partition_zst(2, beta, s, t)
+        assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed)
+
+
+class TestDeterministicCheckFaults:
+    """Each identity check must fail when one of its two routes is off."""
+
+    def test_quadrature_checks_pass_unperturbed(self):
+        assert check_disk_integral(verify_inputs(check_disk_integral)).passed
+        assert check_partition_quadrature(verify_inputs(check_partition_quadrature)).passed
+
+    def test_perturbed_disk_closed_form_fails(self, monkeypatch):
+        # 1e-5 is ten times the check's bound QUAD_REL_TOL
+        closed = gof.disk_integral_closed
+        monkeypatch.setattr(gof, "disk_integral_closed",
+                            lambda ell, s, t: closed(ell, s, t) * (1.0 + 1e-5))
+        assert not check_disk_integral(verify_inputs(check_disk_integral)).passed
+
+    def test_perturbed_partition_closed_form_fails(self, monkeypatch):
+        # 1e-4 is ten times the check's bound PARTITION_REL_TOL
+        closed = analysis.partition_zst
+        monkeypatch.setattr(analysis, "partition_zst",
+                            lambda n, beta, s, t: closed(n, beta, s, t) * (1.0 + 1e-4))
+        assert not check_partition_quadrature(verify_inputs(check_partition_quadrature)).passed
+
+    @pytest.mark.parametrize("module,name,check", [
+        (gof, "disk_integral_quad", check_disk_integral),
+        (gof, "disk_integral_closed", check_disk_integral),
+        (gof, "partition_quad", check_partition_quadrature),
+        (analysis, "partition_zst", check_partition_quadrature),
+    ])
+    def test_nan_route_fails(self, monkeypatch, module, name, check):
+        monkeypatch.setattr(module, name, lambda *args: complex(np.nan, 0.0))
+        res = check(verify_inputs(check))
+        assert not res.passed and np.isnan(res.stat)
+
+    def test_nan_matrix_fails_factorization(self, monkeypatch, gen):
+        agr = models.agr_product
+        monkeypatch.setattr(models, "agr_product", lambda coeffs: models.DenseUnitary(
+            np.full_like(agr(coeffs).entries, np.nan), 0.0))
+        res = check_factorization([random_alphas(gen, n) for n in (2, 4, 8)])
+        assert not res.passed and np.isnan(res.stat)
 
 
 class TestEsdConvergenceCommand:

@@ -23,6 +23,7 @@ from circjacobi import (
     spectral_measure,
     szego_polynomials,
     szego_step,
+    szego_values,
     verblunsky_from_measure,
 )
 from circjacobi.opuc import TWO_PI, coeffs_from_pairs, coeffs_to_pairs, reflection_phases
@@ -196,6 +197,36 @@ class TestGammaFunctions:
         coeffs = VerblunskyCoeffs([0.5, 1.0])
         with pytest.raises(PoleError):
             gamma_functions_at(coeffs, 0.5)  # Phi_1(z) = z - 0.5 vanishes
+        with pytest.raises(PoleError, match=r"Phi_1\(z\) vanishes at z=\(0\.5\+0j\)"):
+            gamma_functions_at(coeffs, [0.1j, 0.5, 0.2])
+
+    def test_array_equals_per_point_calls(self, gen):
+        coeffs = random_alphas(gen, 12)
+        zs = np.sqrt(gen.uniform(0, 1, (3, 7))) * np.exp(1j * gen.uniform(0, TWO_PI, (3, 7)))
+        zs[0] /= np.abs(zs[0])  # one row on the circle
+        vals = gamma_functions_at(coeffs, zs)
+        assert vals.shape == (3, 7, 12)
+        for idx in np.ndindex(zs.shape):
+            assert np.array_equal(vals[idx], gamma_functions_at(coeffs, zs[idx]))
+
+
+class TestSzegoValues:
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32, 64])
+    def test_matches_coefficient_form(self, gen, n):
+        # relative to each degree's largest value over the points: Phi_n has
+        # its zeros on the circle, so pointwise relative error is unbounded
+        for _ in range(5):
+            coeffs = random_alphas(gen, n)
+            inside = np.sqrt(gen.uniform(0, 1, 40)) * np.exp(1j * gen.uniform(0, TWO_PI, 40))
+            zs = np.concatenate((inside, np.exp(1j * gen.uniform(0, TWO_PI, 40))))
+            phi, phi_star = szego_values(coeffs, zs)
+            assert phi.shape == phi_star.shape == (n + 1, zs.size)
+            chain = szego_polynomials(coeffs)
+            for got, ref in ((phi, [p.eval_phi(zs) for p in chain]),
+                             (phi_star, [p.eval_phi_star(zs) for p in chain])):
+                ref = np.array(ref)
+                err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+                assert err.max() <= 1e-12
 
 
 class TestCharPoly:
