@@ -378,6 +378,44 @@ class RateReport:
     rate: float
 
 
+# complex entries of the two power tables of one `_moment_octave` block; the
+# grid is cut into blocks of nodes so that the tables stay this small
+MOMENT_ENTRY_BUDGET = 2**15
+
+
+def _running_products(first: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
+    """Rows first, first z, ..., first z^{count-1} of vectors (or a scalar `first`)."""
+    out = np.empty((count, z.size), dtype=np.complex128)
+    out[0] = first
+    for row in range(1, count):
+        np.multiply(out[row - 1], z, out=out[row])
+    return out
+
+
+def _moment_octave(start: np.ndarray, phases: np.ndarray, count: int):
+    """Sums of start z^q over the grid, z the phases, q = 1..count; and start z^count.
+
+    With B = ceil(sqrt(count)) and q = a B + b + 1, 0 <= b < B, the sums are
+    the entries (a, b) of a matrix product, of the rows start z^{a B} with
+    the columns z^{b + 1}, so the powers cost about 2 sqrt(count) vector
+    products.  The product runs over blocks of nodes of at most
+    `MOMENT_ENTRY_BUDGET` table entries.
+    """
+    width = int(np.ceil(np.sqrt(count)))
+    height = -(-count // width)
+    a, b = divmod(count - 1, width)
+    sums = np.zeros((height, width), dtype=np.complex128)
+    end = np.empty_like(start, dtype=np.complex128)
+    step = max(1, MOMENT_ENTRY_BUDGET // (width + height))
+    for lo in range(0, phases.size, step):
+        nodes = slice(lo, lo + step)
+        cols = _running_products(phases[nodes], phases[nodes], width)
+        rows = _running_products(start[nodes], cols[-1], height)
+        sums += rows @ cols.T
+        end[nodes] = rows[a] * cols[b]
+    return sums.reshape(-1)[:count], end
+
+
 def sigma_energy(measure, *, kmax: int = 4096, tail_tol: float = 1e-4) -> float:
     """Free entropy via the moment series -sum_{k>=1} |m_k|^2 / k.
 
@@ -391,18 +429,18 @@ def sigma_energy(measure, *, kmax: int = 4096, tail_tol: float = 1e-4) -> float:
         return float("-inf")
     if not isinstance(measure, GridMeasure):
         raise ParameterError(f"unsupported measure type {type(measure)!r}")
+    if kmax < 1:
+        raise ParameterError(f"kmax must be >= 1, got {kmax!r}")
     phases = np.exp(1j * measure.thetas)
-    cur = np.ones_like(phases)
+    cur = measure.weights  # w e^{i k theta}
     total = 0.0
     k = 0
 
     def advance(stop: int) -> float:
         nonlocal k, cur, total
-        acc = 0.0
-        while k < stop:
-            cur = cur * phases
-            k += 1
-            acc += abs(np.sum(measure.weights * cur)) ** 2 / k
+        moments, cur = _moment_octave(cur, phases, stop - k)
+        acc = float(np.sum(np.abs(moments) ** 2 / np.arange(k + 1, stop + 1)))
+        k = stop
         total += acc
         return acc
 

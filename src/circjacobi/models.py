@@ -10,13 +10,16 @@ gives the pentadiagonal (CMV) form of the same spectral measure.  The
 reference spectra and spectral measures come from a dense complex Schur
 decomposition, which keeps the eigenvector frame orthonormal so the weights
 of a cyclic vector always sum to one.  `sample_cj_spectra` draws, builds and
-eigensolves a whole block of spectra per call with stacked NumPy operations:
-from `CAYLEY_MIN_N` = 16 on, one stacked Hermitian `eigh` of the Cayley
-transforms, which have the eigenvectors of the unitary matrices, and below
-it stacked `eig`; a matrix is solved a second time, with the Cayley pole
-moved, only when the norm of its transform exceeds n.  The one-spectrum path
-(`sample_cj_spectrum`) shares its build and every check and differs only in
-its Schur eigensolve, the reference for the batched one.
+eigensolves a whole block of spectra per call with stacked NumPy operations.
+From `CAYLEY_MIN_N` = 16 on it builds, in band form, the symmetric CMV
+matrix R L R of each row (L M the CMV matrix, R = M^{1/2}), which has the
+spectral measure of the reflection product at e_1 and a real orthogonal
+eigenbasis, and solves one stacked real `eigh` of the Cayley transforms;
+a matrix is solved a second time, with the Cayley pole moved, only when
+the norm of its transform exceeds n.  Below 16 it runs stacked `eig` on the
+reflection products.  The one-spectrum path (`sample_cj_spectrum`) solves
+the reflection product by Schur decomposition with the same checks; it is
+the reference for the batched one.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .opuc import (
     EnsembleParams,
     SpectralMeasure,
     VerblunskyCoeffs,
+    alpha_rows,
     check_coefficient_rows,
     min_atom_gap,
     reflection_phases,
@@ -70,20 +74,21 @@ log = logging.getLogger(__name__)
 # (one matrix at least), which bounds the working set, not the output
 BATCH_ENTRY_BUDGET = 2**15
 
-# from this dimension on, `spectra_from_gammas` eigensolves the Cayley
-# transform of each matrix (`_cayley_eigenpairs`) instead of running stacked
-# `eig`.  Per matrix of a full chunk (one BLAS thread, Xeon), eig took 1.9x
-# the Cayley time at n = 16 and 25 and 2.8x at n = 50; one Cayley solve took
-# 16 ms against 64 ms for Schur and 82 ms for eig at n = 200, and 94 against
-# 367 and 447 ms at n = 400.  It is faster below 16 too (1.9x at n = 8), but
-# there `perfbench`'s `sample-small` (n = 8) keeps every command's rows
-# alive, so its peak RSS grows with throughput; when the benchmark stops
-# doing that, this constant and the `eig` branch go
+# from this dimension on, `spectra_from_gammas` eigensolves the real Cayley
+# transform of the symmetric CMV matrix of each row (`_cayley_eigenpairs`)
+# instead of running stacked `eig` on the reflection products.  Per matrix
+# of a full chunk (one BLAS thread, 2-CPU Xeon), eig took 2.1x the
+# symmetric Cayley time at n = 16, 1.5x at 25 and 3.3x at 50; at n = 200
+# one spectrum took 15 ms against 104 ms for eig and 99 ms for Schur, and
+# at n = 400 68 ms against 504 and 550 ms.  It is faster below 16 too (1.6x
+# at n = 8), but there `perfbench`'s `sample-small` (n = 8) keeps every
+# command's rows alive, so its peak RSS grows with throughput; when the
+# benchmark stops doing that, this constant and the `eig` branch go
 CAYLEY_MIN_N = 16
 
-# a Hermitian solve is accurate to about eps |H|, and |H| = max |x| grows
-# like 2 / (angular distance of the nearest eigenvalue to the pole); a row
-# whose first solve has max |x| > n, where that bound exceeds the n eps of
+# the real symmetric solve is accurate to about eps |H|, and |H| = max |x|
+# grows like 2 / (angular distance of the nearest eigenvalue to the pole); a
+# row whose first solve has max |x| > n, where that bound exceeds the n eps of
 # the Schur reference, is solved again with its pole in the middle of the
 # widest gap between its eigenvalues, which brings max |x| below
 # cot(pi / 2n) < 2n / pi.  The solves after the first are that one move and
@@ -121,6 +126,14 @@ def _unitarity_residual(u: np.ndarray) -> float:
     gram = np.matmul(u.conj().swapaxes(-1, -2), u)
     diag = np.arange(u.shape[-1])
     gram[..., diag, diag] -= 1.0
+    return _identity_residual(gram)
+
+
+def _identity_residual(gram: np.ndarray) -> float:
+    """Largest |entry| of Gram matrices minus the identity, dense or in band form.
+
+    Raises `InvariantError` when it exceeds `STRUCTURAL_TOL` or is not finite.
+    """
     residual = float(np.abs(gram).max())
     if not residual <= tol.STRUCTURAL_TOL:
         raise InvariantError(
@@ -180,10 +193,29 @@ def _apply_block_columns(u: np.ndarray, k: int, block) -> None:
     u[..., :, k + 1] = c0 * b[0, 1] + c1 * b[1, 1]
 
 
-def _theta_block(alphas) -> np.ndarray:
-    """Theta(alpha) = [[conj(alpha), rho], [rho, -alpha]] of each alpha: (2, 2) + its shape."""
-    r = _rho(alphas)
+def _theta_block(alphas, rho=None) -> np.ndarray:
+    """Theta(alpha) = [[conj(alpha), rho], [rho, -alpha]] of each alpha: (2, 2) + its shape.
+
+    rho defaults to sqrt(1 - |alpha|^2).
+    """
+    r = _rho(alphas) if rho is None else rho
     return np.array([[np.conj(alphas), r], [r, -alphas]], dtype=np.complex128)
+
+
+def _theta_root(theta: np.ndarray) -> np.ndarray:
+    """Symmetric unitary square root of each Theta block of a (2, 2, ...) stack.
+
+    R = (Theta + s Id) / sqrt(tr Theta + 2 s) squares to Theta for either
+    square root s = +-i of det Theta = -1.  With s = i sign(Im tr Theta), that
+    is -i sign(Im alpha), |tr Theta + 2 s| >= 2; the other choice cancels
+    near alpha = +-i.
+    """
+    tr = theta[0, 0] + theta[1, 1]
+    s = np.where(tr.imag >= 0.0, 1j, -1j)
+    root = theta.copy()
+    root[0, 0] += s
+    root[1, 1] += s
+    return root / np.sqrt(tr + 2.0 * s)
 
 
 def _xi_block(gammas) -> np.ndarray:
@@ -267,7 +299,7 @@ def eigen_unitary(u: DenseUnitary) -> EigenDecomposition:
     off = float(np.max(np.abs(t - np.diag(lam)))) if n > 1 else 0.0
     if not off <= tol.EIGEN_RESIDUAL_TOL * max(n, 10):
         raise ConvergenceError(f"Schur factor not diagonal (off-diagonal {off:.2e})")
-    _check_eigenpairs(u.entries, lam, q)
+    _check_eigenpairs(u.entries @ q, lam, q)
     _, _, order = _angle_order(lam, q)
     lam = lam[order]
     q = q[:, order]
@@ -293,70 +325,199 @@ def sample_cj_spectrum(rng: SeededRng, params: EnsembleParams) -> SpectralMeasur
     return spectral_measure(sample_cj_matrix(rng, params))
 
 
+def _unit_last(last: np.ndarray) -> np.ndarray:
+    """The last coefficients of a block put onto the circle, with a debug record if any was off."""
+    correction = np.abs(np.abs(last) - 1.0)
+    if correction.any():
+        log.debug(
+            "renormalizing last coefficient onto the circle in %d of %d rows (worst off by %.2e)",
+            np.count_nonzero(correction), last.shape[0], correction.max(),
+        )
+    return last / np.abs(last)
+
+
 def _reflection_stack(gammas: np.ndarray) -> np.ndarray:
     """`reflection_product` of every coefficient row, shape (count, n, n).
 
     Checks the reflection phases; the rows must otherwise be valid
     coefficient sequences.
     """
-    last = gammas[:, -1]
-    correction = np.abs(np.abs(last) - 1.0)
-    if correction.any():
-        log.debug(
-            "renormalizing last coefficient onto the circle in %d of %d rows (worst off by %.2e)",
-            np.count_nonzero(correction), gammas.shape[0], correction.max(),
-        )
-    return _factor_product(_xi_block(gammas[:, :-1]), last / np.abs(last), range(gammas.shape[1]))
+    last = _unit_last(gammas[:, -1])
+    return _factor_product(_xi_block(gammas[:, :-1]), last, range(gammas.shape[1]))
 
 
-def _eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit eigenvectors of each matrix of a unitary stack (count, n, n).
+def _block_band(blocks: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Band form (count, n, 3) of the direct sums of 2x2 blocks (2, 2, count, m).
 
-    From `CAYLEY_MIN_N` (16) on, `_cayley_eigenpairs`, about twice as fast
-    as `eig` there; below it, one stacked `np.linalg.eig` call, kept only for
-    the benchmark memory reason given at the constant.  The caller checks the
-    eigenpair residual on `u`.
+    The blocks sit on coordinates (k, k+1), k = start, start + 2, ...
+    Column 1 of the band holds the diagonal, columns 0 and 2 the sub- and
+    superdiagonal; diagonal entries outside every block are 0.
+    """
+    band = np.zeros((blocks.shape[2], n, 3), dtype=np.complex128)
+    band[:, start : n - 1 : 2, 1] = blocks[0, 0]
+    band[:, start : n - 1 : 2, 2] = blocks[0, 1]
+    band[:, start + 1 : n : 2, 0] = blocks[1, 0]
+    band[:, start + 1 : n : 2, 1] = blocks[1, 1]
+    return band
+
+
+def _shifted_rows(n: int, o: int) -> tuple[slice, slice]:
+    """Rows i of an n-row matrix with 0 <= i + o < n, and the rows i + o."""
+    lo = min(n, max(0, -o))
+    hi = max(lo, min(n, n - o))
+    return slice(lo, hi), slice(lo + o, hi + o)
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Band form of the products of two stacks of band matrices.
+
+    A band stack (count, n, 2w + 1) holds entry (i, i + o) of each matrix at
+    [:, i, w + o], and 0 where i + o falls outside the matrix.
+    """
+    count, n, width = a.shape
+    wa, wb = width // 2, b.shape[-1] // 2
+    c = np.zeros((count, n, 2 * (wa + wb) + 1), dtype=np.result_type(a, b))
+    for p in range(-wa, wa + 1):
+        i, j = _shifted_rows(n, p)
+        c[:, i, wa + p : wa + p + 2 * wb + 1] += a[:, i, wa + p, None] * b[:, j]
+    return c
+
+
+def _band_transpose(band: np.ndarray) -> np.ndarray:
+    """Band form of the transposes of a band stack."""
+    n, w = band.shape[1], band.shape[-1] // 2
+    out = np.zeros_like(band)
+    for o in range(-w, w + 1):
+        i, j = _shifted_rows(n, o)
+        out[:, i, w + o] = band[:, j, w - o]
+    return out
+
+
+def _band_dense(band: np.ndarray) -> np.ndarray:
+    """The dense matrices (count, n, n) of a band stack."""
+    count, n, width = band.shape
+    w = width // 2
+    dense = np.zeros((count, n, n), dtype=band.dtype)
+    rows = np.arange(n)
+    for o in range(-w, w + 1):
+        i, j = _shifted_rows(n, o)
+        dense[:, rows[i], rows[j]] = band[:, i, w + o]
+    return dense
+
+
+def _band_matmul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of each band matrix with the matching dense matrix of x (count, n, m)."""
+    n, w = band.shape[1], band.shape[-1] // 2
+    out = band[:, :, w, None] * x
+    for o in (*range(-w, 0), *range(1, w + 1)):
+        i, j = _shifted_rows(n, o)
+        out[:, i] += band[:, i, w + o, None] * x[:, j]
+    return out
+
+
+def _symmetric_band(gammas: np.ndarray) -> np.ndarray:
+    """Band form (count, n, 7) of the symmetric CMV matrix S = R L R of each coefficient row.
+
+    L M is the CMV matrix (`cmv_from_alpha`) of the row's alphas, with
+    L = Theta(alpha_0) + Theta(alpha_2) + ... and M = 1 + Theta(alpha_1) +
+    Theta(alpha_3) + ... block diagonal, the last phase conj(alpha_{n-1})
+    closing the one of its index parity.  R = M^{1/2} takes the square root
+    of each block (`_theta_root`), so S = R (L M) R^{-1} has the spectrum of
+    L M and, since R fixes e_1, its spectral measure at e_1.  The Theta
+    blocks are symmetric, so S is symmetric as well as unitary, with a real
+    orthogonal eigenbasis; it has bandwidth 3.  rho_k is read from gamma_k,
+    as the reflection model reads it.  The rows must be valid coefficient
+    sequences; the reflection phases are checked.
+    """
+    n = gammas.shape[1]
+    g = gammas.copy()
+    g[:, -1] = _unit_last(gammas[:, -1])
+    alphas = alpha_rows(g)
+    theta = _theta_block(alphas[:, :-1], _rho(gammas[:, :-1]))
+    even = _block_band(theta[..., 0::2], 0, n)  # L
+    odd = _block_band(_theta_root(theta[..., 1::2]), 1, n)  # R
+    odd[:, 0, 1] = 1.0
+    last = np.conj(alphas[:, -1])
+    if (n - 1) % 2 == 0:
+        even[:, -1, 1] = last
+    else:
+        odd[:, -1, 1] = np.sqrt(last)
+    return _band_product(_band_product(odd, even), odd)
+
+
+def _band_unitarity_residual(band: np.ndarray) -> float:
+    """`_unitarity_residual` of a band stack, with the Gram matrices formed on their band."""
+    gram = _band_product(_band_transpose(band).conj(), band)
+    gram[..., gram.shape[-1] // 2] -= 1.0
+    return _identity_residual(gram)
+
+
+def _eigenpairs(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked eigenvalues and unit eigenvectors of the matrices of coefficient rows (count, n).
+
+    From `CAYLEY_MIN_N` (16) on, the real Cayley solve (`_cayley_eigenpairs`)
+    of the symmetric CMV matrices (`_symmetric_band`), with the Gram and
+    eigenpair residuals formed on their band; below it, one stacked
+    `np.linalg.eig` of the reflection products, kept only for the benchmark
+    memory reason given at the constant.
     """
     try:
-        if u.shape[-1] >= CAYLEY_MIN_N:
-            return _cayley_eigenpairs(u)
-        return np.linalg.eig(u)
+        if gammas.shape[1] >= CAYLEY_MIN_N:
+            band = _symmetric_band(gammas)
+            _band_unitarity_residual(band)
+            lam, vec = _cayley_eigenpairs(_band_dense(band))
+            product = _band_matmul(band, vec)
+        else:
+            u = _reflection_stack(gammas)
+            _unitarity_residual(u)
+            lam, vec = np.linalg.eig(u)
+            product = u @ vec
     except np.linalg.LinAlgError as exc:  # pragma: no cover - budget exhaustion
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    _check_eigenpairs(product, lam, vec)
+    return lam, vec
 
 
-def _cayley_eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a unitary stack from the Hermitian Cayley transform of each matrix.
+def _cayley_eigenpairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a stack of symmetric unitary matrices from the real Cayley transform of each.
 
-    For a pole c on the unit circle, H = i (U - c)^{-1} (U + c) is Hermitian
-    with the eigenvectors of U, and its eigenvalue x is that of
-    lambda = c (x + i) / (x - i).  One stacked `np.linalg.eigh` solves the
-    (symmetrized) H of every row.  The first pole is 1, where the
-    circular-Jacobi density vanishes for Re delta > 0.  The solve is
-    accurate to about eps |H| with |H| = max |x|, so a row with max |x| > n
+    For a pole c on the unit circle, H = i (S - c)^{-1} (S + c) has the
+    eigenvectors of S, and its eigenvalue x is that of
+    lambda = c (x + i) / (x - i).  A symmetric unitary S has a real
+    orthogonal eigenbasis, so H is real symmetric: one stacked real
+    `np.linalg.eigh` solves the (symmetrized) real part of the H of every
+    row, and the eigenvectors it returns are real.  The first pole is 1,
+    where the circular-Jacobi density vanishes for Re delta > 0.  The solve
+    is accurate to about eps |H| with |H| = max |x|, so a row with max |x| > n
     is solved once more with the pole in the middle of its widest eigenvalue
     gap; that gap is at least 2 pi / n, so max |x| is then below 2 n / pi.
     A singular solve turns the pole of every pending row by pi / n.  The
     pole moves at most `CAYLEY_POLE_MOVES` times.
     """
-    count, n, _ = u.shape
-    eye = np.eye(n)
+    count, n, _ = s.shape
+    diag = np.arange(n)
     # rows whose every solve was singular keep NaN, which the eigenpair check rejects
     lam = np.full((count, n), np.nan, dtype=np.complex128)
-    vec = np.empty_like(u)
+    vec = np.zeros(s.shape)
     pole = np.ones(count, dtype=np.complex128)
     rows = np.arange(count)
     moved = np.zeros(count, dtype=bool)
     turned = np.zeros(count, dtype=bool)
     for _ in range(1 + CAYLEY_POLE_MOVES):
-        c = pole[rows, None, None]
+        minus = s[rows]
+        plus = minus.copy()
+        minus[:, diag, diag] -= pole[rows, None]
+        plus[:, diag, diag] += pole[rows, None]
         try:
-            h = 1j * np.linalg.solve(u[rows] - c * eye, u[rows] + c * eye)
+            # Re(i G) = -Im G for the solve G = (S - c)^{-1} (S + c)
+            g = np.linalg.solve(minus, plus).imag
         except np.linalg.LinAlgError:  # the pole is an eigenvalue of some row
             pole[rows] *= np.exp(1j * np.pi / n)
             moved[rows] = turned[rows] = True
             continue
-        x, vec[rows] = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+        h = g + g.swapaxes(-1, -2)
+        h *= -0.5
+        x, vec[rows] = np.linalg.eigh(h)
         seen = (x + 1j) / (x - 1j)  # the eigenvalues seen from the pole
         lam[rows] = pole[rows, None] * seen
         far = np.abs(x).max(axis=-1) > n
@@ -377,16 +538,17 @@ def _cayley_eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _check_eigenpairs(u: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
+def _check_eigenpairs(product: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
     """Raise `ConvergenceError` unless the eigenpairs of a matrix or a stack hold.
 
     Each eigenvalue `lam` (..., n) must be unimodular and each unit
-    eigenvector, a column of `vec` (..., n, n), must have a small residual.
+    eigenvector, a column of `vec` (..., n, n), must have a small residual;
+    `product` holds U @ vec.
     """
     drift = float(np.max(np.abs(np.abs(lam) - 1.0)))
     if not drift <= tol.EIGEN_RESIDUAL_TOL:
         raise ConvergenceError("computed eigenvalues drifted off the unit circle")
-    residual = float(np.linalg.norm(u @ vec - vec * lam[..., None, :], axis=-2).max())
+    residual = float(np.linalg.norm(product - vec * lam[..., None, :], axis=-2).max())
     if not residual <= tol.EIGEN_RESIDUAL_TOL:
         raise ConvergenceError(
             f"eigenpair residual {residual:.2e} exceeds {tol.EIGEN_RESIDUAL_TOL:.1e}"
@@ -455,10 +617,7 @@ def spectra_from_gammas(gammas) -> tuple[np.ndarray, np.ndarray]:
     weights = np.empty((count, n))
     step = max(1, BATCH_ENTRY_BUDGET // (n * n))
     for lo in range(0, count, step):
-        u = _reflection_stack(g[lo : lo + step])
-        _unitarity_residual(u)
-        lam, vec = _eigenpairs(u)
-        _check_eigenpairs(u, lam, vec)
+        lam, vec = _eigenpairs(g[lo : lo + step])
         thetas[lo : lo + step], weights[lo : lo + step] = _measure_rows(lam, vec, lo)
     return thetas, weights
 

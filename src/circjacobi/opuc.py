@@ -45,6 +45,7 @@ __all__ = [
     "reflection_phases",
     "gamma_from_alpha",
     "alpha_from_gamma",
+    "alpha_rows",
     "check_coefficient_rows",
     "gamma_functions_at",
     "char_poly_at_one",
@@ -310,11 +311,22 @@ def gamma_from_alpha(coeffs: VerblunskyCoeffs) -> DeformedCoeffs:
     return DeformedCoeffs(np.array(gammas))
 
 
+def alpha_rows(gammas) -> np.ndarray:
+    """Plain coefficients of deformed coefficient rows (last axis), any leading shape.
+
+    alpha_0 = conj(gamma_0) and alpha_k = conj(gamma_k) prod_{j<k} conj(phase_j),
+    phase_j the reflection phase of gamma_j: one `cumprod` along the rows.
+    Raises as `reflection_phases` does; the rows are not otherwise validated.
+    """
+    g = np.asarray(gammas, dtype=np.complex128)
+    phases = np.cumprod(np.conj(reflection_phases(g[..., :-1])), axis=-1)
+    ones = np.ones((*g.shape[:-1], 1), dtype=np.complex128)
+    return np.conj(g) * np.concatenate((ones, phases), axis=-1)
+
+
 def alpha_from_gamma(coeffs: DeformedCoeffs) -> VerblunskyCoeffs:
-    """Exact inverse of `gamma_from_alpha` (same cumulative phase, conjugated read-out)."""
-    gammas = coeffs.gammas
-    phases = np.cumprod(np.conj(reflection_phases(gammas[:-1])))
-    return VerblunskyCoeffs(np.conj(gammas) * np.concatenate(([1.0 + 0.0j], phases)))
+    """Exact inverse of `gamma_from_alpha`: the one-row case of `alpha_rows`."""
+    return VerblunskyCoeffs(alpha_rows(coeffs.gammas))
 
 
 def szego_values(coeffs, z) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,7 @@ from circjacobi import (
     w_d,
     weight_gap_stat,
 )
+from circjacobi import analysis
 from circjacobi.gof import partition_quad, tilted_disk_power_moment
 from circjacobi.opuc import TWO_PI, _arnoldi_alphas
 from circjacobi.tolerances import SE_BOUND, STRUCTURAL_TOL
@@ -245,6 +246,17 @@ class TestSigmaEnergy:
             s200 = sigma_energy(grid, kmax=200)
             s400 = sigma_energy(grid, kmax=400)
         assert abs(s200 - s400) < 1e-4
+
+    def test_octave_moments_match_direct_sums(self):
+        grid = mu_d_grid(limit_params(1.0 + 0.5j), panels=16, order=8)
+        phases = np.exp(1j * grid.thetas)
+        moments, after = analysis._moment_octave(grid.weights * phases**5, phases, 23)
+        assert np.abs(moments - [grid.moment(k) for k in range(6, 29)]).max() <= 1e-13
+        assert np.abs(after - grid.weights * phases**28).max() <= 1e-14
+
+    def test_needs_a_term(self):
+        with pytest.raises(ParameterError):
+            sigma_energy(haar_grid(), kmax=0)
 
     def test_truncation_warning_on_slow_decay(self):
         grid = mu_d_grid(limit_params(1j), panels=64, order=32)

@@ -37,7 +37,7 @@ from circjacobi import (
 from circjacobi import models
 from circjacobi.models import _xi_block, matrix_from_json_dict, matrix_to_json_dict
 from circjacobi.opuc import TWO_PI
-from circjacobi.tolerances import MEASURE_ROUNDTRIP_TOL, SE_BOUND
+from circjacobi.tolerances import MEASURE_ROUNDTRIP_TOL, SE_BOUND, STRUCTURAL_TOL
 
 from conftest import random_alphas
 
@@ -286,8 +286,8 @@ class TestBatchedSpectra:
     ROWS = {2: 30, 8: 30, 16: 10, 50: 6, 200: 1, 400: 1}
 
     @pytest.mark.parametrize("n,solver", [
-        (2, "eig"), (8, "eig"), (16, "cayley"), (50, "eig"), (50, "cayley"), (200, "cayley"),
-        (400, "eig"), (400, "cayley"),
+        (2, "eig"), (2, "cayley"), (8, "eig"), (8, "cayley"), (16, "cayley"), (50, "eig"),
+        (50, "cayley"), (200, "cayley"), (400, "eig"), (400, "cayley"),
     ])
     def test_matches_schur_oracle_on_identical_gammas(self, n, solver, monkeypatch):
         monkeypatch.setattr(models, "CAYLEY_MIN_N", n + 1 if solver == "eig" else n)
@@ -340,6 +340,29 @@ class TestBatchedSpectra:
         with pytest.raises(InvariantError, match="unitarity residual"):
             spectra_from_gammas(gammas)
 
+    def test_corrupted_symmetric_stack_fails_unitarity_check(self, monkeypatch):
+        build = models._symmetric_band
+
+        def corrupted(gammas):
+            band = build(gammas)
+            band[-1, 0, 3] *= 1.0 + 1e-8  # entry (0, 0), conj(alpha_0), of the last matrix
+            return band
+
+        monkeypatch.setattr(models, "_symmetric_band", corrupted)
+        gammas = sample_eta_batch(SeededRng(43), EnsembleParams(models.CAYLEY_MIN_N, 2.0, 1.0), 20)
+        with pytest.raises(InvariantError, match="unitarity residual"):
+            spectra_from_gammas(gammas)
+
+    @pytest.mark.parametrize("n", [models.CAYLEY_MIN_N - 1, models.CAYLEY_MIN_N])
+    def test_last_coefficient_renormalization_is_logged(self, n, caplog):
+        gammas = sample_eta_batch(SeededRng(53), EnsembleParams(n, 2.0, 1.0), 3)
+        gammas[:, -1] = [1.0, 1j * (1.0 + 2.0**-43), -1.0]
+        with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
+            spectra_from_gammas(gammas)
+        assert [r.getMessage() for r in caplog.records if r.msg.startswith("renormalizing")] == [
+            "renormalizing last coefficient onto the circle in 1 of 3 rows (worst off by 1.14e-13)"
+        ]
+
     def test_non_cyclic_error_names_the_failing_rows(self, monkeypatch):
         gammas = sample_eta_batch(SeededRng(46), EnsembleParams(6, 2.0, 1.0), 12)
         gammas[[5, 7], 0] = 1j * (1.0 - 1e-15)  # e_1 nearly decouples: weights of 1e-16
@@ -361,6 +384,53 @@ class TestBatchedSpectra:
             reflection_product(DeformedCoeffs(degenerate[2]))
 
 
+def _symmetric_stack(gammas):
+    """The dense symmetric CMV matrices of coefficient rows, as the batched path solves them."""
+    return models._band_dense(models._symmetric_band(gammas))
+
+
+class TestSymmetricCMV:
+    # at odd n the last phase closes L, at even n it closes R = M^{1/2}
+    @pytest.mark.parametrize("n", [16, 17, 50, 51])
+    def test_symmetric_unitary_and_banded(self, n):
+        gammas = sample_eta_batch(SeededRng(52), EnsembleParams(n, 2.0, 1 + 1j), 4)
+        band = models._symmetric_band(gammas)
+        s = models._band_dense(band)
+        assert np.abs(s - s.swapaxes(-1, -2)).max() <= STRUCTURAL_TOL
+        gram = np.abs(s.conj().swapaxes(-1, -2) @ s - np.eye(n)).max()
+        assert gram <= STRUCTURAL_TOL
+        i, j = np.indices((n, n))
+        assert np.all(s[:, np.abs(i - j) > 3] == 0.0)
+        # the band forms of the Gram matrix and of S @ x are the dense ones
+        assert abs(models._band_unitarity_residual(band) - gram) <= 1e-15
+        x = np.random.default_rng(n).standard_normal((4, n, n))
+        assert np.abs(models._band_matmul(band, x) - s @ x).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [16, 17, 50, 51])
+    def test_measure_matches_the_reflection_oracle(self, n):
+        worst_theta = worst_weight = 0.0
+        for beta in (1.0, 2.0, 4.0):
+            for delta in (0.0, 1 + 1j, 0.5 * beta * n):
+                gammas = sample_eta_batch(SeededRng(54), EnsembleParams(n, beta, delta), 3)
+                for row, s in zip(gammas, _symmetric_stack(gammas)):
+                    want = _oracle(row)
+                    got = spectral_measure(DenseUnitary.from_entries(s))
+                    worst_theta = max(worst_theta, np.max(np.abs(got.thetas - want.thetas)))
+                    worst_weight = max(worst_weight, np.max(np.abs(got.weights - want.weights)))
+        assert worst_theta <= 1e-12
+        assert worst_weight <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [
+        1j * (1 - 1e-9), -1j * (1 - 1e-9), 1 - 1e-9, -(1 - 1e-9), 0.3 - 0.4j, 0.0,
+    ])
+    def test_theta_root_is_a_symmetric_unitary_square_root(self, alpha):
+        theta = models._theta_block(np.array([alpha]))[..., 0]
+        root = models._theta_root(theta)
+        assert np.array_equal(root, root.T)
+        assert np.abs(root @ root - theta).max() <= 1e-14
+        assert np.abs(root.conj().T @ root - np.eye(2)).max() <= 1e-14
+
+
 def _circular_match(thetas, weights, want: SpectralMeasure):
     """Largest circular angle distance and weight difference to the nearest atom of `want`."""
     dist = np.abs(np.angle(np.exp(1j * (thetas[:, None] - want.thetas[None, :]))))
@@ -373,12 +443,12 @@ def _circular_match(thetas, weights, want: SpectralMeasure):
 def test_cayley_solve_near_its_first_pole(n, delta):
     # rotate each matrix so that an eigenvalue sits at angle d from 1, the
     # first pole; with the pole kept there the residual grows like 1e-15 / d
-    u = models._reflection_stack(sample_eta_batch(SeededRng(47), EnsembleParams(n, 2.0, delta), 2))
+    u = _symmetric_stack(sample_eta_batch(SeededRng(47), EnsembleParams(n, 2.0, delta), 2))
     first = np.angle(np.linalg.eigvals(u)[:, :1])
     for d in (1e-2, 1e-6, 1e-10, 1e-14, 0.0):
         rotated = u * np.exp(1j * (d - first))[:, :, None]
-        lam, vec = models._eigenpairs(rotated)
-        models._check_eigenpairs(rotated, lam, vec)
+        lam, vec = models._cayley_eigenpairs(rotated)
+        models._check_eigenpairs(rotated @ vec, lam, vec)
         thetas, weights = models._measure_rows(lam, vec)
         for i, m in enumerate(rotated):
             angle_gap, weight_gap = _circular_match(
@@ -388,26 +458,28 @@ def test_cayley_solve_near_its_first_pole(n, delta):
 
 
 def test_eigensolver_switches_to_cayley_at_its_threshold(monkeypatch):
+    # below the threshold stacked complex `eig`, from it on real `eigh`
     calls = []
     for name in ("eig", "eigh"):
         solve = getattr(np.linalg, name)
 
         def spy(a, _solve=solve, _name=name):
-            calls.append(_name)
+            calls.append((_name, a.dtype.kind))
             return _solve(a)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    for n, want in ((models.CAYLEY_MIN_N - 1, {"eig"}), (models.CAYLEY_MIN_N, {"eigh"})):
-        u = models._reflection_stack(sample_eta_batch(SeededRng(51), EnsembleParams(n, 2.0, 1.0), 3))
+    for n, want in ((models.CAYLEY_MIN_N - 1, {("eig", "c")}), (models.CAYLEY_MIN_N, {("eigh", "f")})):
+        gammas = sample_eta_batch(SeededRng(51), EnsembleParams(n, 2.0, 1.0), 3)
         calls.clear()
-        models._check_eigenpairs(u, *models._eigenpairs(u))
+        models._eigenpairs(gammas)
         assert set(calls) == want, n
 
 
 def _cyclic_shift_rows(n):
     # zero interior coefficients and last coefficient 1: a cyclic shift with
-    # eigenvalue exactly 1, so the first Cayley solve is singular; the second
-    # row has a first coefficient of 0.3
+    # eigenvalue exactly 1; at odd n the entries of its symmetric CMV matrix
+    # are multiples of 1/2 and the first Cayley solve is exactly singular.
+    # The second row has a first coefficient of 0.3
     gammas = np.zeros((2, n), dtype=np.complex128)
     gammas[:, -1] = 1.0
     gammas[1, 0] = 0.3
@@ -427,7 +499,7 @@ def _pole_records(caplog):
 
 
 def test_cayley_pole_on_an_exact_eigenvalue_moves():
-    n = 64
+    n = 65
     gammas = _cyclic_shift_rows(n)
     thetas, weights = spectra_from_gammas(gammas)
     assert np.max(np.abs(thetas[0] - TWO_PI * np.arange(n) / n)) <= 1e-12
@@ -438,13 +510,13 @@ def test_cayley_pole_on_an_exact_eigenvalue_moves():
 
 def test_cayley_pole_moves_are_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
-        spectra_from_gammas(_cyclic_shift_rows(64))
+        spectra_from_gammas(_cyclic_shift_rows(65))
     assert _pole_records(caplog) == [
         "cayley pole moved in 2 of 2 rows (2 turned after a singular solve)"
     ]
     caplog.clear()
     # rotated so that the pole 1 sits mid-gap: max |x| <= cot(pi / 2n) < n
-    u = models._reflection_stack(sample_eta_batch(SeededRng(48), EnsembleParams(64, 2.0, 1.0), 4))
+    u = _symmetric_stack(sample_eta_batch(SeededRng(48), EnsembleParams(64, 2.0, 1.0), 4))
     end, width = _widest_gap(u)
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
         models._cayley_eigenpairs(u * np.exp(-1j * (end - 0.5 * width))[:, None, None])
@@ -465,9 +537,7 @@ def test_cayley_solves_a_row_twice_only_when_its_norm_exceeds_n(monkeypatch):
     n, count, twice = 200, 10, 0
     for delta in (0.0, 1.0):
         passes.clear()
-        u = models._reflection_stack(
-            sample_eta_batch(SeededRng(49), EnsembleParams(n, 2.0, delta), count)
-        )
+        u = _symmetric_stack(sample_eta_batch(SeededRng(49), EnsembleParams(n, 2.0, delta), count))
         models._cayley_eigenpairs(u)
         (first, first_w), *rest = passes
         assert first.size == count and len(rest) <= 1
@@ -496,14 +566,14 @@ def test_cayley_solve_on_both_sides_of_its_norm_bound(n, steps, caplog):
     # max |x| = cot(d / 2): about 2n (solved again), just under n and about
     # n / 2 (solved once)
     d = steps / n
-    u = models._reflection_stack(sample_eta_batch(SeededRng(50), EnsembleParams(n, 2.0, 1.0), 2))
+    u = _symmetric_stack(sample_eta_batch(SeededRng(50), EnsembleParams(n, 2.0, 1.0), 2))
     end, width = _widest_gap(u)
     assert np.all(width > 2 * d)  # the eigenvalue before the gap stays farther than d
     rotated = u * np.exp(1j * (d - end))[:, None, None]
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
-        lam, vec = models._eigenpairs(rotated)
+        lam, vec = models._cayley_eigenpairs(rotated)
     assert len(_pole_records(caplog)) == (steps == 1)
-    models._check_eigenpairs(rotated, lam, vec)
+    models._check_eigenpairs(rotated @ vec, lam, vec)
     thetas, weights = models._measure_rows(lam, vec)
     for i, m in enumerate(rotated):
         angle_gap, weight_gap = _circular_match(

@@ -26,7 +26,13 @@ from circjacobi import (
     szego_values,
     verblunsky_from_measure,
 )
-from circjacobi.opuc import TWO_PI, coeffs_from_pairs, coeffs_to_pairs, reflection_phases
+from circjacobi.opuc import (
+    TWO_PI,
+    alpha_rows,
+    coeffs_from_pairs,
+    coeffs_to_pairs,
+    reflection_phases,
+)
 
 from conftest import random_alphas
 
@@ -135,6 +141,22 @@ class TestCoefficientBijection:
                 if k < n - 1:
                     phase *= np.conj(reflection_phases(reference[: k + 1])[k])
             assert np.array_equal(gamma_from_alpha(VerblunskyCoeffs(alphas)).gammas, reference)
+
+    def test_rows_match_the_one_row_map(self):
+        # each row of the stacked map is bit for bit the one-row map, which is
+        # the cumulative phase read out as written here
+        gen = np.random.default_rng(9)
+        for n in (1, 2, 7, 64):
+            stack = np.array([gamma_from_alpha(random_alphas(gen, n)).gammas for _ in range(5)])
+            rows = alpha_rows(stack)
+            for g, row in zip(stack, rows):
+                phases = np.cumprod(np.conj((1.0 - g[:-1]) / (1.0 - np.conj(g[:-1]))))
+                reference = np.conj(g) * np.concatenate(([1.0 + 0.0j], phases))
+                assert np.array_equal(row, reference)
+                assert np.array_equal(row, alpha_from_gamma(DeformedCoeffs(g)).alphas)
+        stack[3, 2] = 1.0 - 5e-15
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
+            alpha_rows(stack)
 
     def test_modulus_preserved(self, gen):
         coeffs = random_alphas(gen, 40)
