@@ -12,14 +12,17 @@ decomposition, which keeps the eigenvector frame orthonormal so the weights
 of a cyclic vector always sum to one.  `sample_cj_spectra` draws, builds and
 eigensolves a whole block of spectra per call with stacked NumPy operations.
 From `CAYLEY_MIN_N` = 16 on it builds, in band form, the symmetric CMV
-matrix R L R of each row (L M the CMV matrix, R = M^{1/2}), which has the
-spectral measure of the reflection product at e_1 and a real orthogonal
-eigenbasis, and solves one stacked real `eigh` of the Cayley transforms;
-a matrix is solved a second time, with the Cayley pole moved, only when
-the norm of its transform exceeds n.  Below 16 it runs stacked `eig` on the
-reflection products.  The one-spectrum path (`sample_cj_spectrum`) solves
-the reflection product by Schur decomposition with the same checks; it is
-the reference for the batched one.
+matrix S = R L R of each row (L M the CMV matrix, R = M^{1/2}), which has
+the spectral measure of the reflection product at e_1 and a real orthogonal
+eigenbasis.  Its Cayley transform is (Id - A)^{-1} B for the real band pair
+A + i B = conj(c) S: one stacked real `solve` and one stacked real `eigh`,
+with no complex dense matrix.  The eigenvalues are the Rayleigh quotients
+of the eigenvectors; a matrix is solved a second time, with the Cayley pole
+c moved, only when the norm of its transform exceeds n or an eigenpair
+residual fails.  Below 16 it runs stacked `eig` on the reflection products.
+The one-spectrum path (`sample_cj_spectrum`) solves the reflection product
+by Schur decomposition with the same checks; it is the reference for the
+batched one.
 """
 
 from __future__ import annotations
@@ -86,10 +89,11 @@ BATCH_ENTRY_BUDGET = 2**15
 # benchmark stops doing that, this constant and the `eig` branch go
 CAYLEY_MIN_N = 16
 
-# the real symmetric solve is accurate to about eps |H|, and |H| = max |x|
-# grows like 2 / (angular distance of the nearest eigenvalue to the pole); a
-# row whose first solve has max |x| > n, where that bound exceeds the n eps of
-# the Schur reference, is solved again with its pole in the middle of the
+# |H| = max |x| of the Cayley transform grows like 2 / (angular distance of
+# the nearest eigenvalue to the pole), and the solve loses accuracy with it; a
+# row whose first solve has max |x| > n, or an eigenpair residual above
+# `EIGEN_RESIDUAL_TOL` (an eigenvalue within about n eps of the pole, where x
+# is a rounded 0 / 0), is solved again with its pole in the middle of the
 # widest gap between its eigenvalues, which brings max |x| below
 # cot(pi / 2n) < 2n / pi.  The solves after the first are that one move and
 # one turn of the pole by pi / n after a singular solve
@@ -299,7 +303,7 @@ def eigen_unitary(u: DenseUnitary) -> EigenDecomposition:
     off = float(np.max(np.abs(t - np.diag(lam)))) if n > 1 else 0.0
     if not off <= tol.EIGEN_RESIDUAL_TOL * max(n, 10):
         raise ConvergenceError(f"Schur factor not diagonal (off-diagonal {off:.2e})")
-    _check_eigenpairs(u.entries @ q, lam, q)
+    _check_eigenpairs(_eigenpair_residual(u.entries @ q, lam, q), lam)
     _, _, order = _angle_order(lam, q)
     lam = lam[order]
     q = q[:, order]
@@ -409,9 +413,11 @@ def _band_matmul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Product of each band matrix with the matching dense matrix of x (count, n, m)."""
     n, w = band.shape[1], band.shape[-1] // 2
     out = band[:, :, w, None] * x
+    term = np.empty_like(out)  # one buffer for the off-diagonal terms
     for o in (*range(-w, 0), *range(1, w + 1)):
         i, j = _shifted_rows(n, o)
-        out[:, i] += band[:, i, w + o, None] * x[:, j]
+        np.multiply(band[:, i, w + o, None], x[:, j], out=term[:, i])
+        out[:, i] += term[:, i]
     return out
 
 
@@ -456,75 +462,85 @@ def _eigenpairs(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked eigenvalues and unit eigenvectors of the matrices of coefficient rows (count, n).
 
     From `CAYLEY_MIN_N` (16) on, the real Cayley solve (`_cayley_eigenpairs`)
-    of the symmetric CMV matrices (`_symmetric_band`), with the Gram and
-    eigenpair residuals formed on their band; below it, one stacked
-    `np.linalg.eig` of the reflection products, kept only for the benchmark
-    memory reason given at the constant.
+    of the symmetric CMV matrices (`_symmetric_band`), after a Gram check
+    formed on their band; below it, one stacked `np.linalg.eig` of the
+    reflection products, kept only for the benchmark memory reason given at
+    the constant.
     """
     try:
         if gammas.shape[1] >= CAYLEY_MIN_N:
             band = _symmetric_band(gammas)
             _band_unitarity_residual(band)
-            lam, vec = _cayley_eigenpairs(_band_dense(band))
-            product = _band_matmul(band, vec)
+            lam, vec, residual = _cayley_eigenpairs(band)
         else:
             u = _reflection_stack(gammas)
             _unitarity_residual(u)
             lam, vec = np.linalg.eig(u)
-            product = u @ vec
+            residual = _eigenpair_residual(u @ vec, lam, vec)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - budget exhaustion
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    _check_eigenpairs(product, lam, vec)
+    _check_eigenpairs(residual, lam)
     return lam, vec
 
 
-def _cayley_eigenpairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a stack of symmetric unitary matrices from the real Cayley transform of each.
+def _cayley_eigenpairs(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a band stack of symmetric unitary matrices from the real Cayley transform of each.
 
-    For a pole c on the unit circle, H = i (S - c)^{-1} (S + c) has the
-    eigenvectors of S, and its eigenvalue x is that of
-    lambda = c (x + i) / (x - i).  A symmetric unitary S has a real
-    orthogonal eigenbasis, so H is real symmetric: one stacked real
-    `np.linalg.eigh` solves the (symmetrized) real part of the H of every
-    row, and the eigenvectors it returns are real.  The first pole is 1,
-    where the circular-Jacobi density vanishes for Re delta > 0.  The solve
-    is accurate to about eps |H| with |H| = max |x|, so a row with max |x| > n
-    is solved once more with the pole in the middle of its widest eigenvalue
-    gap; that gap is at least 2 pi / n, so max |x| is then below 2 n / pi.
-    A singular solve turns the pole of every pending row by pi / n.  The
-    pole moves at most `CAYLEY_POLE_MOVES` times.
+    For a pole c on the unit circle, conj(c) S = A + i B with A and B real,
+    symmetric, banded and commuting: on a real eigenvector of S with
+    eigenvalue c e^{i theta} they act as cos theta and sin theta.  So the
+    real symmetric H = (Id - A)^{-1} B has the eigenvectors of S and the
+    eigenvalue x = cot(theta / 2): one stacked real `np.linalg.solve` and one
+    stacked real `np.linalg.eigh` of the (symmetrized) H of every row.  Each
+    eigenvalue is read as the Rayleigh quotient v^T S v of its unit
+    eigenvector, from the band products of the real and imaginary parts of S,
+    which also give its residual |S v - lambda v|; x only steers the pole.
+    The first pole is 1, where the circular-Jacobi density vanishes for
+    Re delta > 0.  The solve loses accuracy as |H| = max |x| grows, so a row
+    with max |x| > n is solved once more with the pole in the middle of its
+    widest eigenvalue gap; that gap is at least 2 pi / n, so max |x|
+    is then below 2 n / pi.  A row whose residual exceeds
+    `EIGEN_RESIDUAL_TOL` has an eigenvalue within about n eps of the pole,
+    where x is a rounded 0 / 0 that the norm misses; it is moved by the same
+    rule, with the pole counted among its eigenvalues.  A singular solve
+    turns the pole of every pending row by pi / n.  The pole moves at most
+    `CAYLEY_POLE_MOVES` times.  Returns the eigenvalues, the real
+    eigenvectors and the largest residual of each row.
     """
-    count, n, _ = s.shape
-    diag = np.arange(n)
+    count, n, _ = band.shape
     # rows whose every solve was singular keep NaN, which the eigenpair check rejects
     lam = np.full((count, n), np.nan, dtype=np.complex128)
-    vec = np.zeros(s.shape)
+    vec = np.zeros((count, n, n))
+    residual = np.full(count, np.nan)
     pole = np.ones(count, dtype=np.complex128)
     rows = np.arange(count)
     moved = np.zeros(count, dtype=bool)
     turned = np.zeros(count, dtype=bool)
     for _ in range(1 + CAYLEY_POLE_MOVES):
-        minus = s[rows]
-        plus = minus.copy()
-        minus[:, diag, diag] -= pole[rows, None]
-        plus[:, diag, diag] += pole[rows, None]
+        minus, b = _cayley_pair(band[rows], pole[rows])
         try:
-            # Re(i G) = -Im G for the solve G = (S - c)^{-1} (S + c)
-            g = np.linalg.solve(minus, plus).imag
+            h = np.linalg.solve(_band_dense(minus), _band_dense(b))
         except np.linalg.LinAlgError:  # the pole is an eigenvalue of some row
             pole[rows] *= np.exp(1j * np.pi / n)
             moved[rows] = turned[rows] = True
             continue
-        h = g + g.swapaxes(-1, -2)
-        h *= -0.5
-        x, vec[rows] = np.linalg.eigh(h)
-        seen = (x + 1j) / (x - 1j)  # the eigenvalues seen from the pole
-        lam[rows] = pole[rows, None] * seen
-        far = np.abs(x).max(axis=-1) > n
-        rows, seen = rows[far], seen[far]
+        h += h.swapaxes(-1, -2)
+        h *= 0.5
+        x, v = np.linalg.eigh(h)
+        av, bv = _band_matmul(band.real[rows], v), _band_matmul(band.imag[rows], v)
+        lam[rows] = np.einsum("rij,rij->rj", v, av) + 1j * np.einsum("rij,rij->rj", v, bv)
+        vec[rows] = v
+        residual[rows] = _eigenpair_residual((av, bv), lam[rows], v)
+        wrong = ~(residual[rows] <= tol.EIGEN_RESIDUAL_TOL)
+        again = wrong | (np.abs(x).max(axis=-1) > n)
+        rows, x, wrong = rows[again], x[again], wrong[again]
         if rows.size == 0:
             break
-        rel = np.sort(np.angle(seen), axis=-1)
+        seen = np.angle((x + 1j) / (x - 1j))  # the eigenvalues seen from the pole
+        # a wrong row has an eigenvalue at the pole, which its x misses; the
+        # other rows repeat an angle, which adds an empty gap
+        seen = np.append(seen, np.where(wrong, 0.0, seen[:, 0])[:, None], axis=-1)
+        rel = np.sort(seen, axis=-1)
         gaps = np.diff(rel, axis=-1, append=rel[:, :1] + TWO_PI)
         widest = gaps.argmax(axis=-1)[:, None]
         middle = np.take_along_axis(rel + 0.5 * gaps, widest, axis=-1)[:, 0]
@@ -535,24 +551,49 @@ def _cayley_eigenpairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "cayley pole moved in %d of %d rows (%d turned after a singular solve)",
             np.count_nonzero(moved), count, np.count_nonzero(turned),
         )
-    return lam, vec
+    return lam, vec, residual
 
 
-def _check_eigenpairs(product: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
-    """Raise `ConvergenceError` unless the eigenpairs of a matrix or a stack hold.
+def _cayley_pair(band: np.ndarray, pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real band stacks Id - A and B, where conj(c) S = A + i B for each band matrix S and pole c."""
+    rotated = band * np.conj(pole)[:, None, None]
+    minus = -rotated.real
+    minus[..., minus.shape[-1] // 2] += 1.0
+    return minus, rotated.imag
 
-    Each eigenvalue `lam` (..., n) must be unimodular and each unit
-    eigenvector, a column of `vec` (..., n, n), must have a small residual;
-    `product` holds U @ vec.
+
+def _eigenpair_residual(product, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Largest |U v - lambda v| over the eigenpairs of a matrix or of each matrix of a stack.
+
+    `lam` (..., n) holds the eigenvalues and `vec` (..., n, n) the unit
+    eigenvectors as columns; `product` holds U @ vec or, for real `vec`, the
+    pair (Re U @ vec, Im U @ vec), which keeps the arithmetic real.
     """
+    if isinstance(product, tuple):
+        re, im = product
+        square = (re - vec * lam.real[..., None, :]) ** 2
+        square += (im - vec * lam.imag[..., None, :]) ** 2
+    else:
+        square = np.abs(product - vec * lam[..., None, :]) ** 2
+    return np.sqrt(square.sum(axis=-2)).max(axis=-1)
+
+
+def _check_eigenpairs(residual, lam: np.ndarray) -> None:
+    """Raise `ConvergenceError` unless eigenpairs hold.
+
+    `residual` is `_eigenpair_residual` of the eigenpairs, of one matrix or
+    of each of a stack, and `lam` (..., n) their eigenvalues, which must be
+    unimodular.  The residual is checked first: an eigenvalue read from a
+    wrong eigenvector can leave the circle too.
+    """
+    worst = float(np.max(residual))
+    if not worst <= tol.EIGEN_RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"eigenpair residual {worst:.2e} exceeds {tol.EIGEN_RESIDUAL_TOL:.1e}"
+        )
     drift = float(np.max(np.abs(np.abs(lam) - 1.0)))
     if not drift <= tol.EIGEN_RESIDUAL_TOL:
         raise ConvergenceError("computed eigenvalues drifted off the unit circle")
-    residual = float(np.linalg.norm(product - vec * lam[..., None, :], axis=-2).max())
-    if not residual <= tol.EIGEN_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"eigenpair residual {residual:.2e} exceeds {tol.EIGEN_RESIDUAL_TOL:.1e}"
-        )
 
 
 def _angle_order(lam: np.ndarray, vec: np.ndarray):

@@ -310,7 +310,7 @@ class TestBatchedSpectra:
                     thetas, weights = spectra_from_gammas(np.array(kept))
                     assert np.array_equal(thetas, np.concatenate([t for t, _ in singles]))
                     assert np.array_equal(weights, np.concatenate([w for _, w in singles]))
-        assert worst_theta <= 1e-12
+        assert worst_theta <= 1e-13  # the Rayleigh quotients give 8e-15 on this grid
         assert worst_weight <= 1e-12
 
     def test_chunking_does_not_change_output(self, monkeypatch):
@@ -384,11 +384,6 @@ class TestBatchedSpectra:
             reflection_product(DeformedCoeffs(degenerate[2]))
 
 
-def _symmetric_stack(gammas):
-    """The dense symmetric CMV matrices of coefficient rows, as the batched path solves them."""
-    return models._band_dense(models._symmetric_band(gammas))
-
-
 class TestSymmetricCMV:
     # at odd n the last phase closes L, at even n it closes R = M^{1/2}
     @pytest.mark.parametrize("n", [16, 17, 50, 51])
@@ -412,13 +407,30 @@ class TestSymmetricCMV:
         for beta in (1.0, 2.0, 4.0):
             for delta in (0.0, 1 + 1j, 0.5 * beta * n):
                 gammas = sample_eta_batch(SeededRng(54), EnsembleParams(n, beta, delta), 3)
-                for row, s in zip(gammas, _symmetric_stack(gammas)):
+                for row, s in zip(gammas, models._band_dense(models._symmetric_band(gammas))):
                     want = _oracle(row)
                     got = spectral_measure(DenseUnitary.from_entries(s))
                     worst_theta = max(worst_theta, np.max(np.abs(got.thetas - want.thetas)))
                     worst_weight = max(worst_weight, np.max(np.abs(got.weights - want.weights)))
         assert worst_theta <= 1e-12
         assert worst_weight <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 17, 50, 51])
+    def test_cayley_pair_commutes_and_gives_the_complex_transform(self, n):
+        gammas = sample_eta_batch(SeededRng(55), EnsembleParams(n, 2.0, 1 + 1j), 4)
+        band = models._symmetric_band(gammas)
+        s = models._band_dense(band)
+        eye = np.eye(n)
+        for c in (1.0, np.exp(2.5j)):
+            minus, b = models._cayley_pair(band, np.full(4, c))
+            # Id - A commutes with B exactly when A does
+            commutator = models._band_product(minus, b) - models._band_product(b, minus)
+            assert np.abs(commutator).max() <= STRUCTURAL_TOL
+            h = np.linalg.solve(models._band_dense(minus), models._band_dense(b))
+            # the complex Cayley transform i (S - c)^{-1} (S + c), which is
+            # real; the two solves differed by up to 8.5e-13 relative here
+            want = -np.linalg.solve(s - c * eye, s + c * eye).imag
+            assert np.abs(h - want).max() <= 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("alpha", [
         1j * (1 - 1e-9), -1j * (1 - 1e-9), 1 - 1e-9, -(1 - 1e-9), 0.3 - 0.4j, 0.0,
@@ -438,38 +450,53 @@ def _circular_match(thetas, weights, want: SpectralMeasure):
     return dist.min(axis=1).max(), np.abs(weights - want.weights[nearest]).max()
 
 
+def _cayley_against_schur(band):
+    """Largest angle and weight distance of the checked Cayley solve of a band stack to Schur."""
+    lam, vec, residual = models._cayley_eigenpairs(band)
+    models._check_eigenpairs(residual, lam)
+    thetas, weights = models._measure_rows(lam, vec)
+    return np.max([
+        _circular_match(t, w, spectral_measure(DenseUnitary.from_entries(m)))
+        for t, w, m in zip(thetas, weights, models._band_dense(band))
+    ], axis=0)
+
+
+def _symmetric_bands(seed, n, delta, count):
+    return models._symmetric_band(sample_eta_batch(SeededRng(seed), EnsembleParams(n, 2.0, delta), count))
+
+
 @pytest.mark.parametrize("n", [16, 64, 200])
 @pytest.mark.parametrize("delta", [0.0, 1.0])
 def test_cayley_solve_near_its_first_pole(n, delta):
     # rotate each matrix so that an eigenvalue sits at angle d from 1, the
     # first pole; with the pole kept there the residual grows like 1e-15 / d
-    u = _symmetric_stack(sample_eta_batch(SeededRng(47), EnsembleParams(n, 2.0, delta), 2))
-    first = np.angle(np.linalg.eigvals(u)[:, :1])
+    band = _symmetric_bands(47, n, delta, 2)
+    first = np.angle(np.linalg.eigvals(models._band_dense(band))[:, :1])
     for d in (1e-2, 1e-6, 1e-10, 1e-14, 0.0):
-        rotated = u * np.exp(1j * (d - first))[:, :, None]
-        lam, vec = models._cayley_eigenpairs(rotated)
-        models._check_eigenpairs(rotated @ vec, lam, vec)
-        thetas, weights = models._measure_rows(lam, vec)
-        for i, m in enumerate(rotated):
-            angle_gap, weight_gap = _circular_match(
-                thetas[i], weights[i], spectral_measure(DenseUnitary.from_entries(m))
-            )
-            assert angle_gap <= 1e-12 and weight_gap <= 1e-12, (d, i)
+        angle_gap, weight_gap = _cayley_against_schur(band * np.exp(1j * (d - first))[:, :, None])
+        assert angle_gap <= 1e-12 and weight_gap <= 1e-12, d
 
 
 def test_eigensolver_switches_to_cayley_at_its_threshold(monkeypatch):
-    # below the threshold stacked complex `eig`, from it on real `eigh`
+    # below the threshold stacked complex `eig`; from it on, every solve and
+    # eigh runs on float64 stacks only
     calls = []
-    for name in ("eig", "eigh"):
+    for name in ("eig", "eigh", "solve"):
         solve = getattr(np.linalg, name)
 
-        def spy(a, _solve=solve, _name=name):
-            calls.append((_name, a.dtype.kind))
-            return _solve(a)
+        def spy(*args, _solve=solve, _name=name):
+            calls.append((_name, *(a.dtype for a in args)))
+            return _solve(*args)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    for n, want in ((models.CAYLEY_MIN_N - 1, {("eig", "c")}), (models.CAYLEY_MIN_N, {("eigh", "f")})):
-        gammas = sample_eta_batch(SeededRng(51), EnsembleParams(n, 2.0, 1.0), 3)
+    f, c = np.dtype(np.float64), np.dtype(np.complex128)
+    real = {("solve", f, f), ("eigh", f)}
+    for n, delta, want in (
+        (models.CAYLEY_MIN_N - 1, 1.0, {("eig", c)}),
+        (models.CAYLEY_MIN_N, 1.0, real),
+        (200, 0.0, real),  # some rows are solved twice
+    ):
+        gammas = sample_eta_batch(SeededRng(51), EnsembleParams(n, 2.0, delta), 3)
         calls.clear()
         models._eigenpairs(gammas)
         assert set(calls) == want, n
@@ -477,9 +504,8 @@ def test_eigensolver_switches_to_cayley_at_its_threshold(monkeypatch):
 
 def _cyclic_shift_rows(n):
     # zero interior coefficients and last coefficient 1: a cyclic shift with
-    # eigenvalue exactly 1; at odd n the entries of its symmetric CMV matrix
-    # are multiples of 1/2 and the first Cayley solve is exactly singular.
-    # The second row has a first coefficient of 0.3
+    # eigenvalue exactly 1, whose symmetric CMV matrix has entries that are
+    # multiples of 1/2.  The second row has a first coefficient of 0.3
     gammas = np.zeros((2, n), dtype=np.complex128)
     gammas[:, -1] = 1.0
     gammas[1, 0] = 0.3
@@ -499,6 +525,8 @@ def _pole_records(caplog):
 
 
 def test_cayley_pole_on_an_exact_eigenvalue_moves():
+    # Id - A is nearly singular at the first pole: x is a rounded 0 / 0 and
+    # only the eigenpair residual sees it
     n = 65
     gammas = _cyclic_shift_rows(n)
     thetas, weights = spectra_from_gammas(gammas)
@@ -508,18 +536,47 @@ def test_cayley_pole_on_an_exact_eigenvalue_moves():
     assert angle_gap <= 1e-12 and weight_gap <= 1e-12
 
 
+def test_cayley_pole_on_a_sampled_eigenvalue_moves_once(monkeypatch):
+    # rotate one eigenvalue of each matrix onto the first pole: every row
+    # fails its residual, and its x are rounding noise.  Counting the pole
+    # among the eigenvalues keeps the moved pole off that eigenvalue: 4 of 40
+    # rows needed a third solve here, against 17 without it
+    solve = np.linalg.eigh
+    passes = []
+
+    def spy(h):
+        passes.append(h.shape[0])
+        return solve(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    band = _symmetric_bands(61, 50, 0.0, 40)
+    picked = np.linalg.eigvals(models._band_dense(band))[:, :1, None]
+    angle_gap, weight_gap = _cayley_against_schur(band * (np.abs(picked) / picked))
+    assert passes[:2] == [40, 40] and sum(passes[2:]) <= 8
+    assert angle_gap <= 1e-12 and weight_gap <= 1e-12
+
+
 def test_cayley_pole_moves_are_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
         spectra_from_gammas(_cyclic_shift_rows(65))
     assert _pole_records(caplog) == [
-        "cayley pole moved in 2 of 2 rows (2 turned after a singular solve)"
+        "cayley pole moved in 2 of 2 rows (0 turned after a singular solve)"
     ]
     caplog.clear()
-    # rotated so that the pole 1 sits mid-gap: max |x| <= cot(pi / 2n) < n
-    u = _symmetric_stack(sample_eta_batch(SeededRng(48), EnsembleParams(64, 2.0, 1.0), 4))
-    end, width = _widest_gap(u)
+    # at n = 16 the LU of Id - A for the second row hits an exact zero pivot
+    # at the pole 1: the stacked solve is singular and turns both poles
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
-        models._cayley_eigenpairs(u * np.exp(-1j * (end - 0.5 * width))[:, None, None])
+        angle_gap, weight_gap = _cayley_against_schur(models._symmetric_band(_cyclic_shift_rows(16)))
+    assert _pole_records(caplog) == [
+        "cayley pole moved in 2 of 2 rows (2 turned after a singular solve)"
+    ]
+    assert angle_gap <= 1e-12 and weight_gap <= 1e-12
+    caplog.clear()
+    # rotated so that the pole 1 sits mid-gap: max |x| <= cot(pi / 2n) < n
+    band = _symmetric_bands(48, 64, 1.0, 4)
+    end, width = _widest_gap(models._band_dense(band))
+    with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
+        models._cayley_eigenpairs(band * np.exp(-1j * (end - 0.5 * width))[:, None, None])
     assert _pole_records(caplog) == []
 
 
@@ -537,8 +594,7 @@ def test_cayley_solves_a_row_twice_only_when_its_norm_exceeds_n(monkeypatch):
     n, count, twice = 200, 10, 0
     for delta in (0.0, 1.0):
         passes.clear()
-        u = _symmetric_stack(sample_eta_batch(SeededRng(49), EnsembleParams(n, 2.0, delta), count))
-        models._cayley_eigenpairs(u)
+        models._cayley_eigenpairs(_symmetric_bands(49, n, delta, count))
         (first, first_w), *rest = passes
         assert first.size == count and len(rest) <= 1
         far = first > n
@@ -566,20 +622,13 @@ def test_cayley_solve_on_both_sides_of_its_norm_bound(n, steps, caplog):
     # max |x| = cot(d / 2): about 2n (solved again), just under n and about
     # n / 2 (solved once)
     d = steps / n
-    u = _symmetric_stack(sample_eta_batch(SeededRng(50), EnsembleParams(n, 2.0, 1.0), 2))
-    end, width = _widest_gap(u)
+    band = _symmetric_bands(50, n, 1.0, 2)
+    end, width = _widest_gap(models._band_dense(band))
     assert np.all(width > 2 * d)  # the eigenvalue before the gap stays farther than d
-    rotated = u * np.exp(1j * (d - end))[:, None, None]
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
-        lam, vec = models._cayley_eigenpairs(rotated)
+        angle_gap, weight_gap = _cayley_against_schur(band * np.exp(1j * (d - end))[:, None, None])
     assert len(_pole_records(caplog)) == (steps == 1)
-    models._check_eigenpairs(rotated @ vec, lam, vec)
-    thetas, weights = models._measure_rows(lam, vec)
-    for i, m in enumerate(rotated):
-        angle_gap, weight_gap = _circular_match(
-            thetas[i], weights[i], spectral_measure(DenseUnitary.from_entries(m))
-        )
-        assert angle_gap <= 1e-12 and weight_gap <= 1e-12, i
+    assert angle_gap <= 1e-12 and weight_gap <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 8, 50, 200])
@@ -636,7 +685,8 @@ def test_perturbed_eigenvector_fails_eigenpair_check(path, monkeypatch):
             spectra_from_gammas(gammas)
 
 
-def test_perturbed_cayley_eigenvalue_fails_eigenpair_check(monkeypatch):
+def test_perturbed_cayley_eigenvalue_only_steers_the_pole(monkeypatch):
+    # the eigenvalues are read from the eigenvectors; x only chooses the pole
     solve = np.linalg.eigh
 
     def perturbed(h):
@@ -644,8 +694,17 @@ def test_perturbed_cayley_eigenvalue_fails_eigenpair_check(monkeypatch):
         return values + 1e-6, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    monkeypatch.setattr(models, "CAYLEY_MIN_N", 1)
-    gammas = sample_eta_batch(SeededRng(45), EnsembleParams(6, 2.0, 1.0), 3)
+    gammas = sample_eta_batch(SeededRng(45), EnsembleParams(64, 2.0, 0.0), 4)
+    thetas, weights = spectra_from_gammas(gammas)
+    for row, t, w in zip(gammas, thetas, weights):
+        want = _oracle(row)
+        assert np.abs(t - want.thetas).max() <= 1e-12 and np.abs(w - want.weights).max() <= 1e-12
+
+
+def test_perturbed_cayley_solve_fails_eigenpair_check(monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    gammas = sample_eta_batch(SeededRng(45), EnsembleParams(models.CAYLEY_MIN_N, 2.0, 1.0), 3)
     with pytest.raises(ConvergenceError, match="eigenpair residual"):
         spectra_from_gammas(gammas)
 
