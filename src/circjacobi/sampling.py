@@ -9,17 +9,23 @@ the uniform measure.  Both are sampled exactly through a polar factorization
 about the point 1: writing 1 - z = rho * exp(i psi) with rho = 2 t cos(psi),
 the pair (t, psi) decouples into
 
-    t   ~ Beta(a + 2 Re(delta) + 1, a)
-    psi ~ density proportional to cos(psi)^(2 (a + Re(delta))) * exp(2 Im(delta) psi)
+    1 - t ~ Beta(a, a + 2 Re(delta) + 1)
+    psi   ~ density proportional to cos(psi)^(2 (a + Re(delta))) * exp(2 Im(delta) psi)
 
-on (0,1) x (-pi/2, pi/2).  For Im(delta) = 0 the psi law is an arcsine-type
-transform of a symmetric Beta, so the draw costs two Beta variates and no
-rejection at any parameter size.  For Im(delta) != 0 the log-density of psi
-is concave, and psi is drawn by Devroye's log-concave rejection (Devroye
-1986, ch. VII): a flat envelope between the points where the log-density is
-1 below its maximum and tangent exponentials beyond, at acceptance about
-0.75 for every tilt.  At K = 0 the psi law is a truncated exponential,
-drawn by inversion.
+on (0,1) x (-pi/2, pi/2), and the circle law is the t = 1 limit (a = 0).
+1 - t is drawn directly, so it keeps its precision when it is tiny.  For
+Im(delta) = 0 the psi law is an arcsine-type transform of a symmetric Beta,
+so the draw costs two Beta variates and no rejection at any parameter size.
+For Im(delta) != 0 the log-density of psi is concave, and psi is drawn by
+Devroye's log-concave rejection (Devroye 1986, ch. VII): a flat envelope
+between the points where the log-density is 1 below its maximum and tangent
+exponentials beyond, at acceptance about 0.75 for every tilt.  At K = 0 the
+psi law is a truncated exponential, drawn by inversion.
+
+A block of coefficient vectors (`sample_eta_batch`) is one pass of one
+kernel: one half-angle draw over all entries, one Beta draw of 1 - t over
+the disk columns, and a redraw of only the entries that round onto |z| >= 1.
+`sample_gamma_k` and `sample_lambda_delta` are its one-column case.
 
 Reproducibility contract: a fixed (seed, stream_id) and call sequence yields
 bit-identical output on the same build.
@@ -29,7 +35,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -122,8 +127,8 @@ def sample_nu_s(rng: SeededRng, s: float, size=None):
     For s == 1 this degenerates to the uniform law on the circle; for s > 1
     the squared radius is Beta(1, (s-1)/2) with an independent uniform angle.
     """
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s!r}")
+    if not 1 <= s < np.inf:
+        raise ParameterError(f"s must be finite and >= 1, got {s!r}")
     shape = () if size is None else size
     psi = rng.generator.uniform(0.0, TWO_PI, size=shape)
     if s == 1:
@@ -135,10 +140,11 @@ def sample_nu_s(rng: SeededRng, s: float, size=None):
 
 
 HALF_PI = 0.5 * np.pi
-# Halvings of each envelope-root bracket.  The envelope is exact for any
-# bracket point; this many put it within pi * 2**-40 of the root, far below
-# the width ~ 1/sqrt(2K) of the psi law at any K in use.
-_ROOT_HALVINGS = 40
+# Newton steps to each envelope edge.  The envelope is exact at any edge in
+# (mode, pi/2); started right of the root of the concave h - top + 1, every
+# step stays right of it, and six put the edge within 2e-8 of the root,
+# relative to its distance from the mode, for K in [1e-300, 1e8], |m| in [1e-10, 1e6].
+_EDGE_NEWTON_STEPS = 6
 
 
 def _log_cos_tilt(psi, big_k, m):
@@ -151,122 +157,136 @@ def _trunc_exp(u, rate, width):
     return -np.log1p(u * np.expm1(-rate * width)) / rate
 
 
-class _Envelope(NamedTuple):
-    """Log-concave rejection envelope of the psi law (Devroye 1986, ch. VII).
+def _half_angle_envelopes(big_k: np.ndarray, m: float):
+    """Log-concave rejection envelopes of the psi law (Devroye 1986, ch. VII), one per K > 0.
 
     h is concave with its maximum `top` at atan2(m, K).  The envelope is
-    exp(top) on [-edge[1], edge[0]], where edge[s] is the point past which h
-    is more than 1 below `top` on side s (0 right, 1 left mirrored to psi > 0;
-    pi/2 when there is none).  Beyond it lies the tangent exponential with
-    log-offset `drop[s]` at the edge and decay `rate[s]`, cut at +-pi/2, of
-    mass `area[s]` in units of exp(top).  Fields carry leading axes when
-    built for several K at once; `row` picks one.
+    exp(top) on [-edge[:, 1], edge[:, 0]], where edge[:, s] is where h falls
+    1 below `top` on side s (0 right, 1 left mirrored to psi > 0; pi/2 when
+    it never does).  Beyond it lies the tangent exponential with log-offset
+    `drop` at the edge and decay `rate`, cut at +-pi/2, of mass `area` in
+    units of exp(top).  Side 1 is side 0 of the mirror law (K, -m).
     """
-
-    top: np.ndarray
-    edge: np.ndarray
-    drop: np.ndarray
-    rate: np.ndarray
-    area: np.ndarray
-
-    def row(self, index: int) -> "_Envelope":
-        return _Envelope(*(field[index] for field in self))
-
-
-def _half_angle_envelopes(big_k, m: float) -> _Envelope:
-    """Envelopes of the psi law for every K > 0 in `big_k` at one tilt m.
-
-    Both sides of every K are bracketed in one vectorized bisection; side 1
-    is side 0 of the mirror law (K, -m) under psi -> -psi.
-    """
-    k = np.asarray(big_k, dtype=float)[..., None]
+    k = big_k[:, None]
     tilt = np.array([m, -m])
     mode = np.arctan2(tilt, k)
     top = _log_cos_tilt(mode, k, tilt)
     level = top - 1.0
-    lo, hi = mode, np.full_like(mode, HALF_PI)
-    has_root = _log_cos_tilt(hi, k, tilt) < level
-    for _ in range(_ROOT_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        below = _log_cos_tilt(mid, k, tilt) < level
-        lo = np.where(below, lo, mid)
-        hi = np.where(below, mid, hi)
-    edge = np.where(has_root, hi, HALF_PI)
-    drop = _log_cos_tilt(edge, k, tilt) - top
-    rate = 2.0 * k * np.tan(edge) - 2.0 * tilt
-    with np.errstate(divide="ignore", invalid="ignore"):
+    has_root = _log_cos_tilt(HALF_PI, k, tilt) < level
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # start at the nearest of four points right of the root: pi/2; two bounds
+        # of h - top by its curvature -2K/cos^2, taken at max(mode, 0) and (left
+        # of 0) at the point itself; and the root of -K psi^2 + 2 m psi >= h
+        rk, spread = np.sqrt(k), np.sqrt(tilt ** 2 - k * level)
+        left = mode + np.cos(mode) / (rk - np.abs(np.sin(mode)))
+        edge = np.minimum.reduce([
+            np.full_like(mode, HALF_PI),
+            mode + np.cos(np.maximum(mode, 0.0)) / rk,
+            np.where(tilt > 0, (tilt + spread) / k, level / (tilt - spread)),
+            np.where((rk > np.abs(np.sin(mode))) & (left <= 0.0), left, np.inf),
+        ])
+        # Newton on two concave forms of h = level, taking the nearer step:
+        # h itself, fast away from +pi/2, and cos(psi) = exp((level - 2 m psi) / 2K),
+        # fast near it, used where that exponent is well conditioned
+        exp_form = np.abs(tilt) <= 1e9 * k
+        for _ in range(_EDGE_NEWTON_STEPS):
+            target = np.exp((level - 2.0 * tilt * edge) / (2.0 * k))
+            step = (_log_cos_tilt(edge, k, tilt) - level) / (2.0 * tilt - 2.0 * k * np.tan(edge))
+            step = np.where(exp_form, np.fmax(step, (np.cos(edge) - target)
+                                              / (tilt / k * target - np.sin(edge))), step)
+            # every step stays in (mode, edge]: a NaN or wild step is dropped
+            new = edge - step
+            edge = np.where((new > mode) & (new <= edge), new, edge)
+        edge = np.where(has_root, edge, HALF_PI)
+        drop = _log_cos_tilt(edge, k, tilt) - top
+        rate = 2.0 * k * np.tan(edge) - 2.0 * tilt
         area = np.where(has_root, np.exp(drop) * -np.expm1(-rate * (HALF_PI - edge)) / rate, 0.0)
-    return _Envelope(top[..., 0], edge, drop, rate, area)
+    return top[:, 0], edge, drop, rate, area
 
 
-def _half_angle(gen: np.random.Generator, big_k: float, m: float, size: int,
-                envelope: _Envelope | None = None) -> np.ndarray:
-    """psi on (-pi/2, pi/2) with density ~ cos(psi)^(2K) * exp(2 m psi).
+def _half_angles(gen: np.random.Generator, big_k: np.ndarray, m: float,
+                 cols: np.ndarray) -> np.ndarray:
+    """psi on (-pi/2, pi/2) for each entry of `cols`, with density ~ cos(psi)^(2K) exp(2 m psi)
+    at K = big_k[col].
 
-    m == 0: sin(psi) is an affine symmetric Beta.  K == 0: psi is a
-    truncated exponential, drawn by inversion.  Otherwise the log-density is
-    concave and psi is drawn by rejection from `_Envelope` (built here
-    unless given), at acceptance about 0.75 for every (K, m).
+    m == 0: sin(psi) is an affine symmetric Beta, one draw for all entries.
+    Otherwise entries with K == 0 are truncated exponentials, drawn by
+    inversion, and the rest are drawn by rejection from their column's
+    envelope (`_half_angle_envelopes`), each pass redrawing only the
+    entries still pending, at acceptance about 0.75 for every (K, m).  One
+    debug record gives the acceptance of the call and its smallest K.
     """
+    k = big_k[cols]
     if m == 0.0:
-        u = 2.0 * gen.beta(big_k + 0.5, big_k + 0.5, size=size) - 1.0
-        return np.arcsin(u)
-    if big_k == 0.0:
-        log.debug("tilted half-angle acceptance %.4f (K=%.3g, m=%.3g)", 1.0, big_k, m)
-        return np.copysign(HALF_PI - _trunc_exp(gen.random(size), 2.0 * abs(m), np.pi), m)
-    top, edge, drop, rate, area = _half_angle_envelopes(big_k, m) if envelope is None else envelope
-    flat = edge[0] + edge[1]
-    total = flat + area[0] + area[1]
-    out = np.empty(size, dtype=float)
-    filled = 0
-    proposed = accepted = 0
-    rate_guess = 0.75
-    while filled < size:
-        need = size - filled
-        batch = max(int(need / rate_guess) + 1, 64)
-        u, v = gen.random((2, batch))
-        u *= total
+        return np.arcsin(2.0 * gen.beta(k + 0.5, k + 0.5) - 1.0)
+    ks, cs = k.ravel(), cols.ravel()
+    psi = np.empty(ks.size)
+    inverted = np.flatnonzero(ks == 0.0)
+    psi[inverted] = np.copysign(HALF_PI - _trunc_exp(gen.random(inverted.size), 2.0 * abs(m), np.pi), m)
+    rejected = pending = np.flatnonzero(ks > 0.0)
+    proposed = rejected.size
+    top, edge, drop, rate, area = _half_angle_envelopes(big_k, m)
+    flat, right = edge[:, 0] + edge[:, 1], area[:, 0]
+    while pending.size:
+        j = cs[pending]
+        u, v = gen.random((2, pending.size))
+        u *= flat[j] + area[j, 0] + area[j, 1]
         # u picks the piece and the point: [0, flat) the flat top, then the
         # right tail, then the left tail, each by inversion of its cdf
-        tail = u >= flat
-        side = (u >= flat + area[0]).astype(np.intp)
+        tail = u >= flat[j]
+        side = (u >= flat[j] + right[j]).astype(np.intp)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = _trunc_exp((u - flat - area[0] * side) / area[side], rate[side],
-                           HALF_PI - edge[side])
-            psi = np.where(tail, (1 - 2 * side) * (edge[side] + x), u - edge[1])
-            log_envelope = top + np.where(tail, drop[side] - rate[side] * x, 0.0)
+            x = _trunc_exp((u - flat[j] - right[j] * side) / area[j, side], rate[j, side],
+                           HALF_PI - edge[j, side])
+            step = np.where(tail, (1 - 2 * side) * (edge[j, side] + x), u - edge[j, 1])
+            log_envelope = top[j] + np.where(tail, drop[j, side] - rate[j, side] * x, 0.0)
             # log(1 - v) is the log of a uniform on (0, 1]; NaN psi never passes
-            keep = np.log1p(-v) < _log_cos_tilt(psi, big_k, m) - log_envelope
-        got = psi[keep]
-        take = min(got.size, need)
-        out[filled : filled + take] = got[:take]
-        filled += take
-        proposed += batch
-        accepted += got.size
-        if accepted:
-            rate_guess = accepted / proposed
-    log.debug("tilted half-angle acceptance %.4f (K=%.3g, m=%.3g)", accepted / proposed, big_k, m)
+            keep = np.log1p(-v) < _log_cos_tilt(step, big_k[j], m) - log_envelope
+        psi[pending[keep]] = step[keep]
+        pending = pending[~keep]
+        proposed += pending.size
+    log.debug("tilted half-angle acceptance %.4f (K=%.3g, m=%.3g)", rejected.size / proposed
+              if proposed else 1.0, ks[rejected].min() if proposed else 0.0, m)
+    return psi.reshape(cols.shape)
+
+
+def _disk_point(one_minus_t, psi):
+    """z = 1 - 2 t cos(psi) exp(i psi), the disk coefficient of the polar pair (t, psi)."""
+    return 1.0 - 2.0 * (1.0 - one_minus_t) * np.cos(psi) * np.exp(1j * psi)
+
+
+def _draw(gen: np.random.Generator, a: np.ndarray, delta: complex, count: int) -> np.ndarray:
+    """`count` rows of independent coefficients, one column per radial exponent in `a`.
+
+    Column j follows the disk law with exponent a[j] > 0, or the tilted
+    circle law where a[j] == 0 (its t = 1 limit).  The block takes one
+    half-angle draw over every entry, then one draw of 1 - t ~ Beta(a, a +
+    2 Re(delta) + 1) over the disk columns; entries that round onto |z| >= 1
+    are redrawn, and only those.  Requires Re(delta) >= 0.
+    """
+    if delta.real < 0:
+        raise ParameterError(f"sampling requires Re(delta) >= 0, got {delta}")
+    big_k, b = a + delta.real, a + 2.0 * delta.real + 1.0
+    psi = _half_angles(gen, big_k, delta.imag, np.broadcast_to(np.arange(a.size), (count, a.size)))
+    out = np.empty((count, a.size), dtype=np.complex128)
+    circle, disk = np.flatnonzero(a == 0.0), np.flatnonzero(a > 0.0)
+    out[:, circle] = np.exp(1j * np.mod(np.pi + 2.0 * psi[:, circle], TWO_PI))
+    out[:, disk] = _disk_point(gen.beta(a[disk], b[disk], size=(count, disk.size)), psi[:, disk])
+    # Beta draws can round onto the boundary in extreme parameter regimes; redraw those entries
+    rows, cols = np.nonzero((np.abs(out) >= 1.0) & (a > 0.0))
+    while rows.size:
+        psi = _half_angles(gen, big_k, delta.imag, cols)
+        out[rows, cols] = _disk_point(gen.beta(a[cols], b[cols]), psi)
+        bad = np.abs(out[rows, cols]) >= 1.0
+        rows, cols = rows[bad], cols[bad]
     return out
 
 
-def sample_lambda_delta(rng: SeededRng, delta: complex, size=None):
-    """Exact draw from the tilted circle law (density `lambda_delta_density`).
-
-    Writing the angle as theta = pi + 2 psi, the half-angle psi follows the
-    cos-power law with K = Re(delta): a Beta transform for real delta, an
-    inverted truncated exponential for Re(delta) = 0, and otherwise a
-    rejection step at acceptance about 0.75.  Requires Re(delta) >= 0.
-    """
-    d = complex(delta)
-    if d.real < 0:
-        raise ParameterError(f"sampling requires Re(delta) >= 0, got {d}")
+def _column(rng: SeededRng, a: float, delta: complex, size):
+    """`size` draws of the one-column block at radial exponent `a` (0: the circle law)."""
     count = 1 if size is None else int(np.prod(size))
-    psi = _half_angle(rng.generator, d.real, d.imag, count)
-    theta = np.mod(np.pi + 2.0 * psi, TWO_PI)
-    out = np.exp(1j * theta)
-    if size is None:
-        return complex(out[0])
-    return out.reshape(size)
+    z = _draw(rng.generator, np.array([float(a)]), complex(delta), count)[:, 0]
+    return complex(z[0]) if size is None else z.reshape(size)
 
 
 def lambda_delta_density(delta: complex, theta):
@@ -317,35 +337,25 @@ def gamma_k_density(spec: DiskDensitySpec, z):
     return float(out) if np.isscalar(z) else out
 
 
-def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None, *,
-                   envelope: _Envelope | None = None):
+def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None):
     """Exact draw from `gamma_k_density` via the (t, psi) polar factorization.
 
     Cost is two Beta variates per draw for real delta, independent of the
     parameter size; Im(delta) != 0 draws psi by rejection at acceptance
-    about 0.75, against `envelope` when given (the half-angle envelope at
-    K = a + Re(delta), m = Im(delta)).  Requires Re(delta) >= 0.
+    about 0.75.  Requires Re(delta) >= 0.
     """
-    d = spec.delta
-    if d.real < 0:
-        raise ParameterError(f"sampling requires Re(delta) >= 0, got {d}")
-    a, c, m = spec.a, d.real, d.imag
-    count = 1 if size is None else int(np.prod(size))
-    gen = rng.generator
-    t = gen.beta(a + 2.0 * c + 1.0, a, size=count)
-    psi = _half_angle(gen, a + c, m, count, envelope)
-    z = 1.0 - 2.0 * t * np.cos(psi) * np.exp(1j * psi)
-    # Beta draws can land on the boundary in extreme parameter regimes; redraw.
-    bad = np.abs(z) >= 1.0
-    while np.any(bad):
-        nbad = int(bad.sum())
-        t_new = gen.beta(a + 2.0 * c + 1.0, a, size=nbad)
-        psi_new = _half_angle(gen, a + c, m, nbad, envelope)
-        z[bad] = 1.0 - 2.0 * t_new * np.cos(psi_new) * np.exp(1j * psi_new)
-        bad = np.abs(z) >= 1.0
-    if size is None:
-        return complex(z[0])
-    return z.reshape(size)
+    return _column(rng, spec.a, spec.delta, size)
+
+
+def sample_lambda_delta(rng: SeededRng, delta: complex, size=None):
+    """Exact draw from the tilted circle law (density `lambda_delta_density`).
+
+    Writing the angle as theta = pi + 2 psi, the half-angle psi follows the
+    cos-power law with K = Re(delta): a Beta transform for real delta, an
+    inverted truncated exponential for Re(delta) = 0, and otherwise a
+    rejection step at acceptance about 0.75.  Requires Re(delta) >= 0.
+    """
+    return _column(rng, 0.0, delta, size)
 
 
 def sample_eta(rng: SeededRng, params: EnsembleParams) -> DeformedCoeffs:
@@ -358,20 +368,8 @@ def sample_eta(rng: SeededRng, params: EnsembleParams) -> DeformedCoeffs:
 
 
 def sample_eta_batch(rng: SeededRng, params: EnsembleParams, count: int) -> np.ndarray:
-    """`count` independent coefficient vectors, shape (count, n)."""
-    if params.delta.real < 0:
-        raise ParameterError(f"sampling requires Re(delta) >= 0, got {params.delta}")
+    """`count` independent coefficient vectors, shape (count, n), drawn as one block."""
     if count < 1:
         raise ParameterError("count must be >= 1")
-    n, bh, d = params.n, params.beta_half, params.delta
-    out = np.empty((count, n), dtype=np.complex128)
-    envelopes = None
-    if d.imag != 0.0:
-        # every half-angle envelope of the block in one pass, K = a_k + Re(delta)
-        envelopes = _half_angle_envelopes(bh * np.arange(n - 1, 0, -1) + d.real, d.imag)
-    for k in range(n - 1):
-        spec = DiskDensitySpec(a=bh * (n - k - 1), delta=d)
-        envelope = None if envelopes is None else envelopes.row(k)
-        out[:, k] = sample_gamma_k(rng, spec, size=count, envelope=envelope)
-    out[:, n - 1] = sample_lambda_delta(rng, d, size=count)
-    return out
+    return _draw(rng.generator, params.beta_half * np.arange(params.n - 1, -1, -1.0),
+                 params.delta, count)

@@ -178,7 +178,7 @@ class TestSampleCommand:
         assert capsys.readouterr().err == ""
         assert main(["--log-level", "debug", *args, "--out", str(tmp_path / "loud.csv")]) == 0
         err = capsys.readouterr().err
-        assert "DEBUG circjacobi.models: cayley pole moved in 3 of 4 rows" in err
+        assert "DEBUG circjacobi.models: cayley pole moved in 4 of 4 rows" in err
         assert (tmp_path / "loud.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
 
     def test_support_window_fraction_reported(self, tmp_path):

@@ -34,7 +34,7 @@ from circjacobi.gof import (
     tilted_disk_power_moment,
 )
 from circjacobi.opuc import TWO_PI
-from circjacobi.sampling import _half_angle
+from circjacobi.sampling import _draw, _half_angles
 from circjacobi.tolerances import SE_BOUND, SIGNIFICANCE
 
 
@@ -56,17 +56,57 @@ class _AcceptanceLog(logging.Handler):
             self.rates.append(record.args[0])
 
 
-def half_angle_rates(big_k, m, size):
+def acceptance_rates(draw):
+    """Acceptance rates of the tilted half-angle records that `draw()` logs."""
     logger = logging.getLogger("circjacobi.sampling")
     handler, level = _AcceptanceLog(), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        _half_angle(np.random.default_rng(0), big_k, m, size)
+        draw()
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
     return handler.rates
+
+
+def half_angle(gen, big_k, m, size):
+    """`size` half angles of the one-column law at (K, m)."""
+    return _half_angles(gen, np.array([float(big_k)]), m, np.zeros(size, dtype=np.intp))
+
+
+class _CallLog:
+    """Generator stand-in that logs the method name and output shape of every draw."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+
+        def logged(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.shape(out)))
+            return out
+
+        return logged
+
+
+class _ForcedBoundary(_CallLog):
+    """Sets `entries` of a real-tilt block onto gamma = -1: its half-angle Beta
+    draw to 1/2 (psi = 0) and its 1 - t draw to 0."""
+
+    def __init__(self, generator, entries):
+        super().__init__(generator)
+        self.entries = entries
+
+    def beta(self, a, b, size=None):
+        out = self.generator.beta(a, b, size=size)
+        self.calls.append(("beta", out.shape))
+        if len(self.calls) <= 2:
+            out[self.entries] = 0.5 if len(self.calls) == 1 else 0.0
+        return out
 
 
 class TestComplexLogGamma:
@@ -118,6 +158,11 @@ class TestNuS:
     def test_invalid_s(self):
         with pytest.raises(ParameterError):
             sample_nu_s(SeededRng(1), 0.5)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ParameterError):
+            sample_nu_s(SeededRng(1), s, size=3)
 
     def test_s3_radius_squared_uniform(self):
         z = sample_nu_s(SeededRng(2), 3.0, size=100_000)
@@ -183,7 +228,7 @@ class TestHalfAngle:
         (50, 4), (50, 6), (200, 50), (0.6, 3), (1e4, 1e3), (2, 0.1), (3, -2), (0, 3), (0, -8),
     ])
     def test_matches_quadrature_cdf(self, big_k, m):
-        psi = _half_angle(np.random.default_rng(26), big_k, m, 50_000)
+        psi = half_angle(np.random.default_rng(26), big_k, m, 50_000)
         _, p = scipy.stats.kstest(psi, half_angle_cdf(big_k, m))
         assert p >= SIGNIFICANCE
 
@@ -192,7 +237,8 @@ class TestHalfAngle:
            m=st.floats(0.0, 1e3, exclude_min=True),
            mirrored=st.booleans())
     def test_acceptance_at_least_half(self, big_k, m, mirrored):
-        rates = half_angle_rates(big_k, -m if mirrored else m, 4000)
+        rates = acceptance_rates(
+            lambda: half_angle(np.random.default_rng(0), big_k, -m if mirrored else m, 4000))
         assert rates and min(rates) >= 0.5
 
 
@@ -320,16 +366,63 @@ class TestSampleEta:
             assert mean_within(draws[:, k].real, expected.real)
             assert mean_within(draws[:, k].imag, expected.imag)
 
-    def test_block_envelopes_match_per_call_draws(self):
-        # the envelopes built once per block give the draws that each call
-        # would give with its own envelope
+    def test_one_column_calls_are_the_block_kernel(self):
         params = EnsembleParams(12, 2.0, 1.5 + 4j)
-        block = sample_eta_batch(SeededRng(28), params, 50)
-        rng = SeededRng(28)
-        for k in range(params.n - 1):
-            spec = DiskDensitySpec(params.beta_half * (params.n - k - 1), params.delta)
-            assert np.array_equal(block[:, k], sample_gamma_k(rng, spec, size=50))
-        assert np.array_equal(block[:, -1], sample_lambda_delta(rng, params.delta, size=50))
+        spec = DiskDensitySpec(3.0, params.delta)
+        assert np.array_equal(sample_gamma_k(SeededRng(28), spec, size=50),
+                              _draw(SeededRng(28).generator, np.array([3.0]), params.delta, 50)[:, 0])
+        assert np.array_equal(sample_lambda_delta(SeededRng(28), params.delta, size=50),
+                              _draw(SeededRng(28).generator, np.array([0.0]), params.delta, 50)[:, 0])
+        assert np.array_equal(sample_eta(SeededRng(28), params).gammas,
+                              sample_eta_batch(SeededRng(28), params, 1)[0])
+
+    def test_block_means_at_complex_tilt(self):
+        params = EnsembleParams(12, 2.0, 1.5 + 4j)
+        draws = sample_eta_batch(SeededRng(28), params, 60_000)
+        for k in range(params.n):
+            expected = 1.0 - moment_one_minus_gamma(k, params, 1.0)
+            assert mean_within(draws[:, k].real, expected.real)
+            assert mean_within(draws[:, k].imag, expected.imag)
+
+    def test_circle_column_at_pure_imaginary_tilt(self):
+        # K = Re(delta) = 0: the last column is drawn by inversion inside a rejection block
+        delta = 4j
+        draws = sample_eta_batch(SeededRng(32), EnsembleParams(5, 2.0, delta), 100_000)
+        _, p, _ = circle_angle_chi2(np.angle(draws[:, -1]), delta)
+        assert p >= SIGNIFICANCE
+
+    def test_boundary_draws_are_redrawn_alone(self):
+        params, count = EnsembleParams(6, 2.0, 1.0), 5
+        entries = (np.array([0, 3]), np.array([1, 4]))
+        baseline = sample_eta_batch(SeededRng(29), params, count)
+        rng = SeededRng(29)
+        rng.generator = forced = _ForcedBoundary(rng.generator, entries)
+        block = sample_eta_batch(rng, params, count)
+        # the block's two draws, then one redraw of psi and of 1 - t for the two entries
+        assert forced.calls == [("beta", (count, 6)), ("beta", (count, 5)), ("beta", (2,)), ("beta", (2,))]
+        assert np.all(np.abs(block[:, :-1]) < 1.0)
+        assert np.array_equal(np.argwhere(block != baseline), np.transpose(entries))
+
+    @pytest.mark.parametrize("delta", [1.0, 1 + 4j])
+    def test_generator_calls_do_not_grow_with_n(self, delta):
+        names = []
+        for n in (16, 400):
+            rng = SeededRng(31)
+            rng.generator = spy = _CallLog(rng.generator)
+            sample_eta_batch(rng, EnsembleParams(n, 2.0, delta), 3)
+            # a rejection pass after the first redraws only the proposals still pending
+            names.append([name for i, (name, _) in enumerate(spy.calls)
+                          if not (name == "random" and i and spy.calls[i - 1][0] == "random")])
+        assert names[0] == names[1] and len(names[0]) == 2
+
+    @pytest.mark.parametrize("n", [2, 50, 400])
+    @pytest.mark.parametrize("im", [0.06, 4.0, 40.0])
+    def test_block_acceptance_matches_theory(self, n, im):
+        params = EnsembleParams(n, 2.0, complex(1.0, im))
+        rates = acceptance_rates(lambda: sample_eta_batch(SeededRng(30), params, 4000 // n))
+        assert rates
+        for rate in rates:
+            assert rate >= 1.0 - 1.0 / np.e and abs(rate - 0.75) <= 0.05
 
     def test_requires_nonnegative_tilt(self):
         with pytest.raises(ParameterError):
