@@ -14,10 +14,11 @@ eigensolves a whole block of spectra per call with stacked NumPy operations.
 From `CAYLEY_MIN_N` = 16 on it builds, in band form, the symmetric CMV
 matrix S = R L R of each row (L M the CMV matrix, R = M^{1/2}), which has
 the spectral measure of the reflection product at e_1 and a real orthogonal
-eigenbasis.  Its Cayley transform is (Id - A)^{-1} B for the real band pair
-A + i B = conj(c) S: one stacked real `solve` and one stacked real `eigh`,
-with no complex dense matrix.  The eigenvalues are the Rayleigh quotients
-of the eigenvectors; a matrix is solved a second time, with the Cayley pole
+eigenbasis, and its factor W = R L^{1/2} with S = W W^T.  The Cayley
+transform of S is X Y^{-1} for the real band pair X + i Y = conj(c)^{1/2} W,
+which has the conditioning of S - c: one stacked real `solve` and one
+stacked real `eigh`, with no complex dense matrix.  The eigenvalues are the
+Rayleigh quotients of the eigenvectors; a matrix is solved a second time, with the Cayley pole
 c moved, only when the norm of its transform exceeds n or an eigenpair
 residual fails.  Below 16 it runs stacked `eig` on the reflection products.
 The one-spectrum path (`sample_cj_spectrum`) solves the reflection product
@@ -92,12 +93,17 @@ CAYLEY_MIN_N = 16
 # |H| = max |x| of the Cayley transform grows like 2 / (angular distance of
 # the nearest eigenvalue to the pole), and the solve loses accuracy with it; a
 # row whose first solve has max |x| > n, or an eigenpair residual above
-# `EIGEN_RESIDUAL_TOL` (an eigenvalue within about n eps of the pole, where x
-# is a rounded 0 / 0), is solved again with its pole in the middle of the
+# `EIGEN_RESIDUAL_TOL`, is solved again with its pole in the middle of the
 # widest gap between its eigenvalues, which brings max |x| below
 # cot(pi / 2n) < 2n / pi.  The solves after the first are that one move and
 # one turn of the pole by pi / n after a singular solve
 CAYLEY_POLE_MOVES = 2
+
+# `eigh` reads every x of a transform with an absolute rounding of about
+# eps max |x|.  Beyond this max |x| (an eigenvalue within about 2e-8 of the
+# pole) that is enough to misplace the widest gap, so the other x of the row
+# are read again with the eigenvector of the largest one taken out
+CAYLEY_DEFLATE_NORM = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,34 +427,56 @@ def _band_matmul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetric_band(gammas: np.ndarray) -> np.ndarray:
-    """Band form (count, n, 7) of the symmetric CMV matrix S = R L R of each coefficient row.
+def _cmv_factor_bands(gammas: np.ndarray, last: np.ndarray,
+                      root_of_l: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Band forms (count, n, 3) of R = M^{1/2} and of L (or L^{1/2}) of each coefficient row.
 
     L M is the CMV matrix (`cmv_from_alpha`) of the row's alphas, with
     L = Theta(alpha_0) + Theta(alpha_2) + ... and M = 1 + Theta(alpha_1) +
     Theta(alpha_3) + ... block diagonal, the last phase conj(alpha_{n-1})
-    closing the one of its index parity.  R = M^{1/2} takes the square root
-    of each block (`_theta_root`), so S = R (L M) R^{-1} has the spectrum of
-    L M and, since R fixes e_1, its spectral measure at e_1.  The Theta
-    blocks are symmetric, so S is symmetric as well as unitary, with a real
-    orthogonal eigenbasis; it has bandwidth 3.  rho_k is read from gamma_k,
-    as the reflection model reads it.  The rows must be valid coefficient
-    sequences; the reflection phases are checked.
+    closing the one of its index parity; `last` holds the last coefficients
+    put onto the circle.  Square roots are taken block by block
+    (`_theta_root`), so every factor is symmetric and unitary.  rho_k is read
+    from gamma_k, as the reflection model reads it.  The rows must be valid
+    coefficient sequences; the reflection phases are checked.
     """
     n = gammas.shape[1]
     g = gammas.copy()
-    g[:, -1] = _unit_last(gammas[:, -1])
+    g[:, -1] = last
     alphas = alpha_rows(g)
     theta = _theta_block(alphas[:, :-1], _rho(gammas[:, :-1]))
-    even = _block_band(theta[..., 0::2], 0, n)  # L
-    odd = _block_band(_theta_root(theta[..., 1::2]), 1, n)  # R
+    even = theta[..., 0::2]
+    even = _block_band(_theta_root(even) if root_of_l else even, 0, n)
+    odd = _block_band(_theta_root(theta[..., 1::2]), 1, n)
     odd[:, 0, 1] = 1.0
     last = np.conj(alphas[:, -1])
     if (n - 1) % 2 == 0:
-        even[:, -1, 1] = last
+        even[:, -1, 1] = np.sqrt(last) if root_of_l else last
     else:
         odd[:, -1, 1] = np.sqrt(last)
+    return odd, even
+
+
+def _symmetric_band(gammas: np.ndarray) -> np.ndarray:
+    """Band form (count, n, 7) of the symmetric CMV matrix S = R L R of each coefficient row.
+
+    With the factors of `_cmv_factor_bands`, S = R (L M) R^{-1} has the
+    spectrum of L M and, since R fixes e_1, its spectral measure at e_1.  S
+    is symmetric as well as unitary, with a real orthogonal eigenbasis; it
+    has bandwidth 3.
+    """
+    odd, even = _cmv_factor_bands(gammas, _unit_last(gammas[:, -1]), False)
     return _band_product(_band_product(odd, even), odd)
+
+
+def _half_band(gammas: np.ndarray) -> np.ndarray:
+    """Band form (count, n, 5) of W = R L^{1/2}, a unitary factor of S = W W^T (`_symmetric_band`).
+
+    The last coefficients are put onto the circle without a record;
+    `_symmetric_band` of the same rows records that.
+    """
+    last = gammas[:, -1]
+    return _band_product(*_cmv_factor_bands(gammas, last / np.abs(last), True))
 
 
 def _band_unitarity_residual(band: np.ndarray) -> float:
@@ -471,7 +499,7 @@ def _eigenpairs(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if gammas.shape[1] >= CAYLEY_MIN_N:
             band = _symmetric_band(gammas)
             _band_unitarity_residual(band)
-            lam, vec, residual = _cayley_eigenpairs(band)
+            lam, vec, residual = _cayley_eigenpairs(band, _half_band(gammas))
         else:
             u = _reflection_stack(gammas)
             _unitarity_residual(u)
@@ -483,29 +511,34 @@ def _eigenpairs(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _cayley_eigenpairs(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cayley_eigenpairs(band: np.ndarray,
+                       half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of a band stack of symmetric unitary matrices from the real Cayley transform of each.
 
-    For a pole c on the unit circle, conj(c) S = A + i B with A and B real,
-    symmetric, banded and commuting: on a real eigenvector of S with
-    eigenvalue c e^{i theta} they act as cos theta and sin theta.  So the
-    real symmetric H = (Id - A)^{-1} B has the eigenvectors of S and the
-    eigenvalue x = cot(theta / 2): one stacked real `np.linalg.solve` and one
-    stacked real `np.linalg.eigh` of the (symmetrized) H of every row.  Each
-    eigenvalue is read as the Rayleigh quotient v^T S v of its unit
-    eigenvector, from the band products of the real and imaginary parts of S,
-    which also give its residual |S v - lambda v|; x only steers the pole.
-    The first pole is 1, where the circular-Jacobi density vanishes for
-    Re delta > 0.  The solve loses accuracy as |H| = max |x| grows, so a row
-    with max |x| > n is solved once more with the pole in the middle of its
-    widest eigenvalue gap; that gap is at least 2 pi / n, so max |x|
-    is then below 2 n / pi.  A row whose residual exceeds
-    `EIGEN_RESIDUAL_TOL` has an eigenvalue within about n eps of the pole,
-    where x is a rounded 0 / 0 that the norm misses; it is moved by the same
-    rule, with the pole counted among its eigenvalues.  A singular solve
-    turns the pole of every pending row by pi / n.  The pole moves at most
-    `CAYLEY_POLE_MOVES` times.  Returns the eigenvalues, the real
-    eigenvectors and the largest residual of each row.
+    `half` holds the factors W of the matrices S = W W^T (`_half_band`).  For
+    a pole c on the unit circle, X + i Y = conj(c)^{1/2} W with X and Y real
+    and banded; on a real unit eigenvector v of S with eigenvalue
+    c e^{i theta}, u = e^{-i theta / 2} (conj(c)^{1/2} W)^T v is a real unit
+    vector with X u = cos(theta / 2) v and Y u = sin(theta / 2) v
+    (`_cayley_pair`).  So the real symmetric H = X Y^{-1} = Y^{-T} X^T has the
+    eigenvectors of S and the eigenvalue x = cot(theta / 2), and Y, with
+    singular values |sin(theta / 2)|, is as well conditioned as S - c: one
+    stacked real `np.linalg.solve` and one stacked real `np.linalg.eigh` of
+    the (symmetrized) H of every row.  Each eigenvalue is read as the
+    Rayleigh quotient v^T S v of its unit eigenvector, from the band
+    products of the real and imaginary parts of S, which also give its
+    residual |S v - lambda v|; x only steers the pole.  The first pole is 1,
+    where the circular-Jacobi density vanishes for Re delta > 0.  The solve
+    loses accuracy as |H| = max |x| grows, so a row with max |x| > n is
+    solved once more with the pole in the middle of its widest eigenvalue
+    gap; that gap is at least 2 pi / n, so max |x| is then below 2 n / pi.
+    Past `CAYLEY_DEFLATE_NORM` the gap is found from x read again without
+    the largest one (`_deflated`).  A row whose residual exceeds
+    `EIGEN_RESIDUAL_TOL` is moved by the same rule, with the pole counted
+    among its eigenvalues.  A singular solve turns the pole of every pending
+    row by pi / n.  The pole moves at most `CAYLEY_POLE_MOVES` times.
+    Returns the eigenvalues, the real eigenvectors and the largest residual
+    of each row.
     """
     count, n, _ = band.shape
     # rows whose every solve was singular keep NaN, which the eigenpair check rejects
@@ -517,9 +550,9 @@ def _cayley_eigenpairs(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     moved = np.zeros(count, dtype=bool)
     turned = np.zeros(count, dtype=bool)
     for _ in range(1 + CAYLEY_POLE_MOVES):
-        minus, b = _cayley_pair(band[rows], pole[rows])
+        sine, cosine = _cayley_pair(half[rows], pole[rows])
         try:
-            h = np.linalg.solve(_band_dense(minus), _band_dense(b))
+            h = np.linalg.solve(_band_dense(sine), _band_dense(cosine))
         except np.linalg.LinAlgError:  # the pole is an eigenvalue of some row
             pole[rows] *= np.exp(1j * np.pi / n)
             moved[rows] = turned[rows] = True
@@ -532,13 +565,18 @@ def _cayley_eigenpairs(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         vec[rows] = v
         residual[rows] = _eigenpair_residual((av, bv), lam[rows], v)
         wrong = ~(residual[rows] <= tol.EIGEN_RESIDUAL_TOL)
-        again = wrong | (np.abs(x).max(axis=-1) > n)
+        norm = np.abs(x).max(axis=-1)
+        again = wrong | (norm > n)
         rows, x, wrong = rows[again], x[again], wrong[again]
         if rows.size == 0:
             break
+        huge = norm[again] > CAYLEY_DEFLATE_NORM
+        if huge.any():
+            pick = np.flatnonzero(again)[huge]
+            x[huge] = _deflated(x[huge], v[pick], h[pick])
         seen = np.angle((x + 1j) / (x - 1j))  # the eigenvalues seen from the pole
-        # a wrong row has an eigenvalue at the pole, which its x misses; the
-        # other rows repeat an angle, which adds an empty gap
+        # a wrong row failed near the pole, which counts as one of its
+        # eigenvalues; the other rows repeat an angle, which adds an empty gap
         seen = np.append(seen, np.where(wrong, 0.0, seen[:, 0])[:, None], axis=-1)
         rel = np.sort(seen, axis=-1)
         gaps = np.diff(rel, axis=-1, append=rel[:, :1] + TWO_PI)
@@ -554,12 +592,30 @@ def _cayley_eigenpairs(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return lam, vec, residual
 
 
-def _cayley_pair(band: np.ndarray, pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real band stacks Id - A and B, where conj(c) S = A + i B for each band matrix S and pole c."""
-    rotated = band * np.conj(pole)[:, None, None]
-    minus = -rotated.real
-    minus[..., minus.shape[-1] // 2] += 1.0
-    return minus, rotated.imag
+def _cayley_pair(half: np.ndarray, pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real band stacks Y^T and X^T, X + i Y = conj(c)^{1/2} W, of half bands W and poles c.
+
+    Y^{-T} X^T is the Cayley transform i (S - c)^{-1} (S + c) of S = W W^T
+    (`_cayley_eigenpairs`); either square root of conj(c) gives it.
+    """
+    rotated = _band_transpose(half) * np.sqrt(np.conj(pole))[:, None, None]
+    return rotated.imag, rotated.real
+
+
+def _deflated(x: np.ndarray, vec: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The eigenvalues x (count, n) of each symmetric h, with all but the largest |x| read again.
+
+    `vec` holds the eigenvectors of x.  A reflection takes the eigenvector
+    of the largest |x| to e_1, and `eigvalsh` reads the other n - 1 from the
+    trailing block of the reflected h, free of the rounding of that one.
+    """
+    top = np.abs(x).argmax(axis=-1)[:, None]
+    u = np.take_along_axis(vec, top[..., None], axis=-1)[..., 0]
+    u[:, 0] += np.where(u[:, 0] < 0.0, -1.0, 1.0)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    reflect = np.eye(x.shape[-1]) - 2.0 * u[:, :, None] * u[:, None, :]
+    rest = np.linalg.eigvalsh((reflect @ h @ reflect)[:, 1:, 1:])
+    return np.concatenate([np.take_along_axis(x, top, axis=-1), rest], axis=-1)
 
 
 def _eigenpair_residual(product, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -22,10 +22,10 @@ between the points where the log-density is 1 below its maximum and tangent
 exponentials beyond, at acceptance about 0.75 for every tilt.  At K = 0 the
 psi law is a truncated exponential, drawn by inversion.
 
-A block of coefficient vectors (`sample_eta_batch`) is one pass of one
-kernel: one half-angle draw over all entries, one Beta draw of 1 - t over
-the disk columns, and a redraw of only the entries that round onto |z| >= 1.
-`sample_gamma_k` and `sample_lambda_delta` are its one-column case.
+A block (`sample_eta_batch`) takes one half-angle draw over all entries and
+one Beta draw of 1 - t over the disk columns; the sampler of each
+coefficient forms its column from them and redraws only the entries that
+round onto |z| >= 1.  Called alone, it draws the pair for its one column.
 
 Reproducibility contract: a fixed (seed, stream_id) and call sequence yields
 bit-identical output on the same build.
@@ -255,38 +255,11 @@ def _disk_point(one_minus_t, psi):
     return 1.0 - 2.0 * (1.0 - one_minus_t) * np.cos(psi) * np.exp(1j * psi)
 
 
-def _draw(gen: np.random.Generator, a: np.ndarray, delta: complex, count: int) -> np.ndarray:
-    """`count` rows of independent coefficients, one column per radial exponent in `a`.
-
-    Column j follows the disk law with exponent a[j] > 0, or the tilted
-    circle law where a[j] == 0 (its t = 1 limit).  The block takes one
-    half-angle draw over every entry, then one draw of 1 - t ~ Beta(a, a +
-    2 Re(delta) + 1) over the disk columns; entries that round onto |z| >= 1
-    are redrawn, and only those.  Requires Re(delta) >= 0.
-    """
-    if delta.real < 0:
-        raise ParameterError(f"sampling requires Re(delta) >= 0, got {delta}")
-    big_k, b = a + delta.real, a + 2.0 * delta.real + 1.0
-    psi = _half_angles(gen, big_k, delta.imag, np.broadcast_to(np.arange(a.size), (count, a.size)))
-    out = np.empty((count, a.size), dtype=np.complex128)
-    circle, disk = np.flatnonzero(a == 0.0), np.flatnonzero(a > 0.0)
-    out[:, circle] = np.exp(1j * np.mod(np.pi + 2.0 * psi[:, circle], TWO_PI))
-    out[:, disk] = _disk_point(gen.beta(a[disk], b[disk], size=(count, disk.size)), psi[:, disk])
-    # Beta draws can round onto the boundary in extreme parameter regimes; redraw those entries
-    rows, cols = np.nonzero((np.abs(out) >= 1.0) & (a > 0.0))
-    while rows.size:
-        psi = _half_angles(gen, big_k, delta.imag, cols)
-        out[rows, cols] = _disk_point(gen.beta(a[cols], b[cols]), psi)
-        bad = np.abs(out[rows, cols]) >= 1.0
-        rows, cols = rows[bad], cols[bad]
-    return out
-
-
-def _column(rng: SeededRng, a: float, delta: complex, size):
-    """`size` draws of the one-column block at radial exponent `a` (0: the circle law)."""
-    count = 1 if size is None else int(np.prod(size))
-    z = _draw(rng.generator, np.array([float(a)]), complex(delta), count)[:, 0]
-    return complex(z[0]) if size is None else z.reshape(size)
+def _sampled_tilt(delta) -> complex:
+    d = complex(delta)
+    if d.real < 0:
+        raise ParameterError(f"sampling requires Re(delta) >= 0, got {d}")
+    return d
 
 
 def lambda_delta_density(delta: complex, theta):
@@ -337,25 +310,42 @@ def gamma_k_density(spec: DiskDensitySpec, z):
     return float(out) if np.isscalar(z) else out
 
 
-def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None):
+def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None, *, polar=None):
     """Exact draw from `gamma_k_density` via the (t, psi) polar factorization.
 
-    Cost is two Beta variates per draw for real delta, independent of the
-    parameter size; Im(delta) != 0 draws psi by rejection at acceptance
-    about 0.75.  Requires Re(delta) >= 0.
+    Draws psi, then 1 - t ~ Beta(a, a + 2 Re(delta) + 1), unless `polar` gives
+    that pair of every draw.  Cost is two Beta variates per draw for real
+    delta, independent of the parameter size; Im(delta) != 0 draws psi by
+    rejection at acceptance about 0.75.  Requires Re(delta) >= 0.
     """
-    return _column(rng, spec.a, spec.delta, size)
+    d, gen = _sampled_tilt(spec.delta), rng.generator
+    if polar is None:
+        count = 1 if size is None else int(np.prod(size))
+        psi = _half_angles(gen, np.array([spec.a + d.real]), d.imag, np.zeros(count, np.intp))
+        polar = gen.beta(spec.a, spec.a + 2.0 * d.real + 1.0, size=count), psi
+    z = _disk_point(*polar)
+    # Beta draws can round onto the boundary in extreme parameter regimes; redraw those entries
+    bad = np.flatnonzero(np.abs(z) >= 1.0)
+    if bad.size:
+        z[bad] = sample_gamma_k(rng, spec, bad.size)
+    return complex(z[0]) if size is None else z.reshape(size)
 
 
-def sample_lambda_delta(rng: SeededRng, delta: complex, size=None):
+def sample_lambda_delta(rng: SeededRng, delta: complex, size=None, *, half_angles=None):
     """Exact draw from the tilted circle law (density `lambda_delta_density`).
 
     Writing the angle as theta = pi + 2 psi, the half-angle psi follows the
     cos-power law with K = Re(delta): a Beta transform for real delta, an
     inverted truncated exponential for Re(delta) = 0, and otherwise a
-    rejection step at acceptance about 0.75.  Requires Re(delta) >= 0.
+    rejection step at acceptance about 0.75.  `half_angles`, when given, is
+    psi.  Requires Re(delta) >= 0.
     """
-    return _column(rng, 0.0, delta, size)
+    d = _sampled_tilt(delta)
+    if half_angles is None:
+        count = 1 if size is None else int(np.prod(size))
+        half_angles = _half_angles(rng.generator, np.array([d.real]), d.imag, np.zeros(count, np.intp))
+    z = np.exp(1j * np.mod(np.pi + 2.0 * half_angles, TWO_PI))
+    return complex(z[0]) if size is None else z.reshape(size)
 
 
 def sample_eta(rng: SeededRng, params: EnsembleParams) -> DeformedCoeffs:
@@ -368,8 +358,20 @@ def sample_eta(rng: SeededRng, params: EnsembleParams) -> DeformedCoeffs:
 
 
 def sample_eta_batch(rng: SeededRng, params: EnsembleParams, count: int) -> np.ndarray:
-    """`count` independent coefficient vectors, shape (count, n), drawn as one block."""
+    """`count` independent coefficient vectors, shape (count, n), drawn as one block.
+
+    The sampler of each coefficient forms its column, so a trace of
+    `sample_gamma_k` counts one call per disk coefficient.
+    """
     if count < 1:
         raise ParameterError("count must be >= 1")
-    return _draw(rng.generator, params.beta_half * np.arange(params.n - 1, -1, -1.0),
-                 params.delta, count)
+    n, d, gen = params.n, _sampled_tilt(params.delta), rng.generator
+    a = params.beta_half * np.arange(n - 1, -1, -1.0)
+    psi = _half_angles(gen, a + d.real, d.imag, np.broadcast_to(np.arange(n), (count, n)))
+    one_minus_t = gen.beta(a[:-1], a[:-1] + 2.0 * d.real + 1.0, size=(count, n - 1))
+    out = np.empty((count, n), dtype=np.complex128)
+    for k in range(n - 1):
+        out[:, k] = sample_gamma_k(rng, DiskDensitySpec(a[k], d), count,
+                                   polar=(one_minus_t[:, k], psi[:, k]))
+    out[:, -1] = sample_lambda_delta(rng, d, count, half_angles=psi[:, -1])
+    return out

@@ -418,17 +418,18 @@ class TestSymmetricCMV:
     @pytest.mark.parametrize("n", [16, 17, 50, 51])
     def test_cayley_pair_commutes_and_gives_the_complex_transform(self, n):
         gammas = sample_eta_batch(SeededRng(55), EnsembleParams(n, 2.0, 1 + 1j), 4)
-        band = models._symmetric_band(gammas)
+        band, half = _bands_of(gammas)
         s = models._band_dense(band)
+        assert np.abs(_band_gram(half, half) - s).max() <= STRUCTURAL_TOL  # S = W W^T
         eye = np.eye(n)
         for c in (1.0, np.exp(2.5j)):
-            minus, b = models._cayley_pair(band, np.full(4, c))
-            # Id - A commutes with B exactly when A does
-            commutator = models._band_product(minus, b) - models._band_product(b, minus)
+            sine, cosine = models._cayley_pair(half, np.full(4, c))
+            # with Y^T, X^T = sine, cosine: X^T Y = Y^T X, so Y^{-T} X^T is symmetric
+            commutator = _band_gram(cosine, sine) - _band_gram(sine, cosine)
             assert np.abs(commutator).max() <= STRUCTURAL_TOL
-            h = np.linalg.solve(models._band_dense(minus), models._band_dense(b))
+            h = np.linalg.solve(models._band_dense(sine), models._band_dense(cosine))
             # the complex Cayley transform i (S - c)^{-1} (S + c), which is
-            # real; the two solves differed by up to 8.5e-13 relative here
+            # real; the two solves differed by up to 7.5e-14 relative here
             want = -np.linalg.solve(s - c * eye, s + c * eye).imag
             assert np.abs(h - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -450,9 +451,10 @@ def _circular_match(thetas, weights, want: SpectralMeasure):
     return dist.min(axis=1).max(), np.abs(weights - want.weights[nearest]).max()
 
 
-def _cayley_against_schur(band):
-    """Largest angle and weight distance of the checked Cayley solve of a band stack to Schur."""
-    lam, vec, residual = models._cayley_eigenpairs(band)
+def _cayley_against_schur(bands):
+    """Largest angle and weight distance to Schur of the checked Cayley solve of (band, half band)."""
+    band, half = bands
+    lam, vec, residual = models._cayley_eigenpairs(band, half)
     models._check_eigenpairs(residual, lam)
     thetas, weights = models._measure_rows(lam, vec)
     return np.max([
@@ -461,8 +463,24 @@ def _cayley_against_schur(band):
     ], axis=0)
 
 
+def _band_gram(a, b):
+    """Dense A B^T of band stacks A and B."""
+    return models._band_dense(models._band_product(a, models._band_transpose(b)))
+
+
+def _bands_of(gammas):
+    """The symmetric CMV band stack S of coefficient rows and its half band W, with W W^T = S."""
+    return models._symmetric_band(gammas), models._half_band(gammas)
+
+
 def _symmetric_bands(seed, n, delta, count):
-    return models._symmetric_band(sample_eta_batch(SeededRng(seed), EnsembleParams(n, 2.0, delta), count))
+    return _bands_of(sample_eta_batch(SeededRng(seed), EnsembleParams(n, 2.0, delta), count))
+
+
+def _turned(bands, angle):
+    """(band, half band) stacks of the matrices e^{i angle} S, `angle` broadcast over each stack."""
+    band, half = bands
+    return band * np.exp(1j * angle), half * np.exp(0.5j * angle)
 
 
 @pytest.mark.parametrize("n", [16, 64, 200])
@@ -470,10 +488,10 @@ def _symmetric_bands(seed, n, delta, count):
 def test_cayley_solve_near_its_first_pole(n, delta):
     # rotate each matrix so that an eigenvalue sits at angle d from 1, the
     # first pole; with the pole kept there the residual grows like 1e-15 / d
-    band = _symmetric_bands(47, n, delta, 2)
-    first = np.angle(np.linalg.eigvals(models._band_dense(band))[:, :1])
+    bands = _symmetric_bands(47, n, delta, 2)
+    first = np.angle(np.linalg.eigvals(models._band_dense(bands[0]))[:, :1])
     for d in (1e-2, 1e-6, 1e-10, 1e-14, 0.0):
-        angle_gap, weight_gap = _cayley_against_schur(band * np.exp(1j * (d - first))[:, :, None])
+        angle_gap, weight_gap = _cayley_against_schur(_turned(bands, (d - first)[:, :, None]))
         assert angle_gap <= 1e-12 and weight_gap <= 1e-12, d
 
 
@@ -525,8 +543,7 @@ def _pole_records(caplog):
 
 
 def test_cayley_pole_on_an_exact_eigenvalue_moves():
-    # Id - A is nearly singular at the first pole: x is a rounded 0 / 0 and
-    # only the eigenpair residual sees it
+    # Y is singular at the first pole: the solve fails and the pole turns
     n = 65
     gammas = _cyclic_shift_rows(n)
     thetas, weights = spectra_from_gammas(gammas)
@@ -537,10 +554,10 @@ def test_cayley_pole_on_an_exact_eigenvalue_moves():
 
 
 def test_cayley_pole_on_a_sampled_eigenvalue_moves_once(monkeypatch):
-    # rotate one eigenvalue of each matrix onto the first pole: every row
-    # fails its residual, and its x are rounding noise.  Counting the pole
-    # among the eigenvalues keeps the moved pole off that eigenvalue: 4 of 40
-    # rows needed a third solve here, against 17 without it
+    # rotate one eigenvalue of each matrix onto the first pole: every row's
+    # transform has an x of about 1e15, whose rounding in `eigh` swamps its
+    # other x.  Reading those again without it keeps the moved pole off the
+    # eigenvalues: 3 of 40 rows needed a third solve here, against 14 without
     solve = np.linalg.eigh
     passes = []
 
@@ -549,9 +566,9 @@ def test_cayley_pole_on_a_sampled_eigenvalue_moves_once(monkeypatch):
         return solve(h)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    band = _symmetric_bands(61, 50, 0.0, 40)
-    picked = np.linalg.eigvals(models._band_dense(band))[:, :1, None]
-    angle_gap, weight_gap = _cayley_against_schur(band * (np.abs(picked) / picked))
+    bands = _symmetric_bands(61, 50, 0.0, 40)
+    picked = np.linalg.eigvals(models._band_dense(bands[0]))[:, :1, None]
+    angle_gap, weight_gap = _cayley_against_schur(_turned(bands, -np.angle(picked)))
     assert passes[:2] == [40, 40] and sum(passes[2:]) <= 8
     assert angle_gap <= 1e-12 and weight_gap <= 1e-12
 
@@ -560,23 +577,23 @@ def test_cayley_pole_moves_are_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
         spectra_from_gammas(_cyclic_shift_rows(65))
     assert _pole_records(caplog) == [
-        "cayley pole moved in 2 of 2 rows (0 turned after a singular solve)"
+        "cayley pole moved in 2 of 2 rows (2 turned after a singular solve)"
     ]
     caplog.clear()
-    # at n = 16 the LU of Id - A for the second row hits an exact zero pivot
-    # at the pole 1: the stacked solve is singular and turns both poles
+    # at n = 16 too, Y of the first row is exactly singular at the pole 1:
+    # the stacked solve fails and turns both poles
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
-        angle_gap, weight_gap = _cayley_against_schur(models._symmetric_band(_cyclic_shift_rows(16)))
+        angle_gap, weight_gap = _cayley_against_schur(_bands_of(_cyclic_shift_rows(16)))
     assert _pole_records(caplog) == [
         "cayley pole moved in 2 of 2 rows (2 turned after a singular solve)"
     ]
     assert angle_gap <= 1e-12 and weight_gap <= 1e-12
     caplog.clear()
     # rotated so that the pole 1 sits mid-gap: max |x| <= cot(pi / 2n) < n
-    band = _symmetric_bands(48, 64, 1.0, 4)
-    end, width = _widest_gap(models._band_dense(band))
+    bands = _symmetric_bands(48, 64, 1.0, 4)
+    end, width = _widest_gap(models._band_dense(bands[0]))
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
-        models._cayley_eigenpairs(band * np.exp(-1j * (end - 0.5 * width))[:, None, None])
+        models._cayley_eigenpairs(*_turned(bands, (0.5 * width - end)[:, None, None]))
     assert _pole_records(caplog) == []
 
 
@@ -594,7 +611,7 @@ def test_cayley_solves_a_row_twice_only_when_its_norm_exceeds_n(monkeypatch):
     n, count, twice = 200, 10, 0
     for delta in (0.0, 1.0):
         passes.clear()
-        models._cayley_eigenpairs(_symmetric_bands(49, n, delta, count))
+        models._cayley_eigenpairs(*_symmetric_bands(49, n, delta, count))
         (first, first_w), *rest = passes
         assert first.size == count and len(rest) <= 1
         far = first > n
@@ -622,11 +639,11 @@ def test_cayley_solve_on_both_sides_of_its_norm_bound(n, steps, caplog):
     # max |x| = cot(d / 2): about 2n (solved again), just under n and about
     # n / 2 (solved once)
     d = steps / n
-    band = _symmetric_bands(50, n, 1.0, 2)
-    end, width = _widest_gap(models._band_dense(band))
+    bands = _symmetric_bands(50, n, 1.0, 2)
+    end, width = _widest_gap(models._band_dense(bands[0]))
     assert np.all(width > 2 * d)  # the eigenvalue before the gap stays farther than d
     with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
-        angle_gap, weight_gap = _cayley_against_schur(band * np.exp(1j * (d - end))[:, None, None])
+        angle_gap, weight_gap = _cayley_against_schur(_turned(bands, (d - end)[:, None, None]))
     assert len(_pole_records(caplog)) == (steps == 1)
     assert angle_gap <= 1e-12 and weight_gap <= 1e-12
 

@@ -34,7 +34,7 @@ from circjacobi.gof import (
     tilted_disk_power_moment,
 )
 from circjacobi.opuc import TWO_PI
-from circjacobi.sampling import _draw, _half_angles
+from circjacobi.sampling import _half_angles
 from circjacobi.tolerances import SE_BOUND, SIGNIFICANCE
 
 
@@ -367,12 +367,17 @@ class TestSampleEta:
             assert mean_within(draws[:, k].imag, expected.imag)
 
     def test_one_column_calls_are_the_block_kernel(self):
+        # alone, a sampler draws its column's half angles, then 1 - t, as a block does for all
         params = EnsembleParams(12, 2.0, 1.5 + 4j)
         spec = DiskDensitySpec(3.0, params.delta)
+        gen = SeededRng(28).generator
+        psi = half_angle(gen, 4.5, 4.0, 50)
+        polar = gen.beta(3.0, 7.0, size=50), psi
         assert np.array_equal(sample_gamma_k(SeededRng(28), spec, size=50),
-                              _draw(SeededRng(28).generator, np.array([3.0]), params.delta, 50)[:, 0])
+                              sample_gamma_k(SeededRng(1), spec, 50, polar=polar))
+        psi = half_angle(SeededRng(28).generator, 1.5, 4.0, 50)
         assert np.array_equal(sample_lambda_delta(SeededRng(28), params.delta, size=50),
-                              _draw(SeededRng(28).generator, np.array([0.0]), params.delta, 50)[:, 0])
+                              sample_lambda_delta(SeededRng(1), params.delta, 50, half_angles=psi))
         assert np.array_equal(sample_eta(SeededRng(28), params).gammas,
                               sample_eta_batch(SeededRng(28), params, 1)[0])
 
@@ -398,8 +403,8 @@ class TestSampleEta:
         rng = SeededRng(29)
         rng.generator = forced = _ForcedBoundary(rng.generator, entries)
         block = sample_eta_batch(rng, params, count)
-        # the block's two draws, then one redraw of psi and of 1 - t for the two entries
-        assert forced.calls == [("beta", (count, 6)), ("beta", (count, 5)), ("beta", (2,)), ("beta", (2,))]
+        # the block's two draws, then a redraw of psi and of 1 - t in each of the two columns
+        assert forced.calls == [("beta", (count, 6)), ("beta", (count, 5)), *[("beta", (1,))] * 4]
         assert np.all(np.abs(block[:, :-1]) < 1.0)
         assert np.array_equal(np.argwhere(block != baseline), np.transpose(entries))
 
