@@ -11,16 +11,16 @@ reference spectra and spectral measures come from a dense complex Schur
 decomposition, which keeps the eigenvector frame orthonormal so the weights
 of a cyclic vector always sum to one.  `sample_cj_spectra` draws, builds and
 eigensolves a whole block of spectra per call with stacked NumPy operations.
-From `CAYLEY_MIN_N` = 16 on it builds, in band form, the symmetric CMV
-matrix S = R L R of each row (L M the CMV matrix, R = M^{1/2}), which has
-the spectral measure of the reflection product at e_1 and a real orthogonal
-eigenbasis, and its factor W = R L^{1/2} with S = W W^T.  The Cayley
+From `CAYLEY_MIN_N` = 16 on it builds, in band form, the factor
+W = R L^{1/2} of each row (L M the CMV matrix, R = M^{1/2}) and from it the
+symmetric CMV matrix S = W W^T = R L R, which has the spectral measure of
+the reflection product at e_1 and a real orthogonal eigenbasis.  The Cayley
 transform of S is X Y^{-1} for the real band pair X + i Y = conj(c)^{1/2} W,
 which has the conditioning of S - c: one stacked real `solve` and one
 stacked real `eigh`, with no complex dense matrix.  The eigenvalues are the
-Rayleigh quotients of the eigenvectors; a matrix is solved a second time, with the Cayley pole
-c moved, only when the norm of its transform exceeds n or an eigenpair
-residual fails.  Below 16 it runs stacked `eig` on the reflection products.
+Rayleigh quotients of the eigenvectors; a matrix is solved a second time,
+with the Cayley pole c moved, only when the norm of its transform exceeds n
+or an eigenpair residual fails.  Below 16 it runs stacked `eig` on the reflection products.
 The one-spectrum path (`sample_cj_spectrum`) solves the reflection product
 by Schur decomposition with the same checks; it is the reference for the
 batched one.
@@ -92,18 +92,14 @@ CAYLEY_MIN_N = 16
 
 # |H| = max |x| of the Cayley transform grows like 2 / (angular distance of
 # the nearest eigenvalue to the pole), and the solve loses accuracy with it; a
-# row whose first solve has max |x| > n, or an eigenpair residual above
-# `EIGEN_RESIDUAL_TOL`, is solved again with its pole in the middle of the
-# widest gap between its eigenvalues, which brings max |x| below
-# cot(pi / 2n) < 2n / pi.  The solves after the first are that one move and
-# one turn of the pole by pi / n after a singular solve
+# row whose first solve has max |x| > n is solved again with its pole in the
+# middle of the widest gap between its eigenvalues, which brings max |x|
+# below cot(pi / 2n) < 2n / pi.  A row whose eigenpair residual exceeds
+# `EIGEN_RESIDUAL_TOL` has an eigenvalue at the pole, whose x (about 1e15)
+# `eigh` rounds by enough to misplace the others, so it turns its pole by
+# pi / n instead, as every pending row does after a singular solve.  The
+# solves after the first are one move and one turn of the pole
 CAYLEY_POLE_MOVES = 2
-
-# `eigh` reads every x of a transform with an absolute rounding of about
-# eps max |x|.  Beyond this max |x| (an eigenvalue within about 2e-8 of the
-# pole) that is enough to misplace the widest gap, so the other x of the row
-# are read again with the eigenvector of the largest one taken out
-CAYLEY_DEFLATE_NORM = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,56 +423,43 @@ def _band_matmul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cmv_factor_bands(gammas: np.ndarray, last: np.ndarray,
-                      root_of_l: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Band forms (count, n, 3) of R = M^{1/2} and of L (or L^{1/2}) of each coefficient row.
+def _half_band(gammas: np.ndarray) -> np.ndarray:
+    """Band form (count, n, 5) of W = R L^{1/2}, the factor of S = W W^T, of each coefficient row.
 
     L M is the CMV matrix (`cmv_from_alpha`) of the row's alphas, with
     L = Theta(alpha_0) + Theta(alpha_2) + ... and M = 1 + Theta(alpha_1) +
     Theta(alpha_3) + ... block diagonal, the last phase conj(alpha_{n-1})
-    closing the one of its index parity; `last` holds the last coefficients
-    put onto the circle.  Square roots are taken block by block
-    (`_theta_root`), so every factor is symmetric and unitary.  rho_k is read
-    from gamma_k, as the reflection model reads it.  The rows must be valid
-    coefficient sequences; the reflection phases are checked.
+    closing the one of its index parity.  R = M^{1/2} and L^{1/2} take the
+    square root of each block (`_theta_root`), so both are symmetric and
+    unitary.  rho_k is read from gamma_k, as the reflection model reads it.
+    The rows must be valid coefficient sequences; the reflection phases are
+    checked.
     """
     n = gammas.shape[1]
     g = gammas.copy()
-    g[:, -1] = last
+    g[:, -1] = _unit_last(gammas[:, -1])
     alphas = alpha_rows(g)
-    theta = _theta_block(alphas[:, :-1], _rho(gammas[:, :-1]))
-    even = theta[..., 0::2]
-    even = _block_band(_theta_root(even) if root_of_l else even, 0, n)
-    odd = _block_band(_theta_root(theta[..., 1::2]), 1, n)
+    theta = _theta_root(_theta_block(alphas[:, :-1], _rho(gammas[:, :-1])))
+    even = _block_band(theta[..., 0::2], 0, n)  # L^{1/2}
+    odd = _block_band(theta[..., 1::2], 1, n)  # R
     odd[:, 0, 1] = 1.0
-    last = np.conj(alphas[:, -1])
+    last = np.sqrt(np.conj(alphas[:, -1]))
     if (n - 1) % 2 == 0:
-        even[:, -1, 1] = np.sqrt(last) if root_of_l else last
+        even[:, -1, 1] = last
     else:
-        odd[:, -1, 1] = np.sqrt(last)
-    return odd, even
+        odd[:, -1, 1] = last
+    return _band_product(odd, even)
 
 
-def _symmetric_band(gammas: np.ndarray) -> np.ndarray:
-    """Band form (count, n, 7) of the symmetric CMV matrix S = R L R of each coefficient row.
+def _symmetric_band(half: np.ndarray) -> np.ndarray:
+    """Band form (count, n, 7) of the symmetric CMV matrix S = W W^T = R L R of each half band W.
 
-    With the factors of `_cmv_factor_bands`, S = R (L M) R^{-1} has the
-    spectrum of L M and, since R fixes e_1, its spectral measure at e_1.  S
-    is symmetric as well as unitary, with a real orthogonal eigenbasis; it
-    has bandwidth 3.
+    S = R (L M) R^{-1} has the spectrum of L M and, since R fixes e_1, its
+    spectral measure at e_1.  S is symmetric as well as unitary, with a real
+    orthogonal eigenbasis; it has bandwidth 3, since the entries of W W^T
+    four off the diagonal are sums of exact zeros.
     """
-    odd, even = _cmv_factor_bands(gammas, _unit_last(gammas[:, -1]), False)
-    return _band_product(_band_product(odd, even), odd)
-
-
-def _half_band(gammas: np.ndarray) -> np.ndarray:
-    """Band form (count, n, 5) of W = R L^{1/2}, a unitary factor of S = W W^T (`_symmetric_band`).
-
-    The last coefficients are put onto the circle without a record;
-    `_symmetric_band` of the same rows records that.
-    """
-    last = gammas[:, -1]
-    return _band_product(*_cmv_factor_bands(gammas, last / np.abs(last), True))
+    return _band_product(half, _band_transpose(half))[..., 1:-1]
 
 
 def _band_unitarity_residual(band: np.ndarray) -> float:
@@ -490,16 +473,17 @@ def _eigenpairs(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked eigenvalues and unit eigenvectors of the matrices of coefficient rows (count, n).
 
     From `CAYLEY_MIN_N` (16) on, the real Cayley solve (`_cayley_eigenpairs`)
-    of the symmetric CMV matrices (`_symmetric_band`), after a Gram check
-    formed on their band; below it, one stacked `np.linalg.eig` of the
-    reflection products, kept only for the benchmark memory reason given at
-    the constant.
+    of the symmetric CMV matrices (`_symmetric_band`) and their half factors
+    (`_half_band`), after a Gram check formed on their band; below it, one
+    stacked `np.linalg.eig` of the reflection products, kept only for the
+    benchmark memory reason given at the constant.
     """
     try:
         if gammas.shape[1] >= CAYLEY_MIN_N:
-            band = _symmetric_band(gammas)
+            half = _half_band(gammas)
+            band = _symmetric_band(half)
             _band_unitarity_residual(band)
-            lam, vec, residual = _cayley_eigenpairs(band, _half_band(gammas))
+            lam, vec, residual = _cayley_eigenpairs(band, half)
         else:
             u = _reflection_stack(gammas)
             _unitarity_residual(u)
@@ -532,11 +516,10 @@ def _cayley_eigenpairs(band: np.ndarray,
     loses accuracy as |H| = max |x| grows, so a row with max |x| > n is
     solved once more with the pole in the middle of its widest eigenvalue
     gap; that gap is at least 2 pi / n, so max |x| is then below 2 n / pi.
-    Past `CAYLEY_DEFLATE_NORM` the gap is found from x read again without
-    the largest one (`_deflated`).  A row whose residual exceeds
-    `EIGEN_RESIDUAL_TOL` is moved by the same rule, with the pole counted
-    among its eigenvalues.  A singular solve turns the pole of every pending
-    row by pi / n.  The pole moves at most `CAYLEY_POLE_MOVES` times.
+    A row whose residual exceeds `EIGEN_RESIDUAL_TOL` has an eigenvalue at
+    the pole and turns its pole by pi / n, and a singular solve turns the
+    pole of every pending row by pi / n.  The pole moves at most
+    `CAYLEY_POLE_MOVES` times.
     Returns the eigenvalues, the real eigenvectors and the largest residual
     of each row.
     """
@@ -564,24 +547,17 @@ def _cayley_eigenpairs(band: np.ndarray,
         lam[rows] = np.einsum("rij,rij->rj", v, av) + 1j * np.einsum("rij,rij->rj", v, bv)
         vec[rows] = v
         residual[rows] = _eigenpair_residual((av, bv), lam[rows], v)
-        wrong = ~(residual[rows] <= tol.EIGEN_RESIDUAL_TOL)
-        norm = np.abs(x).max(axis=-1)
-        again = wrong | (norm > n)
-        rows, x, wrong = rows[again], x[again], wrong[again]
+        wrong = ~(residual[rows] <= tol.EIGEN_RESIDUAL_TOL)  # an eigenvalue at the pole
+        again = wrong | (np.abs(x).max(axis=-1) > n)
+        rows, x = rows[again], x[again]
         if rows.size == 0:
             break
-        huge = norm[again] > CAYLEY_DEFLATE_NORM
-        if huge.any():
-            pick = np.flatnonzero(again)[huge]
-            x[huge] = _deflated(x[huge], v[pick], h[pick])
-        seen = np.angle((x + 1j) / (x - 1j))  # the eigenvalues seen from the pole
-        # a wrong row failed near the pole, which counts as one of its
-        # eigenvalues; the other rows repeat an angle, which adds an empty gap
-        seen = np.append(seen, np.where(wrong, 0.0, seen[:, 0])[:, None], axis=-1)
-        rel = np.sort(seen, axis=-1)
+        # the eigenvalues seen from the pole
+        rel = np.sort(np.angle((x + 1j) / (x - 1j)), axis=-1)
         gaps = np.diff(rel, axis=-1, append=rel[:, :1] + TWO_PI)
         widest = gaps.argmax(axis=-1)[:, None]
         middle = np.take_along_axis(rel + 0.5 * gaps, widest, axis=-1)[:, 0]
+        middle[wrong[again]] = np.pi / n
         pole[rows] *= np.exp(1j * middle)
         moved[rows] = True
     if moved.any():
@@ -600,22 +576,6 @@ def _cayley_pair(half: np.ndarray, pole: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     rotated = _band_transpose(half) * np.sqrt(np.conj(pole))[:, None, None]
     return rotated.imag, rotated.real
-
-
-def _deflated(x: np.ndarray, vec: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The eigenvalues x (count, n) of each symmetric h, with all but the largest |x| read again.
-
-    `vec` holds the eigenvectors of x.  A reflection takes the eigenvector
-    of the largest |x| to e_1, and `eigvalsh` reads the other n - 1 from the
-    trailing block of the reflected h, free of the rounding of that one.
-    """
-    top = np.abs(x).argmax(axis=-1)[:, None]
-    u = np.take_along_axis(vec, top[..., None], axis=-1)[..., 0]
-    u[:, 0] += np.where(u[:, 0] < 0.0, -1.0, 1.0)
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    reflect = np.eye(x.shape[-1]) - 2.0 * u[:, :, None] * u[:, None, :]
-    rest = np.linalg.eigvalsh((reflect @ h @ reflect)[:, 1:, 1:])
-    return np.concatenate([np.take_along_axis(x, top, axis=-1), rest], axis=-1)
 
 
 def _eigenpair_residual(product, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -389,7 +389,7 @@ class TestSymmetricCMV:
     @pytest.mark.parametrize("n", [16, 17, 50, 51])
     def test_symmetric_unitary_and_banded(self, n):
         gammas = sample_eta_batch(SeededRng(52), EnsembleParams(n, 2.0, 1 + 1j), 4)
-        band = models._symmetric_band(gammas)
+        band, _ = _bands_of(gammas)
         s = models._band_dense(band)
         assert np.abs(s - s.swapaxes(-1, -2)).max() <= STRUCTURAL_TOL
         gram = np.abs(s.conj().swapaxes(-1, -2) @ s - np.eye(n)).max()
@@ -407,7 +407,7 @@ class TestSymmetricCMV:
         for beta in (1.0, 2.0, 4.0):
             for delta in (0.0, 1 + 1j, 0.5 * beta * n):
                 gammas = sample_eta_batch(SeededRng(54), EnsembleParams(n, beta, delta), 3)
-                for row, s in zip(gammas, models._band_dense(models._symmetric_band(gammas))):
+                for row, s in zip(gammas, models._band_dense(_bands_of(gammas)[0])):
                     want = _oracle(row)
                     got = spectral_measure(DenseUnitary.from_entries(s))
                     worst_theta = max(worst_theta, np.max(np.abs(got.thetas - want.thetas)))
@@ -470,7 +470,8 @@ def _band_gram(a, b):
 
 def _bands_of(gammas):
     """The symmetric CMV band stack S of coefficient rows and its half band W, with W W^T = S."""
-    return models._symmetric_band(gammas), models._half_band(gammas)
+    half = models._half_band(gammas)
+    return models._symmetric_band(half), half
 
 
 def _symmetric_bands(seed, n, delta, count):
@@ -556,8 +557,9 @@ def test_cayley_pole_on_an_exact_eigenvalue_moves():
 def test_cayley_pole_on_a_sampled_eigenvalue_moves_once(monkeypatch):
     # rotate one eigenvalue of each matrix onto the first pole: every row's
     # transform has an x of about 1e15, whose rounding in `eigh` swamps its
-    # other x.  Reading those again without it keeps the moved pole off the
-    # eigenvalues: 3 of 40 rows needed a third solve here, against 14 without
+    # other x, and fails its residual.  Turning its pole by pi / n keeps the
+    # moved pole off the eigenvalues: 3 of 40 rows needed a third solve here,
+    # against 17 with the pole put in the widest gap of those x
     solve = np.linalg.eigh
     passes = []
 
@@ -571,6 +573,29 @@ def test_cayley_pole_on_a_sampled_eigenvalue_moves_once(monkeypatch):
     angle_gap, weight_gap = _cayley_against_schur(_turned(bands, -np.angle(picked)))
     assert passes[:2] == [40, 40] and sum(passes[2:]) <= 8
     assert angle_gap <= 1e-12 and weight_gap <= 1e-12
+
+
+def test_cayley_row_failing_its_residual_is_solved_again(monkeypatch, caplog):
+    # a failed residual alone sends a row to a second solve, with its norm below n
+    residual, sizes = models._eigenpair_residual, []
+
+    def failing_once(product, lam, vec):
+        out = residual(product, lam, vec)
+        if not sizes:
+            out[1] = 1.0
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(models, "_eigenpair_residual", failing_once)
+    bands = _symmetric_bands(48, 64, 1.0, 4)
+    end, width = _widest_gap(models._band_dense(bands[0]))
+    with caplog.at_level(logging.DEBUG, logger="circjacobi.models"):
+        lam, _, res = models._cayley_eigenpairs(*_turned(bands, (0.5 * width - end)[:, None, None]))
+    assert sizes == [4, 1]
+    assert _pole_records(caplog) == [
+        "cayley pole moved in 1 of 4 rows (0 turned after a singular solve)"
+    ]
+    models._check_eigenpairs(res, lam)
 
 
 def test_cayley_pole_moves_are_logged(caplog):
