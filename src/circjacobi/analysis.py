@@ -170,8 +170,8 @@ def mu_d_grid(params: LimitParams, panels: int = 256, order: int = 64) -> GridMe
 
 
 @functools.lru_cache(maxsize=32)
-def _mu_d_table(params: LimitParams, panels: int, order: int):
-    grid = mu_d_grid(params, panels, order)
+def _mu_d_table(params: LimitParams):
+    grid = mu_d_grid(params)
     lo, hi = params.support
     xs = np.concatenate(([lo], grid.thetas, [hi]))
     cum = np.concatenate(([0.0], np.cumsum(grid.weights)))
@@ -179,22 +179,22 @@ def _mu_d_table(params: LimitParams, panels: int, order: int):
     return xs, np.minimum(cum, 1.0)
 
 
-def mu_d_cdf(params: LimitParams, t, panels: int = 256, order: int = 64):
+def mu_d_cdf(params: LimitParams, t):
     """Distribution function F(t) = mu_d([0, t)) of the limit measure."""
     tt = np.asarray(t, dtype=float)
     if params.d == 0:
         out = np.clip(tt / TWO_PI, 0.0, 1.0)
     else:
-        xs, cum = _mu_d_table(params, panels, order)
+        xs, cum = _mu_d_table(params)
         out = np.interp(tt, xs, cum)
     return float(out) if np.isscalar(t) else out
 
 
-def mu_d_moment(params: LimitParams, k: int, panels: int = 256, order: int = 64) -> complex:
+def mu_d_moment(params: LimitParams, k: int) -> complex:
     """k-th trigonometric moment of the limit measure."""
     if params.d == 0:
         return complex(1.0 if k == 0 else 0.0)
-    return mu_d_grid(params, panels, order).moment(k)
+    return mu_d_grid(params).moment(k)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +416,18 @@ def _moment_octave(start: np.ndarray, phases: np.ndarray, count: int):
     return sums.reshape(-1)[:count], end
 
 
-def sigma_energy(measure, *, kmax: int = 4096, tail_tol: float = 1e-4) -> float:
+# tail estimate of the entropy series above which `sigma_energy` warns
+ENTROPY_TAIL_TOL = 1e-4
+
+
+def sigma_energy(measure, *, kmax: int = 4096) -> float:
     """Free entropy via the moment series -sum_{k>=1} |m_k|^2 / k.
 
     Atomic measures have value -inf.  For grid densities the series is summed
     over dyadic octaves; once consecutive octave sums decay geometrically the
     remaining tail is extrapolated (ratio model) and added.  A
     `TruncationWarning` is emitted when the tail estimate still exceeds
-    `tail_tol` at `kmax` terms.
+    `ENTROPY_TAIL_TOL` at `kmax` terms.
     """
     if isinstance(measure, (EmpiricalMeasure, SpectralMeasure)):
         return float("-inf")
@@ -456,12 +460,12 @@ def sigma_energy(measure, *, kmax: int = 4096, tail_tol: float = 1e-4) -> float:
         if prev_octave is not None and octave < prev_octave:
             ratio = octave / prev_octave  # per-octave geometric factor
             tail_est = octave * ratio / (1.0 - ratio)
-            if tail_est < min(1e-8, tail_tol):
+            if tail_est < min(1e-8, ENTROPY_TAIL_TOL):
                 break
         prev_octave = octave
     if np.isfinite(tail_est):
         total += tail_est
-    if tail_est > tail_tol:
+    if tail_est > ENTROPY_TAIL_TOL:
         warnings.warn(
             f"entropy series truncated at {k} terms with tail estimate {tail_est:.2e}",
             TruncationWarning,
@@ -469,7 +473,7 @@ def sigma_energy(measure, *, kmax: int = 4096, tail_tol: float = 1e-4) -> float:
     return -total
 
 
-def rate_function(d: complex, measure, *, kmax: int = 4096) -> RateReport:
+def rate_function(d: complex, measure) -> RateReport:
     """Large-deviation cost -Sigma(mu) + integral(Q_d) + B(d).
 
     Vanishes (within quadrature slack) exactly at the arc limit measure;
@@ -478,7 +482,7 @@ def rate_function(d: complex, measure, *, kmax: int = 4096) -> RateReport:
     d = complex(d)
     if d.real < 0:
         raise ParameterError(f"rate function requires Re(d) >= 0, got {d}")
-    sigma = sigma_energy(measure, kmax=kmax)
+    sigma = sigma_energy(measure)
     if isinstance(measure, GridMeasure):
         pot = float(np.sum(measure.weights * potential_q(d, measure.thetas)))
     else:
@@ -500,17 +504,16 @@ def _cdf_views(obj):
     raise ParameterError(f"cannot interpret {type(obj)!r} as a distribution function")
 
 
-def ks_distance(a, b, grid: int = 2048) -> float:
+def ks_distance(a, b) -> float:
     """sup_t |F_a(t) - F_b(t)| over the merged jump set (upper-bounds the
     Levy distance).  Arguments may be empirical/spectral measures or plain
-    distribution-function callables."""
+    distribution-function callables, at least one of them a measure."""
     left_a, right_a, jumps_a = _cdf_views(a)
     left_b, right_b, jumps_b = _cdf_views(b)
     pts = [p for p in (jumps_a, jumps_b) if p is not None]
-    if pts:
-        ts = np.unique(np.concatenate(pts))
-    else:
-        ts = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    if not pts:
+        raise ParameterError("ks_distance needs a measure on at least one side")
+    ts = np.unique(np.concatenate(pts))
     d_left = np.max(np.abs(np.asarray(left_a(ts)) - np.asarray(left_b(ts))))
     d_right = np.max(np.abs(np.asarray(right_a(ts)) - np.asarray(right_b(ts))))
     return float(max(d_left, d_right))

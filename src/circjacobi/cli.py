@@ -18,15 +18,40 @@ from . import __version__, harness
 from .errors import CircJacobiError
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--stream", type=int, help="base RNG stream id")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--format", choices=("csv", "json"), help="data file format")
+COMMAND_HELP = {
+    "sample": "sample spectra; emit per-sample angles and weights",
+    "dump-matrix": "sample one matrix and dump it as JSON",
+    "verify": "run the identity and distribution check suites",
+    "esd-convergence": "distance of sampled spectra to the limit law",
+    "plot-data": "tabulate the limit density, potential and cdf",
+}
+
+FLAG_HELP = {
+    "n": "matrix dimension",
+    "beta": "inverse temperature",
+    "delta_re": "Re of the tilt exponent",
+    "delta_im": "Im of the tilt exponent",
+    "samples": "number of sampled matrices",
+    "seed": "base RNG seed",
+    "stream": "base RNG stream id",
+    "out": "output path (for verify, the manifest)",
+    "format": "data file format, csv or json",
+    "scale": "multiplier on Monte Carlo sizes",
+    "inject_bug": "flip a sign inside the Hessenberg constructor (sentinel mode; "
+                  "the factorization check must then fail)",
+    "d_re": "Re of the scaling parameter d",
+    "d_im": "Im of the scaling parameter d",
+    "ladder": "comma-separated dimensions, e.g. 25,50,100,200",
+    "reps": "samples per dimension",
+    "grid": "number of grid points",
+    "mft_n": "if > 0, also tabulate the finite-n joint transform at this n",
+    "mft_beta": "inverse temperature of the finite-n joint transform",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per `harness.DEFAULTS` command and one flag per config key,
+    typed like its default; an unset flag is None and overrides nothing."""
     parser = argparse.ArgumentParser(
         prog="circjacobi",
         description="Circular Jacobi beta-ensemble sampling and verification harness",
@@ -36,48 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("debug", "info", "warning", "error"),
                         help="print circjacobi log records of this level and above on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="sample spectra; emit per-sample angles and weights")
-    p.add_argument("--n", type=int, help="matrix dimension")
-    p.add_argument("--beta", type=float, help="inverse temperature")
-    p.add_argument("--delta-re", type=float, dest="delta_re", help="Re of the tilt exponent")
-    p.add_argument("--delta-im", type=float, dest="delta_im", help="Im of the tilt exponent")
-    p.add_argument("--samples", type=int, help="number of sampled matrices")
-    _add_common(p)
-
-    p = sub.add_parser("dump-matrix", help="sample one matrix and dump it as JSON")
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--delta-re", type=float, dest="delta_re")
-    p.add_argument("--delta-im", type=float, dest="delta_im")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run the identity and distribution check suites")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--scale", type=float, help="multiplier on Monte Carlo sizes")
-    p.add_argument("--inject-bug", action="store_true", dest="inject_bug", default=None,
-                   help="flip a sign inside the Hessenberg constructor (sentinel mode; "
-                        "the factorization check must then fail)")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="manifest path")
-
-    p = sub.add_parser("esd-convergence", help="distance of sampled spectra to the limit law")
-    p.add_argument("--d-re", type=float, dest="d_re", help="Re of the scaling parameter d")
-    p.add_argument("--d-im", type=float, dest="d_im", help="Im of the scaling parameter d")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--ladder", help="comma-separated dimensions, e.g. 25,50,100,200")
-    p.add_argument("--reps", type=int, help="samples per dimension")
-    _add_common(p)
-
-    p = sub.add_parser("plot-data", help="tabulate the limit density, potential and cdf")
-    p.add_argument("--d-re", type=float, dest="d_re")
-    p.add_argument("--d-im", type=float, dest="d_im")
-    p.add_argument("--grid", type=int, help="number of grid points")
-    p.add_argument("--mft-n", type=int, dest="mft_n",
-                   help="if > 0, also tabulate the finite-n joint transform at this n")
-    p.add_argument("--mft-beta", type=float, dest="mft_beta")
-    _add_common(p)
-
+    for command, defaults in harness.DEFAULTS.items():
+        p = sub.add_parser(command, help=COMMAND_HELP[command])
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, action="store_true", default=None, help=FLAG_HELP[key])
+            else:
+                p.add_argument(flag, type=type(default), help=FLAG_HELP[key])
     return parser
 
 

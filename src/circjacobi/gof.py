@@ -1,9 +1,10 @@
 """Binned goodness-of-fit helpers shared by the test suite and the verifier.
 
-Expected bin masses come from panel Gauss-Legendre quadrature of the model
-density and are self-normalized over the full partition, so only density
-ratios matter.  Cells whose expected count falls below a floor are pooled
-into a single remainder cell before forming the chi-square statistic.
+The binning is fixed by the module constants.  Expected bin masses come
+from panel Gauss-Legendre quadrature of the model density and are
+self-normalized over the full partition, so only density ratios matter.
+Cells whose expected count falls below `MIN_EXPECTED` are pooled into a
+single remainder cell before forming the chi-square statistic.
 
 The quadrature oracles (`disk_integral_quad`, `partition_quad`) are the
 independent routes to the disk integral and the angular partition function.
@@ -42,6 +43,15 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
+# radial x angular disk cells, circle arcs and bins per angle of a pair
+DISK_RADIAL_BINS = 10
+DISK_ANGLE_BINS = 12
+CIRCLE_BINS = 24
+PAIR_BINS = 12
+MIN_EXPECTED = 10.0
+# subintervals of the adaptive outer integral of each quadrature oracle
+QUAD_LIMIT = 200
+
 
 def _cell_quad_1d(fn, edges):
     """Integral of fn over each [edges[i], edges[i+1]] with 8-point Gauss."""
@@ -69,10 +79,10 @@ def _cell_quad_2d(fn, xedges, yedges):
     return cells * (hx[:, None] * hy[None, :])
 
 
-def chi2_from_cells(counts, masses, *, min_expected: float = 10.0):
+def chi2_from_cells(counts, masses):
     """Chi-square p-value for observed cell counts against unnormalized masses.
 
-    Masses are self-normalized; cells with expected count < `min_expected`
+    Masses are self-normalized; cells with expected count < `MIN_EXPECTED`
     are pooled into one remainder cell.
     """
     counts = np.asarray(counts, dtype=float).ravel()
@@ -82,14 +92,14 @@ def chi2_from_cells(counts, masses, *, min_expected: float = 10.0):
     total = counts.sum()
     probs = masses / masses.sum()
     expected = total * probs
-    keep = expected >= min_expected
+    keep = expected >= MIN_EXPECTED
     if keep.sum() < 2:
         raise ParameterError("too few usable cells; coarsen the binning")
     obs = counts[keep]
     exp = expected[keep]
     rest_obs = total - obs.sum()
     rest_exp = max(total - exp.sum(), 0.0)
-    if rest_exp >= min_expected:
+    if rest_exp >= MIN_EXPECTED:
         obs = np.append(obs, rest_obs)
         exp = np.append(exp, rest_exp)
     elif rest_exp > 0:
@@ -101,14 +111,7 @@ def chi2_from_cells(counts, masses, *, min_expected: float = 10.0):
     return stat, float(scipy.stats.chi2.sf(stat, dof)), dof
 
 
-def disk_coefficient_chi2(
-    samples,
-    spec: DiskDensitySpec,
-    *,
-    n_rad: int = 10,
-    n_ang: int = 12,
-    min_expected: float = 10.0,
-):
+def disk_coefficient_chi2(samples, spec: DiskDensitySpec):
     """Chi-square test of disk samples against the coefficient density.
 
     Bins in (u, phi) with u = |z|^2 (edges at the quantiles of the untilted
@@ -117,10 +120,10 @@ def disk_coefficient_chi2(
     z = np.asarray(samples, dtype=np.complex128).ravel()
     u = np.abs(z) ** 2
     phi = np.mod(np.angle(z), TWO_PI)
-    q = np.linspace(0.0, 1.0, n_rad + 1)
+    q = np.linspace(0.0, 1.0, DISK_RADIAL_BINS + 1)
     u_edges = 1.0 - (1.0 - q) ** (1.0 / spec.a)
     u_edges[0], u_edges[-1] = 0.0, 1.0
-    phi_edges = np.linspace(0.0, TWO_PI, n_ang + 1)
+    phi_edges = np.linspace(0.0, TWO_PI, DISK_ANGLE_BINS + 1)
     counts, _, _ = np.histogram2d(u, phi, bins=(u_edges, phi_edges))
 
     def density_uphi(uu, pp):
@@ -128,33 +131,29 @@ def disk_coefficient_chi2(
         return 0.5 * gamma_k_density(spec, zz)  # d2z = (1/2) du dphi
 
     masses = _cell_quad_2d(density_uphi, u_edges, phi_edges)
-    return chi2_from_cells(counts, masses, min_expected=min_expected)
+    return chi2_from_cells(counts, masses)
 
 
-def circle_angle_chi2(
-    thetas, delta: complex, *, n_bins: int = 24, min_expected: float = 10.0
-):
+def circle_angle_chi2(thetas, delta: complex):
     """Chi-square test of circle angles against the tilted circle law."""
     th = np.mod(np.asarray(thetas, dtype=float).ravel(), TWO_PI)
-    edges = np.linspace(0.0, TWO_PI, n_bins + 1)
+    edges = np.linspace(0.0, TWO_PI, CIRCLE_BINS + 1)
     counts, _ = np.histogram(th, bins=edges)
     masses = _cell_quad_1d(lambda x: lambda_delta_density(delta, x), edges)
-    return chi2_from_cells(counts, masses, min_expected=min_expected)
+    return chi2_from_cells(counts, masses)
 
 
-def pair_angle_chi2(
-    pairs, density, *, n_bins: int = 12, min_expected: float = 10.0
-):
+def pair_angle_chi2(pairs, density):
     """Chi-square test of angle pairs against an unnormalized joint density."""
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParameterError("expected an array of angle pairs")
-    edges = np.linspace(0.0, TWO_PI, n_bins + 1)
+    edges = np.linspace(0.0, TWO_PI, PAIR_BINS + 1)
     counts, _, _ = np.histogram2d(
         np.mod(arr[:, 0], TWO_PI), np.mod(arr[:, 1], TWO_PI), bins=(edges, edges)
     )
     masses = _cell_quad_2d(density, edges, edges)
-    return chi2_from_cells(counts, masses, min_expected=min_expected)
+    return chi2_from_cells(counts, masses)
 
 
 def ks_pvalue(samples, cdf) -> tuple[float, float]:
@@ -212,7 +211,7 @@ def _tilt(u, th, s: complex, t: complex):
     return np.exp(s * log_1mz + t * np.conj(log_1mz))
 
 
-def disk_integral_quad(ell: float, s, t, *, limit: int = 200) -> complex:
+def disk_integral_quad(ell: float, s, t) -> complex:
     """Iterated quadrature of (1-|z|^2)^(ell-1) (1-z)^s (1-conj z)^t over the disk.
 
     Radial variable u = |z|^2, integrated adaptively with the algebraic
@@ -230,7 +229,7 @@ def disk_integral_quad(ell: float, s, t, *, limit: int = 200) -> complex:
         return complex(_CIRCLE_W @ _tilt(u, _CIRCLE_X, s, t))
 
     val, _ = scipy.integrate.quad(angular, 0.0, 1.0, complex_func=True, weight="alg",
-                                  wvar=(0.0, ell - 1.0), limit=limit)
+                                  wvar=(0.0, ell - 1.0), limit=QUAD_LIMIT)
     return 0.5 * val
 
 
@@ -270,14 +269,14 @@ def tilted_disk_power_moment(a: float, delta: complex, u, v) -> complex:
     )
 
 
-def partition_quad(n: int, beta: float, s, t, *, limit: int = 200) -> complex:
+def partition_quad(n: int, beta: float, s, t) -> complex:
     """Brute-force quadrature of the tilted angular partition function, n <= 2.
 
     Normalization is d(theta)/2pi per angle, matching `partition_zst`.  The
     integral over theta at n = 1, and over theta_2 at each theta_1 at n = 2,
     is one evaluation of a fixed composite Gauss-Legendre rule graded toward
     0 and, unless beta is an even integer, toward theta_2 = theta_1.  Only the
-    outer integral over theta_1 is adaptive (`limit` subintervals at most).
+    outer integral over theta_1 is adaptive (`QUAD_LIMIT` subintervals at most).
     """
     s = complex(s)
     t = complex(t)
@@ -297,6 +296,6 @@ def partition_quad(n: int, beta: float, s, t, *, limit: int = 200) -> complex:
             vdm = np.abs(2.0 * np.sin(0.5 * (th1 - th2))) ** beta
             return complex(w @ vdm) * complex(_tilt(1.0, th1, s, t))
 
-        val, _ = scipy.integrate.quad(inner, 0.0, TWO_PI, complex_func=True, limit=limit)
+        val, _ = scipy.integrate.quad(inner, 0.0, TWO_PI, complex_func=True, limit=QUAD_LIMIT)
         return val / TWO_PI**2
     raise ParameterError("brute-force partition quadrature supports n in {1, 2}")

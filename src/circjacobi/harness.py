@@ -34,7 +34,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "dump-matrix": {
         "n": 4, "beta": 2.0, "delta_re": 0.0, "delta_im": 0.0, "seed": 1234,
-        "stream": 0, "out": "matrix.json", "format": "json",
+        "stream": 0, "out": "matrix.json",
     },
     "verify": {"seed": 1234, "scale": 1.0, "inject_bug": False, "out": "verify.manifest.json"},
     "esd-convergence": {
@@ -43,7 +43,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "plot-data": {
         "d_re": 1.0, "d_im": 0.0, "grid": 2048, "mft_n": 0, "mft_beta": 2.0,
-        "seed": 1234, "stream": 0, "out": "density.csv", "format": "csv",
+        "out": "density.csv", "format": "csv",
     },
 }
 
@@ -632,6 +632,8 @@ def _verify_plan(seed: int, scale: float, inject_bug: bool):
     A check's inputs are drawn when the generator reaches it, so the draws
     from `gen` keep their order however long the consumer takes.
     """
+    if not np.isfinite(scale):
+        raise ParameterError(f"scale must be finite, got {scale!r}")
     gen = np.random.default_rng(seed)
 
     def corpus(sizes, per_size):
@@ -656,17 +658,19 @@ def _verify_plan(seed: int, scale: float, inject_bug: bool):
     yield from _stat_plan(seed, scale)
 
 
-def run_verify_checks(seed: int, scale: float = 1.0, inject_bug: bool = False) -> list[CheckResult]:
-    return [check() for check in _verify_plan(seed, scale, inject_bug)]
+def run_verify_checks(seed: int, scale: float = 1.0, inject_bug: bool = False):
+    """Each check of `verify` in order, and the wall time in s of each check by id."""
+    checks, wall = [], {}
+    for check in _verify_plan(seed, scale, inject_bug):
+        start = time.perf_counter()  # after the check's inputs are drawn
+        checks.append(check())
+        wall[checks[-1].check_id] = time.perf_counter() - start
+    return checks, wall
 
 
 def cmd_verify(config: dict) -> RunManifest:
     t0 = time.perf_counter()
-    checks, wall = [], {}
-    for check in _verify_plan(config["seed"], config["scale"], config["inject_bug"]):
-        start = time.perf_counter()  # after the check's inputs are drawn
-        checks.append(check())
-        wall[checks[-1].check_id] = time.perf_counter() - start
+    checks, wall = run_verify_checks(config["seed"], config["scale"], config["inject_bug"])
     manifest = RunManifest("verify", config)
     manifest.checks = checks
     manifest.summary = {

@@ -301,10 +301,8 @@ def eigen_unitary(u: DenseUnitary) -> EigenDecomposition:
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - budget exhaustion
         raise ConvergenceError(f"Schur iteration failed: {exc}") from exc
     lam = np.diag(t).copy()
-    n = u.n
-    off = float(np.max(np.abs(t - np.diag(lam)))) if n > 1 else 0.0
-    if not off <= tol.EIGEN_RESIDUAL_TOL * max(n, 10):
-        raise ConvergenceError(f"Schur factor not diagonal (off-diagonal {off:.2e})")
+    # U Q - Q diag(lam) = Q (T - diag(lam)), so each column's eigenpair
+    # residual bounds every off-diagonal entry of that column of T
     _check_eigenpairs(_eigenpair_residual(u.entries @ q, lam, q), lam)
     _, _, order = _angle_order(lam, q)
     lam = lam[order]

@@ -23,9 +23,9 @@ exponentials beyond, at acceptance about 0.75 for every tilt.  At K = 0 the
 psi law is a truncated exponential, drawn by inversion.
 
 A block (`sample_eta_batch`) takes one half-angle draw over all entries and
-one Beta draw of 1 - t over the disk columns; the sampler of each
-coefficient forms its column from them and redraws only the entries that
-round onto |z| >= 1.  Called alone, it draws the pair for its one column.
+one Beta draw of 1 - t over the disk columns; the disk sampler forms each
+disk column from them and redraws only the entries that round onto
+|z| >= 1.  Called alone, a sampler draws the pair for its one column.
 
 Reproducibility contract: a fixed (seed, stream_id) and call sequence yields
 bit-identical output on the same build.
@@ -255,6 +255,11 @@ def _disk_point(one_minus_t, psi):
     return 1.0 - 2.0 * (1.0 - one_minus_t) * np.cos(psi) * np.exp(1j * psi)
 
 
+def _circle_point(psi):
+    """exp(i theta) at theta = pi + 2 psi in [0, 2pi), the circle coefficient of the half angle psi."""
+    return np.exp(1j * np.mod(np.pi + 2.0 * psi, TWO_PI))
+
+
 def _sampled_tilt(delta) -> complex:
     d = complex(delta)
     if d.real < 0:
@@ -331,20 +336,17 @@ def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None, *, polar=No
     return complex(z[0]) if size is None else z.reshape(size)
 
 
-def sample_lambda_delta(rng: SeededRng, delta: complex, size=None, *, half_angles=None):
+def sample_lambda_delta(rng: SeededRng, delta: complex, size=None):
     """Exact draw from the tilted circle law (density `lambda_delta_density`).
 
     Writing the angle as theta = pi + 2 psi, the half-angle psi follows the
     cos-power law with K = Re(delta): a Beta transform for real delta, an
     inverted truncated exponential for Re(delta) = 0, and otherwise a
-    rejection step at acceptance about 0.75.  `half_angles`, when given, is
-    psi.  Requires Re(delta) >= 0.
+    rejection step at acceptance about 0.75.  Requires Re(delta) >= 0.
     """
     d = _sampled_tilt(delta)
-    if half_angles is None:
-        count = 1 if size is None else int(np.prod(size))
-        half_angles = _half_angles(rng.generator, np.array([d.real]), d.imag, np.zeros(count, np.intp))
-    z = np.exp(1j * np.mod(np.pi + 2.0 * half_angles, TWO_PI))
+    count = 1 if size is None else int(np.prod(size))
+    z = _circle_point(_half_angles(rng.generator, np.array([d.real]), d.imag, np.zeros(count, np.intp)))
     return complex(z[0]) if size is None else z.reshape(size)
 
 
@@ -360,8 +362,8 @@ def sample_eta(rng: SeededRng, params: EnsembleParams) -> DeformedCoeffs:
 def sample_eta_batch(rng: SeededRng, params: EnsembleParams, count: int) -> np.ndarray:
     """`count` independent coefficient vectors, shape (count, n), drawn as one block.
 
-    The sampler of each coefficient forms its column, so a trace of
-    `sample_gamma_k` counts one call per disk coefficient.
+    The disk sampler forms each disk column, so a trace of `sample_gamma_k`
+    counts one call per disk coefficient.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
@@ -373,5 +375,5 @@ def sample_eta_batch(rng: SeededRng, params: EnsembleParams, count: int) -> np.n
     for k in range(n - 1):
         out[:, k] = sample_gamma_k(rng, DiskDensitySpec(a[k], d), count,
                                    polar=(one_minus_t[:, k], psi[:, k]))
-    out[:, -1] = sample_lambda_delta(rng, d, count, half_angles=psi[:, -1])
+    out[:, -1] = _circle_point(psi[:, -1])
     return out

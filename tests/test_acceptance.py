@@ -124,7 +124,7 @@ def test_criterion_05_joint_eigenvalue_density(delta, seed):
         )
         return vdm * tilt
 
-    _, p, dof = pair_angle_chi2(pairs, density, n_bins=12)
+    _, p, dof = pair_angle_chi2(pairs, density)
     elapsed = time.perf_counter() - t0
     ok = p >= SIGNIFICANCE and elapsed < 300.0
     report(5, f"joint eigenvalue density (n=2, delta={delta})", ok,

@@ -321,6 +321,11 @@ class TestKSDistance:
         ref = scipy.stats.kstest(samples, cdf).statistic
         assert abs(ours - ref) < 1e-12
 
+    def test_two_callables_rejected(self):
+        cdf = lambda t: np.asarray(t) / TWO_PI  # noqa: E731
+        with pytest.raises(ParameterError):
+            ks_distance(cdf, cdf)
+
     def test_esd_close_to_limit_for_sampled_spectrum(self):
         from circjacobi import sample_cj_spectrum
 

@@ -11,6 +11,7 @@ import pytest
 from circjacobi import ParameterError, SeededRng, analysis, gof, models, tolerances
 from circjacobi.cli import build_parser, main
 from circjacobi.harness import (
+    COMMANDS,
     DEFAULTS,
     _stat_plan,
     _verify_plan,
@@ -135,6 +136,36 @@ def test_cli_flags_are_the_config_keys():
         assert flags == set(DEFAULTS[command]), command
 
 
+class _ReadLog(dict):
+    """A config that records every key a command reads."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# small inputs; plot-data tabulates the joint transform so that it reads mft_beta
+GUARD_OVERRIDES = {
+    "sample": {"n": 3, "samples": 2},
+    "dump-matrix": {"n": 3},
+    "verify": {"scale": 0.05},
+    "esd-convergence": {"ladder": "4,6", "reps": 2},
+    "plot-data": {"grid": 64, "mft_n": 3},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_every_config_key_is_read(command, tmp_path):
+    out = str(tmp_path / ("verify.json" if command == "verify" else "out.csv"))
+    config = _ReadLog(build_config(command, None, {**GUARD_OVERRIDES[command], "out": out}))
+    COMMANDS[command](config)
+    assert config.read == set(DEFAULTS[command])
+
+
 def test_every_tolerance_is_used_outside_its_module():
     # a bound whose check is deleted must not linger in `tolerances`
     package = Path(tolerances.__file__).parent
@@ -245,7 +276,7 @@ class TestVerifyCommand:
 
     def test_deterministic_checks_are_seed_independent_in_outcome(self):
         for seed in (1, 2):
-            checks = run_verify_checks(seed, scale=0.05)
+            checks, _ = run_verify_checks(seed, scale=0.05)
             det = [c for c in checks if c.kind == "deterministic"]
             assert all(c.passed for c in det)
 
@@ -458,3 +489,22 @@ class TestExitCodes:
 
     def test_missing_config_file_is_two(self, tmp_path):
         assert main(["sample", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    @pytest.mark.parametrize("args", [["plot-data", "--seed", "3"],
+                                      ["dump-matrix", "--format", "csv"]])
+    def test_removed_flag_is_two(self, args, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(tmp_path / "x.out")])
+        assert exc.value.code == 2
+
+    def test_removed_config_key_is_two(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=3\n")
+        assert main(["plot-data", "--config", str(cfg), "--grid", "64",
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_verify_scale_is_two(self, scale, tmp_path):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--scale", scale, "--out", str(out)]) == 2
+        assert not out.exists()

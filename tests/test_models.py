@@ -169,6 +169,13 @@ class TestEigenUnitary:
         rhs = char_poly_at_one(gammas)
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
+    def test_non_normal_schur_factor_fails_eigenpair_check(self):
+        # the Schur factor is the matrix itself; its off-diagonal 1e-6 is
+        # the second eigenpair's residual
+        u = DenseUnitary(np.array([[1.0, 1e-6], [0.0, -1.0]], dtype=np.complex128), 0.0)
+        with pytest.raises(ConvergenceError, match="eigenpair residual"):
+            eigen_unitary(u)
+
     def test_residuals(self, gen):
         u = ggt_from_alpha(random_alphas(gen, 24))
         dec = eigen_unitary(u)

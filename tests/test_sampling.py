@@ -34,7 +34,7 @@ from circjacobi.gof import (
     tilted_disk_power_moment,
 )
 from circjacobi.opuc import TWO_PI
-from circjacobi.sampling import _half_angles
+from circjacobi.sampling import _circle_point, _half_angles
 from circjacobi.tolerances import SE_BOUND, SIGNIFICANCE
 
 
@@ -377,7 +377,7 @@ class TestSampleEta:
                               sample_gamma_k(SeededRng(1), spec, 50, polar=polar))
         psi = half_angle(SeededRng(28).generator, 1.5, 4.0, 50)
         assert np.array_equal(sample_lambda_delta(SeededRng(28), params.delta, size=50),
-                              sample_lambda_delta(SeededRng(1), params.delta, 50, half_angles=psi))
+                              _circle_point(psi))
         assert np.array_equal(sample_eta(SeededRng(28), params).gammas,
                               sample_eta_batch(SeededRng(28), params, 1)[0])
 
