@@ -36,7 +36,7 @@ FLAG_HELP = {
     "stream": "base RNG stream id",
     "out": "output path (for verify, the manifest)",
     "format": "data file format, csv or json",
-    "scale": "multiplier on Monte Carlo sizes",
+    "scale": "multiplier on Monte Carlo sizes, > 0; each scaled sample keeps at least 2000 draws",
     "inject_bug": "flip a sign inside the Hessenberg constructor (sentinel mode; "
                   "the factorization check must then fail)",
     "d_re": "Re of the scaling parameter d",

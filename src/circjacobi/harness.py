@@ -388,27 +388,52 @@ def _worst(values) -> float:
 # and the acceptance tests call the same functions on their own corpora.
 
 
-def check_factorization(corpus, *, inject_bug: bool = False) -> CheckResult:
-    """GGT matrix = AGR block product = reflection product of the gammas."""
-    spreads = []
+def _size_groups(corpus):
+    """Each coefficient size of a corpus, in order of first appearance.
+
+    Yields the alphas of its sets stacked (count, n) and the deformed
+    coefficients (`gamma_from_alpha`) of each set.
+    """
+    groups: dict[int, list] = {}
     for coeffs in corpus:
-        ggt = models.ggt_from_alpha(coeffs, _alpha_init=1.0 if inject_bug else -1.0).entries
-        agr = models.agr_product(coeffs).entries
-        refl = models.reflection_product(opuc.gamma_from_alpha(coeffs)).entries
-        spreads += [_max_abs_diff(ggt, agr), _max_abs_diff(ggt, refl)]
-    worst = _worst(spreads)
+        groups.setdefault(coeffs.n, []).append(coeffs)
+    for group in groups.values():
+        yield np.stack([c.alphas for c in group]), [opuc.gamma_from_alpha(c) for c in group]
+
+
+def _row_spreads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest |a - b| of each matching pair of rows or matrices of two stacks; NaN propagates."""
+    return np.abs(a - b).reshape(len(a), -1).max(axis=1)
+
+
+def check_factorization(corpus, *, inject_bug: bool = False) -> CheckResult:
+    """GGT matrix = AGR block product = reflection product of the gammas.
+
+    One stack of each model per coefficient size; the spreads are per set.
+    """
+    spreads = []
+    for alphas, deformed in _size_groups(corpus):
+        ggt = models.ggt_rows(alphas, _alpha_init=1.0 if inject_bug else -1.0)
+        gammas = np.stack([d.gammas for d in deformed])
+        spreads += [_row_spreads(ggt, models.agr_rows(alphas)),
+                    _row_spreads(ggt, models.reflection_rows(gammas))]
+    worst = _worst(np.concatenate(spreads))
     return CheckResult("factorization-three-models", "deterministic",
                        worst <= tol.STRUCTURAL_TOL, worst,
                        "max entrywise spread across constructions")
 
 
 def check_char_poly(corpus) -> CheckResult:
-    """det(Id - U) = prod_k (1 - gamma_k), relative error."""
+    """det(Id - U) = prod_k (1 - gamma_k), relative error per set.
+
+    det(Id - U) of the GGT matrices of each coefficient size comes from one
+    stacked LU determinant.
+    """
     errors = []
-    for coeffs in corpus:
-        lam = models.eigen_unitary(models.ggt_from_alpha(coeffs)).eigenvalues
-        rhs = opuc.char_poly_at_one(opuc.gamma_from_alpha(coeffs))
-        errors.append(_rel_err(complex(np.prod(1.0 - lam)), rhs))
+    for alphas, deformed in _size_groups(corpus):
+        dets = np.linalg.det(np.eye(alphas.shape[1]) - models.ggt_rows(alphas))
+        errors += [_rel_err(complex(det), opuc.char_poly_at_one(d))
+                   for det, d in zip(dets, deformed)]
     worst = _worst(errors)
     return CheckResult("char-poly-product", "deterministic",
                        worst <= tol.CHAR_POLY_REL_TOL, worst)
@@ -428,11 +453,12 @@ def check_cmv(coeffs: opuc.VerblunskyCoeffs) -> CheckResult:
 
 
 def check_coefficient_roundtrip(corpus) -> CheckResult:
-    """alpha -> gamma -> alpha reproduces the coefficients."""
-    worst = _worst(
-        _max_abs_diff(opuc.alpha_from_gamma(opuc.gamma_from_alpha(coeffs)).alphas, coeffs.alphas)
-        for coeffs in corpus
-    )
+    """alpha -> gamma -> alpha reproduces the coefficients, with one `alpha_rows` per size."""
+    spreads = []
+    for alphas, deformed in _size_groups(corpus):
+        spreads.append(_row_spreads(opuc.alpha_rows(np.stack([d.gammas for d in deformed])),
+                                    alphas))
+    worst = _worst(np.concatenate(spreads))
     return CheckResult("coefficient-roundtrip", "deterministic",
                        worst <= tol.ROUNDTRIP_TOL, worst)
 
@@ -634,6 +660,8 @@ def _verify_plan(seed: int, scale: float, inject_bug: bool):
     """
     if not np.isfinite(scale):
         raise ParameterError(f"scale must be finite, got {scale!r}")
+    if scale <= 0:
+        raise ParameterError(f"scale must be > 0, got {scale!r}")
     gen = np.random.default_rng(seed)
 
     def corpus(sizes, per_size):

@@ -7,9 +7,13 @@ taken in two orders.  In index order it gives the same matrix, both as the
 Ammar-Gragg-Reichel product of the Theta(alpha_k) and as the product of n
 elementary reflections of the deformed coefficients; even indices first, it
 gives the pentadiagonal (CMV) form of the same spectral measure.  The
-reference spectra and spectral measures come from a dense complex Schur
-decomposition, which keeps the eigenvector frame orthonormal so the weights
-of a cyclic vector always sum to one.  `sample_cj_spectra` draws, builds and
+Hessenberg, AGR and reflection matrices are also built for a whole stack of
+coefficient rows at once (`ggt_rows`, `agr_rows`, `reflection_rows`), the
+Hessenberg tail products of rho from one masked `cumprod`; each one-matrix
+function is the one-row case of its stacked builder.  The reference spectra
+and spectral measures come from a dense complex Schur decomposition, which
+keeps the eigenvector frame orthonormal so the weights of a cyclic vector
+always sum to one.  `sample_cj_spectra` draws, builds and
 eigensolves a whole block of spectra per call with stacked NumPy operations.
 From `CAYLEY_MIN_N` = 16 on it builds, in band form, the factor
 W = R L^{1/2} of each row (L M the CMV matrix, R = M^{1/2}) and from it the
@@ -58,8 +62,11 @@ __all__ = [
     "DenseUnitary",
     "EigenDecomposition",
     "ggt_from_alpha",
+    "ggt_rows",
     "agr_product",
+    "agr_rows",
     "reflection_product",
+    "reflection_rows",
     "cmv_from_alpha",
     "eigen_unitary",
     "spectral_measure",
@@ -164,26 +171,60 @@ def _rho(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - np.abs(values) ** 2, 0.0, None))
 
 
+def _coefficient_rows(values) -> np.ndarray:
+    """Coefficient rows (count, n) as a complex array, each checked as a coefficient sequence."""
+    rows = np.asarray(values, dtype=np.complex128)
+    if rows.ndim != 2:
+        raise InvariantError(f"expected coefficient rows of shape (count, n), got {rows.shape}")
+    check_coefficient_rows(rows)
+    return rows
+
+
+def _gram_checked(u: np.ndarray) -> np.ndarray:
+    """A stack of matrices after the Gram check of `DenseUnitary.from_entries` on each."""
+    _unitarity_residual(u)
+    return u
+
+
+def _ggt_stack(alphas: np.ndarray, alpha_init: complex) -> np.ndarray:
+    """The Hessenberg matrix (`ggt_from_alpha`) of each row of alphas (count, n), unchecked.
+
+    Entry (i, j), j >= i, of a row is -alpha_{i-1} conj(alpha_j) times the
+    tail product prod_{p=i}^{j-1} rho_p; one `cumprod` along the rows of a
+    matrix that holds rho_{j-1} above the diagonal and 1 elsewhere forms
+    every tail product left to right, as a loop over the rows would.
+    """
+    count, n = alphas.shape
+    rho = _rho(alphas)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    shifted = np.concatenate((np.ones((count, 1)), rho[:, :-1]), axis=1)  # rho_{j-1}
+    tail = np.cumprod(np.where(upper, shifted[:, None, :], 1.0), axis=-1)
+    a_prev = np.concatenate((np.full((count, 1), complex(alpha_init)), alphas[:, :-1]), axis=1)
+    h = np.triu(-a_prev[:, :, None] * np.conj(alphas)[:, None, :] * tail)
+    sub = np.arange(1, n)
+    h[:, sub, sub - 1] = rho[:, :-1]
+    return h
+
+
+def ggt_rows(alphas, *, _alpha_init: complex = -1.0) -> np.ndarray:
+    """`ggt_from_alpha` of each coefficient row of alphas (count, n): shape (count, n, n).
+
+    The rows are checked as coefficient sequences and the matrices by the
+    Gram check of `DenseUnitary.from_entries`.  `_alpha_init` is the
+    fault-injection hook of `ggt_from_alpha`.
+    """
+    return _gram_checked(_ggt_stack(_coefficient_rows(alphas), _alpha_init))
+
+
 def ggt_from_alpha(coeffs: VerblunskyCoeffs, *, _alpha_init: complex = -1.0) -> DenseUnitary:
     """Hessenberg matrix of multiplication by z in the orthonormal basis.
 
     Row i carries entries -alpha_{i-1} conj(alpha_j) prod_{p=i}^{j-1} rho_p
     above and on the diagonal (alpha_{-1} = -1), rho_j on the subdiagonal,
-    zeros below.  `_alpha_init` exists only as a fault-injection hook for the
-    verification harness; leave it at -1.
+    zeros below: the one-row case of `ggt_rows`.  `_alpha_init` exists only
+    as a fault-injection hook for the verification harness; leave it at -1.
     """
-    a = coeffs.alphas
-    n = a.size
-    rho = _rho(a)
-    h = np.zeros((n, n), dtype=np.complex128)
-    a_ext = np.concatenate(([complex(_alpha_init)], a))
-    for i in range(n):
-        # prod_{p=i}^{j-1} rho_p accumulated left to right along the row
-        tail = np.concatenate(([1.0], np.cumprod(rho[i : n - 1])))
-        h[i, i:] = -a_ext[i] * np.conj(a[i:]) * tail[: n - i]
-        if i >= 1:
-            h[i, i - 1] = rho[i - 1]
-    return DenseUnitary.from_entries(h)
+    return DenseUnitary.from_entries(_ggt_stack(coeffs.alphas[None], _alpha_init)[0])
 
 
 def _apply_block_columns(u: np.ndarray, k: int, block) -> None:
@@ -251,15 +292,40 @@ def _factor_product(blocks: np.ndarray, last: np.ndarray, order) -> np.ndarray:
     return u
 
 
+def _theta_product(alphas: np.ndarray, order) -> np.ndarray:
+    """Product of the Theta(alpha_k) and the last phase of each row of alphas (count, n), unchecked.
+
+    The factors are multiplied in `order`, as `_factor_product` takes it.
+    """
+    return _factor_product(_theta_block(alphas[:, :-1]), np.conj(alphas[:, -1]), order)
+
+
+def agr_rows(alphas) -> np.ndarray:
+    """`agr_product` of each coefficient row of alphas (count, n): shape (count, n, n).
+
+    The rows are checked as coefficient sequences and the matrices by the
+    Gram check of `DenseUnitary.from_entries`.
+    """
+    rows = _coefficient_rows(alphas)
+    return _gram_checked(_theta_product(rows, range(rows.shape[1])))
+
+
 def agr_product(coeffs: VerblunskyCoeffs) -> DenseUnitary:
     """Theta(alpha_0) ... Theta(alpha_{n-2}) diag(1, ..., 1, conj(alpha_{n-1})).
 
     The Ammar-Gragg-Reichel factorization; equals `ggt_from_alpha` entrywise.
+    The one-row case of `agr_rows`.
     """
-    a = coeffs.alphas
-    return DenseUnitary.from_entries(
-        _factor_product(_theta_block(a[None, :-1]), np.conj(a[-1:]), range(a.size))[0]
-    )
+    return DenseUnitary.from_entries(_theta_product(coeffs.alphas[None], range(coeffs.n))[0])
+
+
+def reflection_rows(gammas) -> np.ndarray:
+    """`reflection_product` of each coefficient row of gammas (count, n): shape (count, n, n).
+
+    The rows are checked as coefficient sequences, with their reflection
+    phases, and the matrices by the Gram check of `DenseUnitary.from_entries`.
+    """
+    return _gram_checked(_reflection_stack(_coefficient_rows(gammas)))
 
 
 def reflection_product(coeffs: DeformedCoeffs) -> DenseUnitary:
@@ -267,7 +333,8 @@ def reflection_product(coeffs: DeformedCoeffs) -> DenseUnitary:
 
     Each embedded factor differs from the identity by a rank-one map (its
     spectrum is {1, -phase}); the final factor scales the last coordinate by
-    the unimodular last coefficient, renormalized onto the circle.
+    the unimodular last coefficient, renormalized onto the circle.  The
+    one-row case of `reflection_rows`.
     """
     return DenseUnitary.from_entries(_reflection_stack(coeffs.gammas[None, :])[0])
 
@@ -280,12 +347,8 @@ def cmv_from_alpha(coeffs: VerblunskyCoeffs) -> DenseUnitary:
     parity); their product has the spectrum and spectral measure of the
     Hessenberg form, and entries at distance > 2 from the diagonal vanish.
     """
-    a = coeffs.alphas
-    n = a.size
-    order = [*range(0, n, 2), *range(1, n, 2)]
-    return DenseUnitary.from_entries(
-        _factor_product(_theta_block(a[None, :-1]), np.conj(a[-1:]), order)[0]
-    )
+    order = [*range(0, coeffs.n, 2), *range(1, coeffs.n, 2)]
+    return DenseUnitary.from_entries(_theta_product(coeffs.alphas[None], order)[0])
 
 
 def eigen_unitary(u: DenseUnitary) -> EigenDecomposition:
@@ -663,10 +726,7 @@ def spectra_from_gammas(gammas) -> tuple[np.ndarray, np.ndarray]:
     computes, up to rounding.  The linear algebra runs in chunks of at most
     `BATCH_ENTRY_BUDGET` matrix entries; the result does not depend on them.
     """
-    g = np.asarray(gammas, dtype=np.complex128)
-    if g.ndim != 2:
-        raise InvariantError(f"expected coefficient rows of shape (count, n), got {g.shape}")
-    check_coefficient_rows(g)
+    g = _coefficient_rows(gammas)
     count, n = g.shape
     thetas = np.empty((count, n))
     weights = np.empty((count, n))

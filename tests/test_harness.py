@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circjacobi import ParameterError, SeededRng, analysis, gof, models, tolerances
+from circjacobi import ParameterError, SeededRng, analysis, gof, models, opuc, tolerances
 from circjacobi.cli import build_parser, main
 from circjacobi.harness import (
     COMMANDS,
@@ -16,6 +16,8 @@ from circjacobi.harness import (
     _stat_plan,
     _verify_plan,
     build_config,
+    check_char_poly,
+    check_coefficient_roundtrip,
     check_disk_integral,
     check_factorization,
     check_partition_quadrature,
@@ -355,11 +357,44 @@ class TestDeterministicCheckFaults:
         assert not res.passed and np.isnan(res.stat)
 
     def test_nan_matrix_fails_factorization(self, monkeypatch, gen):
-        agr = models.agr_product
-        monkeypatch.setattr(models, "agr_product", lambda coeffs: models.DenseUnitary(
-            np.full_like(agr(coeffs).entries, np.nan), 0.0))
+        agr = models.agr_rows
+        monkeypatch.setattr(models, "agr_rows", lambda alphas: np.full_like(agr(alphas), np.nan))
         res = check_factorization([random_alphas(gen, n) for n in (2, 4, 8)])
         assert not res.passed and np.isnan(res.stat)
+
+    @pytest.mark.parametrize("name", ["agr_rows", "reflection_rows"])
+    def test_nan_in_last_size_group_fails_factorization(self, monkeypatch, name):
+        corpus = verify_inputs(check_factorization)
+        assert corpus[-1].n == 32
+        build = getattr(models, name)
+
+        def one_nan_matrix(rows):
+            stack = build(rows)
+            if stack.shape[-1] == 32:
+                stack[3, 5, 7] = np.nan
+            return stack
+
+        monkeypatch.setattr(models, name, one_nan_matrix)
+        res = check_factorization(corpus)
+        assert not res.passed and np.isnan(res.stat)
+
+    def test_perturbed_char_poly_of_one_set_fails(self, monkeypatch):
+        # 1e-6 is a hundred times the check's bound CHAR_POLY_REL_TOL
+        corpus = verify_inputs(check_char_poly)
+        assert check_char_poly(corpus).passed
+        target = opuc.gamma_from_alpha(corpus[9]).gammas
+        exact = opuc.char_poly_at_one
+        monkeypatch.setattr(opuc, "char_poly_at_one", lambda coeffs: exact(coeffs) * (
+            1.0 + 1e-6 if np.array_equal(coeffs.gammas, target) else 1.0))
+        res = check_char_poly(corpus)
+        assert not res.passed and res.stat > tolerances.CHAR_POLY_REL_TOL
+
+    @pytest.mark.parametrize("check", [check_factorization, check_char_poly,
+                                       check_coefficient_roundtrip])
+    def test_stat_does_not_depend_on_corpus_order(self, check):
+        corpus = verify_inputs(check)
+        shuffled = [corpus[i] for i in np.random.default_rng(3).permutation(len(corpus))]
+        assert check(shuffled).stat == check(corpus).stat
 
 
 class TestEsdConvergenceCommand:
@@ -505,6 +540,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_non_finite_verify_scale_is_two(self, scale, tmp_path):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--scale", scale, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["0.0", "-1.0"])
+    def test_nonpositive_verify_scale_is_two(self, scale, tmp_path):
         out = tmp_path / "v.json"
         assert main(["verify", "--scale", scale, "--out", str(out)]) == 2
         assert not out.exists()

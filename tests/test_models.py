@@ -18,13 +18,16 @@ from circjacobi import (
     SpectralMeasure,
     VerblunskyCoeffs,
     agr_product,
+    agr_rows,
     alpha_from_gamma,
     char_poly_at_one,
     cmv_from_alpha,
     eigen_unitary,
     gamma_from_alpha,
     ggt_from_alpha,
+    ggt_rows,
     reflection_product,
+    reflection_rows,
     sample_cj_matrix,
     sample_cj_spectra,
     sample_cj_spectrum,
@@ -240,6 +243,46 @@ class TestThreeModelEquality:
                 x = reflection_product(gamma_from_alpha(coeffs)).entries
                 worst = max(worst, np.max(np.abs(h - a)), np.max(np.abs(h - x)))
         assert worst <= 1e-10
+
+
+class TestStackedBuilders:
+    @pytest.mark.parametrize("n", [1, 2, 7, 32])
+    def test_rows_equal_one_row_functions(self, gen, n):
+        sets = [random_alphas(gen, n) for _ in range(5)]
+        deformed = [gamma_from_alpha(coeffs) for coeffs in sets]
+        alphas = np.stack([coeffs.alphas for coeffs in sets])
+        ggt, agr = ggt_rows(alphas), agr_rows(alphas)
+        refl = reflection_rows(np.stack([d.gammas for d in deformed]))
+        for i, (coeffs, d) in enumerate(zip(sets, deformed)):
+            assert np.array_equal(ggt[i], ggt_from_alpha(coeffs).entries)
+            assert np.array_equal(agr[i], agr_product(coeffs).entries)
+            assert np.array_equal(refl[i], reflection_product(d).entries)
+
+    def test_ggt_rows_matches_double_loop(self, gen):
+        # scalar complex products may round differently from NumPy's array
+        # loops, so each entry, of modulus <= 1 and a product of n + 1
+        # rounded factors, is compared within (n + 2) ulps of 1
+        n = 7
+        sets = [random_alphas(gen, n) for _ in range(4)]
+        for h, coeffs in zip(ggt_rows(np.stack([c.alphas for c in sets])), sets):
+            a = coeffs.alphas
+            rho = np.sqrt(1.0 - np.abs(a) ** 2)
+            reference = np.zeros((n, n), dtype=complex)
+            for i in range(n):
+                prev = complex(-1.0) if i == 0 else a[i - 1]
+                tail = 1.0  # prod_{p=i}^{j-1} rho_p
+                for j in range(i, n):
+                    reference[i, j] = -prev * np.conj(a[j]) * tail
+                    tail *= rho[j]
+                if i >= 1:
+                    reference[i, i - 1] = rho[i - 1]
+            assert np.abs(h - reference).max() <= (n + 2) * np.finfo(float).eps
+
+    def test_rows_are_checked(self):
+        with pytest.raises(InvariantError):
+            ggt_rows(np.array([0.5, 1.0]))
+        with pytest.raises(InvariantError):
+            agr_rows(np.array([[1.5, 1.0]]))
 
 
 class TestDistributionalEquality:
