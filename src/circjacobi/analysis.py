@@ -20,8 +20,8 @@ import scipy
 
 from . import tolerances as tol
 from .errors import ParameterError, TruncationWarning
-from .gof import tilted_disk_power_moment
-from .opuc import TWO_PI, EnsembleParams, SpectralMeasure
+from .gof import gauss_panels, tilted_disk_power_moment
+from .opuc import TWO_PI, EnsembleParams, SpectralMeasure, nonnegative_tilt
 from .sampling import complex_log_gamma
 
 __all__ = [
@@ -76,9 +76,7 @@ class LimitParams:
 
 def limit_params(d: complex) -> LimitParams:
     """Compute the limit constants; requires a finite d with Re(d) >= 0."""
-    d = complex(d)
-    if not (np.isfinite(d) and d.real >= 0):
-        raise ParameterError(f"limit regime requires a finite d with Re(d) >= 0, got {d}")
+    d = nonnegative_tilt(d)
     if d == 0:
         return LimitParams(0j, 0j, 0.0, 0.0)
     alpha = -np.conj(d) / (1.0 + np.conj(d))
@@ -135,16 +133,6 @@ class GridMeasure:
         return GridMeasure(self.thetas, w / w.sum())
 
 
-def _panel_gauss(lo: float, hi: float, panels: int, order: int):
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
-
-
 def haar_grid(nodes: int = 4096) -> GridMeasure:
     """Midpoint-rule representation of the uniform measure."""
     th = (np.arange(nodes) + 0.5) * TWO_PI / nodes
@@ -162,7 +150,8 @@ def mu_d_grid(params: LimitParams, panels: int = 256, order: int = 64) -> GridMe
         return haar_grid(panels * order)
     lo, hi = params.support
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x, wx = _panel_gauss(-0.5 * np.pi, 0.5 * np.pi, panels, order)
+    edges = np.linspace(-0.5 * np.pi, 0.5 * np.pi, panels + 1)
+    x, wx = (a.ravel() for a in gauss_panels(edges, order))
     theta = mid + half * np.sin(x)
     jac = half * np.cos(x)
     weights = w_d(params, theta) * jac * wx / TWO_PI
@@ -262,9 +251,7 @@ def partition_zst(n: int, beta: float, s, t) -> complex:
 
 def b_const(d: complex) -> float:
     """Free-energy constant B(d) by adaptive quadrature of its two integrals."""
-    d = complex(d)
-    if d.real < 0:
-        raise ParameterError(f"B(d) requires Re(d) >= 0, got {d}")
+    d = nonnegative_tilt(d)
     two_c = 2.0 * d.real
 
     def plus_part(x):
@@ -286,9 +273,7 @@ def b_const(d: complex) -> float:
 def b_const_finite_n(d: complex, n: int, beta: float = 2.0) -> float:
     """Finite-size route to B(d): log partition function at the matched tilt,
     divided by (beta/2) n^2.  Converges to `b_const(d)` as n grows."""
-    d = complex(d)
-    if d.real < 0:
-        raise ParameterError(f"requires Re(d) >= 0, got {d}")
+    d = nonnegative_tilt(d)
     bh = 0.5 * beta
     log_z = log_partition_zst(n, beta, np.conj(d) * bh * n, d * bh * n)
     return float(np.real(log_z) / (bh * n * n))
@@ -479,9 +464,7 @@ def rate_function(d: complex, measure) -> RateReport:
     Vanishes (within quadrature slack) exactly at the arc limit measure;
     atomic inputs report rate +inf through the -inf entropy sentinel.
     """
-    d = complex(d)
-    if d.real < 0:
-        raise ParameterError(f"rate function requires Re(d) >= 0, got {d}")
+    d = nonnegative_tilt(d)
     sigma = sigma_energy(measure)
     if isinstance(measure, GridMeasure):
         pot = float(np.sum(measure.weights * potential_q(d, measure.thetas)))

@@ -1,8 +1,9 @@
 """Binned goodness-of-fit helpers shared by the test suite and the verifier.
 
 The binning is fixed by the module constants.  Expected bin masses come
-from panel Gauss-Legendre quadrature of the model density and are
-self-normalized over the full partition, so only density ratios matter.
+from composite Gauss-Legendre quadrature (`gauss_panels`, the package's one
+composite rule) of the model density and are self-normalized over the full
+partition, so only density ratios matter.
 Cells whose expected count falls below `MIN_EXPECTED` are pooled into a
 single remainder cell before forming the chi-square statistic.
 
@@ -30,6 +31,7 @@ from .sampling import (
 )
 
 __all__ = [
+    "gauss_panels",
     "chi2_from_cells",
     "disk_coefficient_chi2",
     "circle_angle_chi2",
@@ -41,8 +43,6 @@ __all__ = [
     "tilted_disk_power_moment",
 ]
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
 # radial x angular disk cells, circle arcs and bins per angle of a pair
 DISK_RADIAL_BINS = 10
 DISK_ANGLE_BINS = 12
@@ -51,32 +51,31 @@ PAIR_BINS = 12
 MIN_EXPECTED = 10.0
 # subintervals of the adaptive outer integral of each quadrature oracle
 QUAD_LIMIT = 200
+# Gauss points on each cell side of the binned masses and each panel of the graded rule
+_PANEL_NODES = 8
 
 
-def _cell_quad_1d(fn, edges):
-    """Integral of fn over each [edges[i], edges[i+1]] with 8-point Gauss."""
+def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with `order` points on each panel [edges[i], edges[i+1]].
+
+    Returns the nodes and the weights, each of shape (panels, order); row i
+    integrates polynomials of degree up to 2 order - 1 over panel i exactly.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = fn(nodes)
-    return (vals * _GL_W[None, :]).sum(axis=1) * half
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
 
 
 def _cell_quad_2d(fn, xedges, yedges):
-    """Integral of fn over each rectangle of the grid, 8x8 Gauss per cell."""
-    hx = 0.5 * np.diff(xedges)
-    mx = 0.5 * (xedges[:-1] + xedges[1:])
-    hy = 0.5 * np.diff(yedges)
-    my = 0.5 * (yedges[:-1] + yedges[1:])
-    xn = mx[:, None] + hx[:, None] * _GL_X[None, :]  # (nx, 8)
-    yn = my[:, None] + hy[:, None] * _GL_X[None, :]  # (ny, 8)
-    x4 = xn[:, None, :, None]
-    y4 = yn[None, :, None, :]
-    vals = fn(np.broadcast_to(x4, (xn.shape[0], yn.shape[0], 8, 8)),
-              np.broadcast_to(y4, (xn.shape[0], yn.shape[0], 8, 8)))
-    w2 = _GL_W[:, None] * _GL_W[None, :]
-    cells = (vals * w2[None, None, :, :]).sum(axis=(2, 3))
-    return cells * (hx[:, None] * hy[None, :])
+    """Integral of fn over each rectangle of the grid: the tensor product of two panel rules."""
+    xn, xw = gauss_panels(xedges, _PANEL_NODES)
+    yn, yw = gauss_panels(yedges, _PANEL_NODES)
+    shape = (xn.shape[0], yn.shape[0], _PANEL_NODES, _PANEL_NODES)
+    vals = fn(np.broadcast_to(xn[:, None, :, None], shape),
+              np.broadcast_to(yn[None, :, None, :], shape))
+    return (vals * (xw[:, None, :, None] * yw[None, :, None, :])).sum(axis=(2, 3))
 
 
 def chi2_from_cells(counts, masses):
@@ -139,7 +138,8 @@ def circle_angle_chi2(thetas, delta: complex):
     th = np.mod(np.asarray(thetas, dtype=float).ravel(), TWO_PI)
     edges = np.linspace(0.0, TWO_PI, CIRCLE_BINS + 1)
     counts, _ = np.histogram(th, bins=edges)
-    masses = _cell_quad_1d(lambda x: lambda_delta_density(delta, x), edges)
+    nodes, weights = gauss_panels(edges, _PANEL_NODES)
+    masses = (lambda_delta_density(delta, nodes) * weights).sum(axis=1)
     return chi2_from_cells(counts, masses)
 
 
@@ -172,18 +172,9 @@ def ks_pvalue(samples, cdf) -> tuple[float, float]:
 # panel, about 2e-9 of the half arc, bounds what the grading leaves.
 _GRADING = 0.5
 _GRADED_PANELS = 30
-_PANEL_NODES = 8
-
-
-def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
-    edges = np.append(_GRADING ** np.arange(_GRADED_PANELS), 0.0)
-    half = 0.5 * (edges[:-1] - edges[1:])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-
-
-_GRADED_X, _GRADED_W = _graded_rule()
+# panels listed from the outermost in
+_GRADED_X, _GRADED_W = (a[::-1].ravel() for a in gauss_panels(
+    np.append(0.0, _GRADING ** np.arange(_GRADED_PANELS)[::-1]), _PANEL_NODES))
 
 
 def _circle_rule(cuts) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,8 @@ from .errors import (
 
 __all__ = [
     "EnsembleParams",
+    "law_tilt",
+    "nonnegative_tilt",
     "VerblunskyCoeffs",
     "DeformedCoeffs",
     "SpectralMeasure",
@@ -59,13 +61,31 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
+def law_tilt(delta) -> complex:
+    """`delta` as a complex, checked to lie in the law's domain: finite, Re(delta) > -1/2."""
+    d = complex(delta)
+    if not (np.isfinite(d) and d.real > -0.5):
+        raise ParameterError(f"delta must be finite with Re(delta) > -1/2, got {d}")
+    return d
+
+
+def nonnegative_tilt(delta) -> complex:
+    """A tilt as a complex, checked finite with Re >= 0: the domain of exact sampling of
+    delta and of the limit regime of d, delta = (beta/2) n d."""
+    d = complex(delta)
+    if not (np.isfinite(d) and d.real >= 0):
+        raise ParameterError(f"sampling and the limit regime need a finite tilt with Re >= 0, "
+                             f"got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Ensemble size n, inverse temperature beta > 0 and tilt exponent delta.
 
-    The tilt rewheights the eigenvalue law by |det(Id - U)|-type factors;
-    densities exist for Re(delta) > -1/2, while exact sampling additionally
-    requires Re(delta) >= 0 (see `sampling`).
+    The tilt reweights the eigenvalue law by |det(Id - U)|-type factors.
+    `delta` lies in the law's domain (`law_tilt`); exact sampling also
+    needs Re(delta) >= 0 (`nonnegative_tilt`).
     """
 
     n: int
@@ -77,12 +97,9 @@ class EnsembleParams:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not 0 < self.beta < np.inf:
             raise ParameterError(f"beta must be finite and > 0, got {self.beta!r}")
-        d = complex(self.delta)
-        if not (np.isfinite(d) and d.real > -0.5):
-            raise ParameterError(f"delta must be finite with Re(delta) > -1/2, got {d}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", law_tilt(self.delta))
 
     @property
     def beta_half(self) -> float:

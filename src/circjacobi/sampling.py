@@ -27,6 +27,9 @@ one Beta draw of 1 - t over the disk columns; the disk sampler forms each
 disk column from them and redraws only the entries that round onto
 |z| >= 1.  Called alone, a sampler draws the pair for its one column.
 
+The densities take a tilt in the law's domain (`opuc.law_tilt`: finite,
+Re(delta) > -1/2); the samplers need a finite Re(delta) >= 0 (`opuc.nonnegative_tilt`).
+
 Reproducibility contract: a fixed (seed, stream_id) and call sequence yields
 bit-identical output on the same build.
 """
@@ -40,7 +43,7 @@ import numpy as np
 import scipy
 
 from .errors import ParameterError, PoleError
-from .opuc import TWO_PI, DeformedCoeffs, EnsembleParams
+from .opuc import TWO_PI, DeformedCoeffs, EnsembleParams, law_tilt, nonnegative_tilt
 
 __all__ = [
     "SeededRng",
@@ -86,8 +89,8 @@ class SeededRng:
 class DiskDensitySpec:
     """Radial exponent a > 0 and tilt delta of one disk coefficient.
 
-    Density evaluation needs Re(delta) > -1/2; exact sampling needs
-    Re(delta) >= 0 (the tilt is unbounded near z = 1 otherwise).
+    `delta` lies in the law's domain (`law_tilt`); exact sampling also needs
+    Re(delta) >= 0 (`nonnegative_tilt`): the tilt is unbounded near z = 1 otherwise.
     """
 
     a: float
@@ -96,11 +99,8 @@ class DiskDensitySpec:
     def __post_init__(self):
         if not 0 < self.a < np.inf:
             raise ParameterError(f"radial exponent a must be finite and > 0, got {self.a!r}")
-        d = complex(self.delta)
-        if not (np.isfinite(d) and d.real > -0.5):
-            raise ParameterError(f"delta must be finite with Re(delta) > -1/2, got {d}")
         object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", law_tilt(self.delta))
 
 
 def _near_nonpositive_integer(z: np.ndarray) -> np.ndarray:
@@ -260,18 +260,9 @@ def _circle_point(psi):
     return np.exp(1j * np.mod(np.pi + 2.0 * psi, TWO_PI))
 
 
-def _sampled_tilt(delta) -> complex:
-    d = complex(delta)
-    if d.real < 0:
-        raise ParameterError(f"sampling requires Re(delta) >= 0, got {d}")
-    return d
-
-
 def lambda_delta_density(delta: complex, theta):
     """Density of the tilted circle law against the uniform measure d(theta)/2pi."""
-    d = complex(delta)
-    if not d.real > -0.5:
-        raise ParameterError(f"Re(delta) must exceed -1/2, got {d}")
+    d = law_tilt(delta)
     th = np.asarray(theta, dtype=float)
     c, m = d.real, d.imag
     log_norm = 2.0 * np.real(complex_log_gamma(1.0 + d)) - np.real(
@@ -323,7 +314,7 @@ def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None, *, polar=No
     delta, independent of the parameter size; Im(delta) != 0 draws psi by
     rejection at acceptance about 0.75.  Requires Re(delta) >= 0.
     """
-    d, gen = _sampled_tilt(spec.delta), rng.generator
+    d, gen = nonnegative_tilt(spec.delta), rng.generator
     if polar is None:
         count = 1 if size is None else int(np.prod(size))
         psi = _half_angles(gen, np.array([spec.a + d.real]), d.imag, np.zeros(count, np.intp))
@@ -344,7 +335,7 @@ def sample_lambda_delta(rng: SeededRng, delta: complex, size=None):
     inverted truncated exponential for Re(delta) = 0, and otherwise a
     rejection step at acceptance about 0.75.  Requires Re(delta) >= 0.
     """
-    d = _sampled_tilt(delta)
+    d = nonnegative_tilt(delta)
     count = 1 if size is None else int(np.prod(size))
     z = _circle_point(_half_angles(rng.generator, np.array([d.real]), d.imag, np.zeros(count, np.intp)))
     return complex(z[0]) if size is None else z.reshape(size)
@@ -367,7 +358,7 @@ def sample_eta_batch(rng: SeededRng, params: EnsembleParams, count: int) -> np.n
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
-    n, d, gen = params.n, _sampled_tilt(params.delta), rng.generator
+    n, d, gen = params.n, nonnegative_tilt(params.delta), rng.generator
     a = params.beta_half * np.arange(n - 1, -1, -1.0)
     psi = _half_angles(gen, a + d.real, d.imag, np.broadcast_to(np.arange(n), (count, n)))
     one_minus_t = gen.beta(a[:-1], a[:-1] + 2.0 * d.real + 1.0, size=(count, n - 1))

@@ -255,6 +255,23 @@ class TestVerifyCommand:
         failed = [c["check_id"] for c in data["checks"] if not c["passed"]]
         assert failed == ["factorization-three-models"]
 
+    def test_check_times_exclude_the_scipy_load(self, tmp_path):
+        # a fresh process pays the first use of each scipy submodule once,
+        # before the first check's timer; warm, these two checks take ~2 ms
+        out = tmp_path / "v.json"
+        src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from circjacobi.cli import main; "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        subprocess.run([sys.executable, "-c", code, "verify", "--scale", "0.1", "--out", str(out)],
+                       check=True, timeout=300, capture_output=True)
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["scipy_load_s"] > 0.0
+        wall = summary["check_wall_s"]
+        assert wall["nu-s-radial-uniformity"] < 0.1
+        assert wall["cmv-bandwidth-and-spectrum"] < 0.1
+
     def test_seed_sweep_stability(self):
         # statistical suites at per-test significance 1e-3 should essentially
         # always pass; demand at least 19 clean sweeps out of 20 seeds
@@ -278,7 +295,7 @@ class TestVerifyCommand:
 
     def test_deterministic_checks_are_seed_independent_in_outcome(self):
         for seed in (1, 2):
-            checks, _ = run_verify_checks(seed, scale=0.05)
+            checks, _, _ = run_verify_checks(seed, scale=0.05)
             det = [c for c in checks if c.kind == "deterministic"]
             assert all(c.passed for c in det)
 

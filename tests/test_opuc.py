@@ -5,6 +5,7 @@ from numpy.polynomial import polynomial as npoly
 from circjacobi import (
     DegenerateCoefficientError,
     DeformedCoeffs,
+    DiskDensitySpec,
     EnsembleParams,
     InvariantError,
     MonicPolyPair,
@@ -14,11 +15,17 @@ from circjacobi import (
     SpectralMeasure,
     VerblunskyCoeffs,
     alpha_from_gamma,
+    b_const,
+    b_const_finite_n,
     caratheodory_schur,
     char_poly_at_one,
     gamma_from_alpha,
     gamma_functions_at,
     ggt_from_alpha,
+    haar_grid,
+    lambda_delta_density,
+    limit_params,
+    rate_function,
     reflection_product,
     spectral_measure,
     szego_polynomials,
@@ -31,6 +38,8 @@ from circjacobi.opuc import (
     alpha_rows,
     coeffs_from_pairs,
     coeffs_to_pairs,
+    law_tilt,
+    nonnegative_tilt,
     reflection_phases,
 )
 
@@ -66,6 +75,39 @@ class TestTypes:
     def test_monic_pair_requires_unit_leading_coefficient(self):
         with pytest.raises(InvariantError):
             MonicPolyPair([0.0, 2.0], [2.0, 0.0])
+
+
+NON_FINITE_TILTS = [np.nan, np.inf, complex(1.0, np.nan), complex(np.inf, 1.0)]
+
+
+class TestTiltDomains:
+    def test_law_domain_is_re_above_minus_half(self):
+        assert law_tilt(-0.49 + 3j) == -0.49 + 3j
+        for delta in (-0.5, -0.5 + 1j, -2.0):
+            with pytest.raises(ParameterError):
+                law_tilt(delta)
+
+    def test_nonnegative_domain_is_re_at_least_zero(self):
+        assert nonnegative_tilt(0.0) == 0j and nonnegative_tilt(2j) == 2j
+        for delta in (-1e-300, -0.25 + 1j):
+            with pytest.raises(ParameterError):
+                nonnegative_tilt(delta)
+
+    @pytest.mark.parametrize("delta", NON_FINITE_TILTS)
+    def test_non_finite_tilt_rejected_at_every_entry_point(self, delta):
+        # `sample_lambda_delta` is tested in a child process (test_sampling)
+        calls = [
+            lambda: EnsembleParams(4, 2.0, delta),
+            lambda: DiskDensitySpec(1.5, delta),
+            lambda: lambda_delta_density(delta, 1.0),
+            lambda: limit_params(delta),
+            lambda: b_const(delta),
+            lambda: b_const_finite_n(delta, 50),
+            lambda: rate_function(delta, haar_grid(64)),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError):
+                call()
 
 
 class TestSzegoStep:

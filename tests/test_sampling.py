@@ -206,6 +206,24 @@ class TestLambdaDelta:
         with pytest.raises(ParameterError):
             sample_lambda_delta(SeededRng(12), -0.2)
 
+    def test_non_finite_tilt_rejected_without_hanging(self):
+        # a NaN or infinite tilt once sent the half-angle rejection loop round
+        # for ever; the child process turns such a hang into a timeout
+        src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from circjacobi import ParameterError, SeededRng, sample_lambda_delta\n"
+            "for delta in (float('nan'), float('inf'), complex(1, float('nan')), "
+            "complex(float('inf'), 1)):\n"
+            "    try:\n"
+            "        sample_lambda_delta(SeededRng(12), delta, size=10)\n"
+            "    except ParameterError:\n"
+            "        print('raised')\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.split() == ["raised"] * 4
+
     def test_density_normalization(self):
         # direct quadrature of the density against uniform measure
         for delta in (0.7, 1 + 1j, -0.3 + 0.2j):
