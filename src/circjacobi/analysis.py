@@ -194,12 +194,12 @@ def mellin_fourier(params: EnsembleParams, s, t) -> complex:
     """Joint transform E[|Z|^t exp(i s arg Z)] of Z = det(Id - U).
 
     Closed log-gamma product over the independent coefficient factors;
-    requires Re(t) > -1/2.
+    requires finite s and t with Re(t) > -1/2.
     """
     t = complex(t)
     s = complex(s)
-    if not t.real > -0.5:
-        raise ParameterError(f"Re(t) must exceed -1/2, got {t}")
+    if not (np.isfinite(s) and np.isfinite(t) and t.real > -0.5):
+        raise ParameterError(f"need finite s and t with Re(t) > -1/2, got s={s}, t={t}")
     d = params.delta
     two_c = 2.0 * d.real
     x = params.beta_half * np.arange(params.n) + 1.0
@@ -466,11 +466,7 @@ def rate_function(d: complex, measure) -> RateReport:
     """
     d = nonnegative_tilt(d)
     sigma = sigma_energy(measure)
-    if isinstance(measure, GridMeasure):
-        pot = float(np.sum(measure.weights * potential_q(d, measure.thetas)))
-    else:
-        emp = measure if isinstance(measure, EmpiricalMeasure) else EmpiricalMeasure.from_spectral(measure)
-        pot = float(np.sum(emp.weights * potential_q(d, emp.thetas)))
+    pot = float(np.sum(measure.weights * potential_q(d, measure.thetas)))
     b_val = b_const(d)
     rate = -sigma + pot + b_val
     return RateReport(sigma=sigma, potential_term=pot, b_const=b_val, rate=rate)

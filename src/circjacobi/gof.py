@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from .errors import ParameterError
-from .opuc import TWO_PI
+from .opuc import TWO_PI, law_tilt
 from .sampling import (
     DiskDensitySpec,
     complex_log_gamma,
@@ -241,12 +241,15 @@ def disk_integral_closed(ell: float, s, t) -> complex:
 def tilted_disk_power_moment(a: float, delta: complex, u, v) -> complex:
     """E[(1-z)^u (1-conj z)^v] under the coefficient law with radial exponent a.
 
-    a = 0 degenerates to the tilted circle law.  Follows from the disk
+    Needs a finite a >= 0 (a = 0 degenerates to the tilted circle law), delta
+    in the law's domain (`law_tilt`) and finite u, v.  Follows from the disk
     integral identity applied twice (tilt absorbed into the exponents).
     """
-    d = complex(delta)
+    d = law_tilt(delta)
     u = complex(u)
     v = complex(v)
+    if not (0 <= a < np.inf and np.isfinite(u) and np.isfinite(v)):
+        raise ParameterError(f"need a finite a >= 0 and finite u, v, got a={a!r}, u={u}, v={v}")
     two_c = 2.0 * d.real
     return complex(
         np.exp(

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import __version__, analysis, gof, models, opuc, sampling
 from . import tolerances as tol
@@ -475,14 +476,10 @@ def check_measure_roundtrip(corpus) -> CheckResult:
 
 
 def check_szego_pointwise(coeffs: opuc.VerblunskyCoeffs, zs: np.ndarray) -> CheckResult:
-    """Phi_{j+1}(z) = z Phi_j(z) - conj(alpha_j) Phi_j^*(z) at the points zs."""
-    chain = opuc.szego_polynomials(coeffs)
-    errors = []
-    for j, a in enumerate(coeffs.alphas):
-        lhs = chain[j + 1].eval_phi(zs)
-        rhs = zs * chain[j].eval_phi(zs) - np.conj(a) * chain[j].eval_phi_star(zs)
-        errors.append(_max_abs_diff(lhs, rhs))
-    worst = _worst(errors)
+    """Phi_{j+1}(z) = z Phi_j(z) - conj(alpha_j) Phi_j^*(z) at the points zs (1-D)."""
+    phi, phi_star = (npoly.polyval(zs, rows.T) for rows in opuc.szego_polynomials(coeffs))
+    rhs = zs * phi[:-1] - np.conj(coeffs.alphas)[:, None] * phi_star[:-1]
+    worst = _worst(np.abs(phi[1:] - rhs).ravel())
     return CheckResult("szego-pointwise", "deterministic", worst <= tol.RECURSION_TOL, worst)
 
 
@@ -490,12 +487,12 @@ def check_coefficient_function_factorization(coeffs: opuc.VerblunskyCoeffs, zs) 
     """Phi_k(z) = prod_{j<k} (z - gamma_j(z)) at each point z of zs, relative error.
 
     The products come from the value recursion (`gamma_functions_at`), the
-    reference from the coefficient form of `szego_polynomials`.
+    reference from the coefficient rows of `szego_polynomials`.
     """
     zs = np.asarray(zs, dtype=np.complex128).reshape(-1)
     products = np.cumprod(zs[:, None] - opuc.gamma_functions_at(coeffs, zs), axis=1)
-    chain = opuc.szego_polynomials(coeffs)
-    reference = np.stack([pair.eval_phi(zs) for pair in chain[1:]], axis=1)
+    phi, _ = opuc.szego_polynomials(coeffs)
+    reference = npoly.polyval(zs, phi[1:].T).T
     worst = _worst((np.abs(products - reference)
                     / np.maximum(np.abs(reference), np.finfo(float).tiny)).ravel())
     return CheckResult("coefficient-function-factorization", "deterministic",

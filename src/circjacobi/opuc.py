@@ -5,7 +5,9 @@ monic orthogonal polynomials Phi_0, ..., Phi_n, whose recursion is driven by
 n coefficients: alpha_0, ..., alpha_{n-2} in the open unit disk and
 alpha_{n-1} on the circle.  This module provides
 
-* the one-step polynomial recursion and its reversed-conjugate companion,
+* the Szego recursion Phi_{k+1}(z) = z Phi_k(z) - conj(alpha_k) Phi_k*(z) in
+  one layout: row k of an (n + 1)-row array holds degree k, as coefficients
+  (`szego_polynomials`) or as values at an array of points (`szego_values`),
 * the reflection phases (1 - gamma) / (1 - conj(gamma)) and, built on them,
   the bijection between the plain coefficients (alpha_k) and the deformed
   coefficients (gamma_k), which share the same moduli but multiply out the
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import tolerances as tol
 from .errors import (
@@ -40,8 +41,6 @@ __all__ = [
     "VerblunskyCoeffs",
     "DeformedCoeffs",
     "SpectralMeasure",
-    "MonicPolyPair",
-    "szego_step",
     "szego_polynomials",
     "szego_values",
     "reflection_phases",
@@ -214,72 +213,36 @@ class SpectralMeasure:
         return complex(np.sum(self.weights * np.exp(1j * k * self.thetas)))
 
 
-@dataclass(frozen=True, eq=False)
-class MonicPolyPair:
-    """A monic polynomial Phi and its reversed conjugate Phi*.
-
-    Coefficients are stored ascending; Phi*[j] = conj(Phi[deg - j]), which is
-    the coefficient form of Phi*(z) = z^deg * conj(Phi(1/conj(z))).
-    """
-
-    phi: np.ndarray
-    phi_star: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.phi, dtype=np.complex128).reshape(-1).copy()
-        q = np.asarray(self.phi_star, dtype=np.complex128).reshape(-1).copy()
-        if p.size != q.size or p.size < 1:
-            raise InvariantError("phi and phi_star must have equal positive length")
-        if p[-1] != 1.0:
-            raise InvariantError("phi must be monic with leading coefficient exactly 1")
-        if not np.allclose(q, np.conj(p[::-1]), rtol=0.0, atol=1e-13):
-            raise InvariantError("phi_star must be the reversed conjugate of phi")
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "phi", p)
-        object.__setattr__(self, "phi_star", q)
-
-    @property
-    def degree(self) -> int:
-        return self.phi.size - 1
-
-    @classmethod
-    def one(cls) -> "MonicPolyPair":
-        """The degree-zero pair Phi_0 = Phi_0* = 1."""
-        return cls(np.ones(1, dtype=np.complex128), np.ones(1, dtype=np.complex128))
-
-    def eval_phi(self, z) -> complex | np.ndarray:
-        return npoly.polyval(z, self.phi)
-
-    def eval_phi_star(self, z) -> complex | np.ndarray:
-        return npoly.polyval(z, self.phi_star)
-
-
-def szego_step(pair: MonicPolyPair, alpha: complex) -> MonicPolyPair:
-    """Advance the recursion: Phi_{j+1}(z) = z Phi_j(z) - conj(alpha) Phi_j*(z)."""
-    alpha = complex(alpha)
-    if abs(alpha) > 1.0 + tol.UNIT_MODULUS_TOL:
-        raise ParameterError(f"|alpha| must be <= 1, got {abs(alpha)!r}")
-    shifted = np.concatenate(([0.0 + 0.0j], pair.phi))
-    padded_star = np.concatenate((pair.phi_star, [0.0 + 0.0j]))
-    phi_next = shifted - np.conj(alpha) * padded_star
-    phi_next[-1] = 1.0  # monic by construction; pin exactly
-    return MonicPolyPair(phi_next, np.conj(phi_next[::-1]))
-
-
 def _alpha_array(coeffs) -> np.ndarray:
     if isinstance(coeffs, VerblunskyCoeffs):
         return coeffs.alphas
     return np.asarray(coeffs, dtype=np.complex128).reshape(-1)
 
 
-def szego_polynomials(coeffs) -> list[MonicPolyPair]:
-    """All pairs (Phi_0, Phi_0*), ..., (Phi_n, Phi_n*) for the given coefficients."""
+def szego_polynomials(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of Phi_k and Phi_k*, k = 0..n: two (n + 1, n + 1) arrays.
+
+    Row k holds the ascending coefficients of degree k, zero above degree k,
+    so `polyval(z, phi.T)` has the (n + 1, *z.shape) layout of `szego_values`.
+    Row k + 1 is row k shifted up one degree minus conj(alpha_k) times star
+    row k, with its leading coefficient pinned to exactly 1; each star row is
+    the conjugate of its row reversed, the coefficient form of
+    Phi_k*(z) = z^k conj(Phi_k(1/conj(z))).
+    """
     alphas = _alpha_array(coeffs)
-    chain = [MonicPolyPair.one()]
-    for a in alphas:
-        chain.append(szego_step(chain[-1], a))
-    return chain
+    mods = np.abs(alphas)
+    if np.any(mods > 1.0 + tol.UNIT_MODULUS_TOL):
+        raise ParameterError(f"|alpha| must be <= 1, got {float(mods.max())!r}")
+    phi = np.zeros((alphas.size + 1, alphas.size + 1), dtype=np.complex128)
+    phi_star = np.zeros_like(phi)
+    phi[0, 0] = phi_star[0, 0] = 1.0
+    for k, a in enumerate(alphas):
+        row = phi[k + 1, : k + 2]
+        row[1:] = phi[k, : k + 1]
+        row -= np.conj(a) * phi_star[k, : k + 2]
+        row[-1] = 1.0
+        phi_star[k + 1, : k + 2] = np.conj(row[::-1])
+    return phi, phi_star
 
 
 def _reflection_phase(gammas):

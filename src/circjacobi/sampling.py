@@ -275,8 +275,10 @@ def lambda_delta_density(delta: complex, theta):
 
 
 def disk_tilt_norm(a: float, delta: complex) -> float:
-    """Normalizing constant c(a, delta) of the disk coefficient density."""
-    d = complex(delta)
+    """Normalizing constant c(a, delta) of the disk coefficient density, for the
+    (a, delta) that `DiskDensitySpec` accepts."""
+    spec = DiskDensitySpec(a, delta)
+    a, d = spec.a, spec.delta
     log_c = (
         2.0 * np.real(complex_log_gamma(a + 1.0 + d))
         - np.real(complex_log_gamma(a))

@@ -153,6 +153,13 @@ class TestMellinFourier:
         with pytest.raises(ParameterError):
             mellin_fourier(EnsembleParams(2, 2.0, 0.0), 0.0, -0.6)
 
+    @pytest.mark.parametrize("s,t", [
+        (0.0, complex(1.0, np.nan)), (np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf),
+    ])
+    def test_non_finite_exponent_rejected(self, s, t):
+        with pytest.raises(ParameterError):
+            mellin_fourier(EnsembleParams(4, 2.0, 1.0), s, t)
+
 
 class TestCoefficientMoments:
     def test_zeroth_power(self):
@@ -165,6 +172,19 @@ class TestCoefficientMoments:
         d = params.delta
         expected = (a + 2 * d.real + 1) / (a + np.conj(d) + 1)
         assert abs(moment_one_minus_gamma(1, params, 1.0) - expected) < 1e-14
+
+    @pytest.mark.parametrize("a,delta,u,v", [
+        (1.0, np.inf, 1.0, 1.0), (1.0, complex(1.0, np.nan), 0.0, 0.0), (1.0, -0.7, 0.0, 0.0),
+        (1.0, 1.0, np.nan, 0.0), (1.0, 1.0, 0.0, complex(0.0, np.inf)),
+        (-1.0, 1.0, 0.0, 0.0), (np.inf, 1.0, 0.0, 0.0), (np.nan, 1.0, 0.0, 0.0),
+    ])
+    def test_power_moment_domain(self, a, delta, u, v):
+        with pytest.raises(ParameterError):
+            tilted_disk_power_moment(a, delta, u, v)
+
+    def test_non_finite_power_rejected(self):
+        with pytest.raises(ParameterError):
+            moment_one_minus_gamma(0, EnsembleParams(4, 2.0, 1.0), np.inf)
 
     def test_scaling_limit(self):
         n, d = 10_000, 1.0

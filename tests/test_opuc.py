@@ -8,7 +8,6 @@ from circjacobi import (
     DiskDensitySpec,
     EnsembleParams,
     InvariantError,
-    MonicPolyPair,
     NumericDegeneracyError,
     ParameterError,
     PoleError,
@@ -29,7 +28,6 @@ from circjacobi import (
     reflection_product,
     spectral_measure,
     szego_polynomials,
-    szego_step,
     szego_values,
     verblunsky_from_measure,
 )
@@ -72,10 +70,6 @@ class TestTypes:
         with pytest.raises(ParameterError):
             EnsembleParams(4, beta, delta)
 
-    def test_monic_pair_requires_unit_leading_coefficient(self):
-        with pytest.raises(InvariantError):
-            MonicPolyPair([0.0, 2.0], [2.0, 0.0])
-
 
 NON_FINITE_TILTS = [np.nan, np.inf, complex(1.0, np.nan), complex(np.inf, 1.0)]
 
@@ -112,14 +106,14 @@ class TestTiltDomains:
 
 class TestSzegoStep:
     def test_zero_coefficient_gives_z(self):
-        pair = szego_step(MonicPolyPair.one(), 0.0)
-        assert np.allclose(pair.phi, [0.0, 1.0])
-        assert np.allclose(pair.phi_star, [1.0, 0.0])
+        phi, phi_star = szego_polynomials([0.0])
+        assert np.allclose(phi[1], [0.0, 1.0])
+        assert np.allclose(phi_star[1], [1.0, 0.0])
 
     def test_first_step_general(self):
         a = 0.3 - 0.4j
-        pair = szego_step(MonicPolyPair.one(), a)
-        assert np.allclose(pair.phi, [-np.conj(a), 1.0])
+        phi, _ = szego_polynomials([a])
+        assert np.allclose(phi[1], [-np.conj(a), 1.0])
 
     def test_two_steps_match_independent_expansion(self):
         # oracle: expand the recursion with generic polynomial arithmetic
@@ -127,26 +121,36 @@ class TestSzegoStep:
         phi1 = npoly.polysub(npoly.polymulx([1.0]), np.conj(a0) * np.array([1.0]))
         star1 = np.conj(phi1[::-1])
         phi2 = npoly.polysub(npoly.polymulx(phi1), np.conj(a1) * star1)
-        chain = szego_polynomials([a0, a1])
-        assert np.allclose(chain[2].phi, phi2, atol=1e-15)
-        assert np.allclose(chain[2].phi, [0.5j, -0.5 - 0.25j, 1.0], atol=1e-15)
+        phi, _ = szego_polynomials([a0, a1])
+        assert np.allclose(phi[2], phi2, atol=1e-15)
+        assert np.allclose(phi[2], [0.5j, -0.5 - 0.25j, 1.0], atol=1e-15)
 
     def test_degree_increments(self, gen):
         coeffs = random_alphas(gen, 7)
-        chain = szego_polynomials(coeffs)
-        assert [p.degree for p in chain] == list(range(8))
+        phi, phi_star = szego_polynomials(coeffs)
+        assert phi.shape == phi_star.shape == (8, 8)
+        assert [np.flatnonzero(row).max() for row in phi] == list(range(8))
+
+    def test_rows_are_monic_and_star_is_reversed_conjugate(self, gen):
+        coeffs = random_alphas(gen, 9)
+        phi, phi_star = szego_polynomials(coeffs)
+        for k in range(10):
+            assert phi[k, k] == 1.0
+            assert not phi[k, k + 1:].any() and not phi_star[k, k + 1:].any()
+            assert np.array_equal(phi_star[k, : k + 1], np.conj(phi[k, k::-1]))
 
     def test_modulus_precondition(self):
         with pytest.raises(ParameterError):
-            szego_step(MonicPolyPair.one(), 1.5)
+            szego_polynomials([1.5])
 
     def test_pointwise_recursion_on_circle(self, gen):
         coeffs = random_alphas(gen, 12)
-        chain = szego_polynomials(coeffs)
+        phi, phi_star = szego_polynomials(coeffs)
         zs = np.exp(1j * gen.uniform(0.0, TWO_PI, 50))
+        vals, star_vals = npoly.polyval(zs, phi.T), npoly.polyval(zs, phi_star.T)
         for j, a in enumerate(coeffs.alphas):
-            lhs = chain[j + 1].eval_phi(zs)
-            rhs = zs * chain[j].eval_phi(zs) - np.conj(a) * chain[j].eval_phi_star(zs)
+            lhs = vals[j + 1]
+            rhs = zs * vals[j] - np.conj(a) * star_vals[j]
             assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
@@ -248,13 +252,13 @@ class TestGammaFunctions:
 
     def test_polynomial_factorization(self, gen):
         coeffs = random_alphas(gen, 10)
-        chain = szego_polynomials(coeffs)
+        phi, _ = szego_polynomials(coeffs)
         for _ in range(50):
             z = gen.uniform(0, 0.9) * np.exp(1j * gen.uniform(0, TWO_PI))
             vals = gamma_functions_at(coeffs, z)
             for k in range(1, 11):
                 lhs = complex(np.prod(z - vals[:k]))
-                rhs = complex(chain[k].eval_phi(z))
+                rhs = complex(npoly.polyval(z, phi[k]))
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
 
     def test_pole_error(self):
@@ -285,10 +289,8 @@ class TestSzegoValues:
             zs = np.concatenate((inside, np.exp(1j * gen.uniform(0, TWO_PI, 40))))
             phi, phi_star = szego_values(coeffs, zs)
             assert phi.shape == phi_star.shape == (n + 1, zs.size)
-            chain = szego_polynomials(coeffs)
-            for got, ref in ((phi, [p.eval_phi(zs) for p in chain]),
-                             (phi_star, [p.eval_phi_star(zs) for p in chain])):
-                ref = np.array(ref)
+            for got, rows in zip((phi, phi_star), szego_polynomials(coeffs)):
+                ref = npoly.polyval(zs, rows.T)
                 err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
                 assert err.max() <= 1e-12
 

@@ -34,7 +34,7 @@ from circjacobi.gof import (
     tilted_disk_power_moment,
 )
 from circjacobi.opuc import TWO_PI
-from circjacobi.sampling import _circle_point, _half_angles
+from circjacobi.sampling import _circle_point, _half_angles, disk_tilt_norm
 from circjacobi.tolerances import SE_BOUND, SIGNIFICANCE
 
 
@@ -274,15 +274,19 @@ class TestGammaKDensity:
 
     @pytest.mark.parametrize("a,delta", [(1.0, 1.0), (2.5, 1 + 1j)])
     def test_normalization_by_quadrature(self, a, delta):
-        spec = DiskDensitySpec(a, delta)
-        from circjacobi.sampling import disk_tilt_norm
-
         total = disk_tilt_norm(a, delta) * disk_integral_quad(a, np.conj(delta), delta)
         assert abs(total - 1.0) < 1e-6
 
     def test_domain_error(self):
         with pytest.raises(ParameterError):
             gamma_k_density(DiskDensitySpec(1.0, 0.0), 1.2)
+
+    @pytest.mark.parametrize("a,delta", [
+        (1.0, -0.7), (1.0, complex(1.0, np.nan)), (np.inf, 1.0), (0.0, 1.0), (-1.0, 0.5),
+    ])
+    def test_norm_domain(self, a, delta):
+        with pytest.raises(ParameterError):
+            disk_tilt_norm(a, delta)
 
     @pytest.mark.parametrize("a,delta", [
         (np.inf, 0.0), (np.nan, 0.0),
