@@ -216,8 +216,8 @@ def mellin_fourier(params: EnsembleParams, s, t) -> complex:
 
 def moment_one_minus_gamma(k: int, params: EnsembleParams, s) -> complex:
     """E[(1 - gamma_k)^s] for coefficient index k (the last one included)."""
-    if not 0 <= k < params.n:
-        raise ParameterError(f"coefficient index {k} outside 0..{params.n - 1}")
+    if not 0 <= k < params.n or int(k) != k:
+        raise ParameterError(f"coefficient index {k!r} is not an integer in 0..{params.n - 1}")
     return tilted_disk_power_moment(params.beta_half * (params.n - k - 1), params.delta, s, 0.0)
 
 
@@ -225,13 +225,15 @@ def log_partition_zst(n: int, beta: float, s, t) -> complex:
     """log of the tilted angular partition function (uniform base measure).
 
     The normalization is d(theta_j)/2pi per angle, so s = t = 0 gives
-    Gamma(beta' n + 1) / Gamma(beta' + 1)^n with beta' = beta/2.
+    Gamma(beta' n + 1) / Gamma(beta' + 1)^n with beta' = beta/2.  Requires
+    an `EnsembleParams` pair (n, beta) and finite s and t.
     """
-    if n < 1 or beta <= 0:
-        raise ParameterError("need n >= 1 and beta > 0")
+    params = EnsembleParams(n, beta)
+    n, bh = params.n, params.beta_half
     s = complex(s)
     t = complex(t)
-    bh = 0.5 * beta
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise ParameterError(f"need finite s and t, got s={s}, t={t}")
     x = bh * np.arange(n) + 1.0
     terms = (
         complex_log_gamma(x)
@@ -274,14 +276,17 @@ def b_const_finite_n(d: complex, n: int, beta: float = 2.0) -> float:
     """Finite-size route to B(d): log partition function at the matched tilt,
     divided by (beta/2) n^2.  Converges to `b_const(d)` as n grows."""
     d = nonnegative_tilt(d)
-    bh = 0.5 * beta
+    bh = EnsembleParams(n, beta).beta_half  # checked before the tilt is formed from it
     log_z = log_partition_zst(n, beta, np.conj(d) * bh * n, d * bh * n)
     return float(np.real(log_z) / (bh * n * n))
 
 
 def potential_q(d: complex, theta):
-    """External potential of the tilted ensemble, extended value at theta = 0."""
-    d = complex(d)
+    """External potential of the tilted ensemble, extended value at theta = 0.
+
+    Requires a finite d with Re(d) >= 0.
+    """
+    d = nonnegative_tilt(d)
     th = np.mod(np.asarray(theta, dtype=float), TWO_PI)
     with np.errstate(divide="ignore", invalid="ignore"):
         body = -2.0 * d.real * np.log(2.0 * np.sin(0.5 * th)) - d.imag * (th - np.pi)
@@ -294,9 +299,12 @@ def potential_q(d: complex, theta):
 # empirical measures, entropy, rate function
 
 
-def _check_unit_mass(sums) -> None:
-    """Raise `ParameterError` unless each weight sum is within `STRUCTURAL_TOL` of 1."""
-    sums = np.asarray(sums, dtype=float)
+def _check_atoms(thetas: np.ndarray, weights: np.ndarray) -> None:
+    """Raise `ParameterError` unless the angles are finite, the weights >= 0 and each
+    weight sum over the last axis within `STRUCTURAL_TOL` of 1 (so no weight is inf)."""
+    if not (np.all(np.isfinite(thetas)) and np.all(weights >= 0.0)):
+        raise ParameterError("atoms need finite angles and weights >= 0")
+    sums = weights.sum(axis=-1)
     bad = ~(np.abs(sums - 1.0) <= tol.STRUCTURAL_TOL)
     if bad.any():
         raise ParameterError(
@@ -312,11 +320,12 @@ class EmpiricalMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        th = np.mod(np.asarray(self.thetas, dtype=float).reshape(-1), TWO_PI)
+        th = np.asarray(self.thetas, dtype=float).reshape(-1)
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if th.size != w.size or th.size < 1:
             raise ParameterError("thetas and weights must have equal positive length")
-        _check_unit_mass(w.sum())
+        _check_atoms(th, w)
+        th = np.mod(th, TWO_PI)
         order = np.argsort(th, kind="stable")
         th = th[order]
         w = w[order]
@@ -330,27 +339,9 @@ class EmpiricalMeasure:
         th = np.asarray(thetas, dtype=float).reshape(-1)
         return cls(th, np.full(th.size, 1.0 / th.size))
 
-    @classmethod
-    def from_spectral(cls, measure: SpectralMeasure) -> "EmpiricalMeasure":
-        return cls(measure.thetas, measure.weights)
-
     @property
     def n(self) -> int:
         return self.thetas.size
-
-    def cdf_left(self, t):
-        """F(t) = mass of [0, t) (left-continuous convention)."""
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
-        idx = np.searchsorted(self.thetas, np.asarray(t, dtype=float), side="left")
-        out = cum[idx]
-        return float(out) if np.isscalar(t) else out
-
-    def cdf_right(self, t):
-        """Mass of [0, t]."""
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
-        idx = np.searchsorted(self.thetas, np.asarray(t, dtype=float), side="right")
-        out = cum[idx]
-        return float(out) if np.isscalar(t) else out
 
 
 @dataclass(frozen=True)
@@ -472,15 +463,25 @@ def rate_function(d: complex, measure) -> RateReport:
     return RateReport(sigma=sigma, potential_term=pot, b_const=b_val, rate=rate)
 
 
+def _sorted_atoms(measure) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending angles in [0, 2pi) and cumulative weights, 0 first, of an atomic measure."""
+    if not isinstance(measure, (EmpiricalMeasure, SpectralMeasure)):
+        raise ParameterError(f"unsupported measure type {type(measure)!r}")
+    th = np.mod(measure.thetas, TWO_PI)
+    order = np.argsort(th, kind="stable")
+    return th[order], np.concatenate(([0.0], np.cumsum(measure.weights[order])))
+
+
 def _cdf_views(obj):
-    """Return (cdf_left, cdf_right, jump_points or None) for a measure-like input."""
-    if isinstance(obj, SpectralMeasure):
-        obj = EmpiricalMeasure.from_spectral(obj)
-    if isinstance(obj, EmpiricalMeasure):
-        return obj.cdf_left, obj.cdf_right, obj.thetas
+    """Return (cdf_left, cdf_right, jump_points or None) for a measure or a cdf callable.
+
+    For a measure, cdf_left(t) is the mass of [0, t) and cdf_right(t) that of [0, t].
+    """
     if callable(obj):
         return obj, obj, None
-    raise ParameterError(f"cannot interpret {type(obj)!r} as a distribution function")
+    th, cum = _sorted_atoms(obj)
+    return (lambda t: cum[np.searchsorted(th, t, side="left")],
+            lambda t: cum[np.searchsorted(th, t, side="right")], th)
 
 
 def ks_distance(a, b) -> float:
@@ -504,11 +505,7 @@ def weight_gap_stat(measure) -> float:
     Controls the uniform distance between the spectral measure and the
     equal-weight empirical measure on the same atoms.
     """
-    if isinstance(measure, SpectralMeasure):
-        measure = EmpiricalMeasure.from_spectral(measure)
-    if not isinstance(measure, EmpiricalMeasure):
-        raise ParameterError(f"unsupported measure type {type(measure)!r}")
-    return float(_weight_gaps(np.cumsum(measure.weights)))
+    return float(_weight_gaps(_sorted_atoms(measure)[1][1:]))
 
 
 def _weight_gaps(cum: np.ndarray) -> np.ndarray:
@@ -547,7 +544,7 @@ def convergence_stats(thetas, weights, cdf) -> tuple[np.ndarray, np.ndarray, np.
         )
     if not (np.all(th >= 0.0) and np.all(th < TWO_PI) and np.all(np.diff(th, axis=1) > 0.0)):
         raise ParameterError("angles of each row must ascend strictly in [0, 2pi)")
-    _check_unit_mass(w.sum(axis=1))
+    _check_atoms(th, w)
     n = th.shape[1]
     f = np.asarray(cdf(th), dtype=float)
     cum = np.cumsum(w, axis=1)

@@ -92,7 +92,7 @@ class EnsembleParams:
     delta: complex = 0j
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not (1 <= self.n < np.inf and int(self.n) == self.n):
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not 0 < self.beta < np.inf:
             raise ParameterError(f"beta must be finite and > 0, got {self.beta!r}")

@@ -186,6 +186,11 @@ class TestCoefficientMoments:
         with pytest.raises(ParameterError):
             moment_one_minus_gamma(0, EnsembleParams(4, 2.0, 1.0), np.inf)
 
+    @pytest.mark.parametrize("k", [-1, 4, 1.5, np.nan])
+    def test_index_domain(self, k):
+        with pytest.raises(ParameterError):
+            moment_one_minus_gamma(k, EnsembleParams(4, 2.0, 1.0), 1.0)
+
     def test_scaling_limit(self):
         n, d = 10_000, 1.0
         params = EnsembleParams(n, 2.0, n * d)  # beta' = 1
@@ -217,6 +222,24 @@ class TestPartitionFunction:
     def test_log_form_is_finite_at_scale(self):
         val = log_partition_zst(400, 2.0, 400.0, 400.0)
         assert np.isfinite(val.real)
+
+    @pytest.mark.parametrize("n,beta,s", [
+        (3, np.nan, 1.0), (3, np.inf, 1.0), (3, 0.0, 1.0),
+        (1.5, 2.0, 1.0), (0, 2.0, 1.0), (np.nan, 2.0, 1.0),
+        (3, 2.0, np.nan), (3, 2.0, complex(0.0, np.inf)),
+    ])
+    def test_domain(self, n, beta, s):
+        # (n, beta) is an `EnsembleParams` pair, s and t are finite
+        calls = [
+            lambda: log_partition_zst(n, beta, s, 1.0),
+            lambda: log_partition_zst(n, beta, 1.0, s),
+            lambda: partition_zst(n, beta, s, 1.0),
+        ]
+        if np.isfinite(s):
+            calls.append(lambda: b_const_finite_n(1.0, n, beta))
+        for call in calls:
+            with pytest.raises(ParameterError):
+                call()
 
 
 class TestBConst:
@@ -250,6 +273,13 @@ class TestPotential:
         assert potential_q(1.0, 0.0) == np.inf
         assert potential_q(1j, 0.0) == -np.pi
         assert potential_q(0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("d,theta", [
+        (-0.25, 0.0), (np.nan, 1.0), (complex(1.0, np.inf), 1.0),
+    ])
+    def test_domain(self, d, theta):
+        with pytest.raises(ParameterError):
+            potential_q(d, theta)
 
 
 class TestSigmaEnergy:
@@ -323,6 +353,15 @@ class TestRateFunction:
             assert rate_function(1.0, tilted).rate >= -1e-3
 
 
+class TestEmpiricalMeasure:
+    @pytest.mark.parametrize("thetas,weights", [
+        ([0.5, 1.0], [1.5, -0.5]), ([np.nan, 1.0], [0.5, 0.5]), ([0.5, 1.0], [np.inf, 0.5]),
+    ])
+    def test_rejects_non_probability_atoms(self, thetas, weights):
+        with pytest.raises(ParameterError):
+            EmpiricalMeasure(thetas, weights)
+
+
 class TestKSDistance:
     def test_identical_measures(self):
         m = EmpiricalMeasure([0.3, 2.0], [0.4, 0.6])
@@ -345,6 +384,12 @@ class TestKSDistance:
         cdf = lambda t: np.asarray(t) / TWO_PI  # noqa: E731
         with pytest.raises(ParameterError):
             ks_distance(cdf, cdf)
+
+    def test_non_measure_rejected(self):
+        with pytest.raises(ParameterError):
+            ks_distance(np.array([0.5, 1.0]), lambda t: np.asarray(t) / TWO_PI)
+        with pytest.raises(ParameterError):
+            weight_gap_stat(haar_grid(8))
 
     def test_esd_close_to_limit_for_sampled_spectrum(self):
         from circjacobi import sample_cj_spectrum
@@ -390,6 +435,17 @@ class TestWeightGap:
         assert abs(weight_gap_stat(m) - 1.0 / 6.0) < 1e-9
         assert abs(ks_distance(m, lambda t: np.asarray(t) / TWO_PI) - (1.0 - 4.0 / TWO_PI)) < 1e-9
 
+    def test_unsorted_spectral_measure_reads_as_sorted(self):
+        # atoms out of order and one angle below 0: sorted at 0.5, 2, 4, 2pi - 0.3,
+        # cumulative weights 0.5, 0.7, 0.8, 1 against k/4 give the gap 0.25
+        spectral = SpectralMeasure([4.0, -0.3, 0.5, 2.0], [0.1, 0.2, 0.5, 0.2])
+        empirical = EmpiricalMeasure([4.0, -0.3, 0.5, 2.0], [0.1, 0.2, 0.5, 0.2])
+        cdf = lambda t: np.asarray(t) / TWO_PI  # noqa: E731
+        assert weight_gap_stat(spectral) == weight_gap_stat(empirical)
+        assert abs(weight_gap_stat(spectral) - 0.25) < 1e-15
+        assert ks_distance(spectral, cdf) == ks_distance(empirical, cdf)
+        assert ks_distance(spectral, empirical) == 0.0
+
     def test_gap_decays_with_dimension(self):
         rng = SeededRng(14)
         medians = []
@@ -418,7 +474,7 @@ class TestConvergenceStats:
             assert gap[i] == weight_gap_stat(spectral)
 
     @pytest.mark.parametrize("fault", [
-        "repeated", "descending", "at 2pi", "negative", "weight sum",
+        "repeated", "descending", "at 2pi", "negative", "weight sum", "negative weight",
     ])
     def test_invalid_rows_rejected(self, fault):
         thetas, weights = sample_cj_spectra(SeededRng(16), EnsembleParams(6, 2.0, 1.0), 4)
@@ -430,6 +486,9 @@ class TestConvergenceStats:
             thetas[2, -1] = TWO_PI
         elif fault == "negative":
             thetas[2, 0] = -1e-3
+        elif fault == "negative weight":
+            shift = 2.0 * weights[2, 0]  # the row sum stays 1
+            weights[2, [0, 1]] += [-shift, shift]
         else:
             weights[2] /= weights[2].sum()
             weights[2, 0] += 1e-9

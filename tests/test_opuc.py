@@ -24,6 +24,7 @@ from circjacobi import (
     haar_grid,
     lambda_delta_density,
     limit_params,
+    potential_q,
     rate_function,
     reflection_product,
     spectral_measure,
@@ -70,6 +71,11 @@ class TestTypes:
         with pytest.raises(ParameterError):
             EnsembleParams(4, beta, delta)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 1.5, 0])
+    def test_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ParameterError):
+            EnsembleParams(n, 2.0)
+
 
 NON_FINITE_TILTS = [np.nan, np.inf, complex(1.0, np.nan), complex(np.inf, 1.0)]
 
@@ -97,6 +103,7 @@ class TestTiltDomains:
             lambda: limit_params(delta),
             lambda: b_const(delta),
             lambda: b_const_finite_n(delta, 50),
+            lambda: potential_q(delta, 1.0),
             lambda: rate_function(delta, haar_grid(64)),
         ]
         for call in calls:
