@@ -21,7 +21,7 @@ import scipy
 from . import tolerances as tol
 from .errors import ParameterError, TruncationWarning
 from .gof import gauss_panels, tilted_disk_power_moment
-from .opuc import TWO_PI, EnsembleParams, SpectralMeasure, nonnegative_tilt
+from .opuc import TWO_PI, EnsembleParams, SpectralMeasure, circle_angles, nonnegative_tilt
 from .sampling import complex_log_gamma
 
 __all__ = [
@@ -287,7 +287,7 @@ def potential_q(d: complex, theta):
     Requires a finite d with Re(d) >= 0.
     """
     d = nonnegative_tilt(d)
-    th = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    th = circle_angles(np.asarray(theta, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         body = -2.0 * d.real * np.log(2.0 * np.sin(0.5 * th)) - d.imag * (th - np.pi)
     at_one = np.inf if d.real > 0 else -abs(d.imag) * np.pi
@@ -325,7 +325,7 @@ class EmpiricalMeasure:
         if th.size != w.size or th.size < 1:
             raise ParameterError("thetas and weights must have equal positive length")
         _check_atoms(th, w)
-        th = np.mod(th, TWO_PI)
+        th = circle_angles(th)
         order = np.argsort(th, kind="stable")
         th = th[order]
         w = w[order]
@@ -337,7 +337,7 @@ class EmpiricalMeasure:
     @classmethod
     def esd(cls, thetas) -> "EmpiricalMeasure":
         th = np.asarray(thetas, dtype=float).reshape(-1)
-        return cls(th, np.full(th.size, 1.0 / th.size))
+        return cls(th, np.ones(th.size) / th.size)
 
     @property
     def n(self) -> int:
@@ -467,9 +467,8 @@ def _sorted_atoms(measure) -> tuple[np.ndarray, np.ndarray]:
     """Ascending angles in [0, 2pi) and cumulative weights, 0 first, of an atomic measure."""
     if not isinstance(measure, (EmpiricalMeasure, SpectralMeasure)):
         raise ParameterError(f"unsupported measure type {type(measure)!r}")
-    th = np.mod(measure.thetas, TWO_PI)
-    order = np.argsort(th, kind="stable")
-    return th[order], np.concatenate(([0.0], np.cumsum(measure.weights[order])))
+    order = np.argsort(measure.thetas, kind="stable")
+    return measure.thetas[order], np.concatenate(([0.0], np.cumsum(measure.weights[order])))
 
 
 def _cdf_views(obj):

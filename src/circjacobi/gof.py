@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from .errors import ParameterError
-from .opuc import TWO_PI, law_tilt
+from .opuc import TWO_PI, circle_angles, law_tilt
 from .sampling import (
     DiskDensitySpec,
     complex_log_gamma,
@@ -118,7 +118,7 @@ def disk_coefficient_chi2(samples, spec: DiskDensitySpec):
     """
     z = np.asarray(samples, dtype=np.complex128).ravel()
     u = np.abs(z) ** 2
-    phi = np.mod(np.angle(z), TWO_PI)
+    phi = circle_angles(np.angle(z))
     q = np.linspace(0.0, 1.0, DISK_RADIAL_BINS + 1)
     u_edges = 1.0 - (1.0 - q) ** (1.0 / spec.a)
     u_edges[0], u_edges[-1] = 0.0, 1.0
@@ -135,7 +135,7 @@ def disk_coefficient_chi2(samples, spec: DiskDensitySpec):
 
 def circle_angle_chi2(thetas, delta: complex):
     """Chi-square test of circle angles against the tilted circle law."""
-    th = np.mod(np.asarray(thetas, dtype=float).ravel(), TWO_PI)
+    th = circle_angles(np.asarray(thetas, dtype=float).ravel())
     edges = np.linspace(0.0, TWO_PI, CIRCLE_BINS + 1)
     counts, _ = np.histogram(th, bins=edges)
     nodes, weights = gauss_panels(edges, _PANEL_NODES)
@@ -149,9 +149,7 @@ def pair_angle_chi2(pairs, density):
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParameterError("expected an array of angle pairs")
     edges = np.linspace(0.0, TWO_PI, PAIR_BINS + 1)
-    counts, _, _ = np.histogram2d(
-        np.mod(arr[:, 0], TWO_PI), np.mod(arr[:, 1], TWO_PI), bins=(edges, edges)
-    )
+    counts, _, _ = np.histogram2d(*circle_angles(arr.T), bins=(edges, edges))
     masses = _cell_quad_2d(density, edges, edges)
     return chi2_from_cells(counts, masses)
 

@@ -70,6 +70,8 @@ def _coerce(command: str, key: str, value):
     if key not in defaults:
         raise ParameterError(f"unknown config key {key!r} for command {command!r}")
     target = type(defaults[key])
+    if isinstance(value, bool) and target is not bool:
+        raise ParameterError(f"config key {key!r} takes a {target.__name__}, not the bool {value!r}")
     if isinstance(value, target):
         return value
     try:
@@ -82,8 +84,10 @@ def _coerce(command: str, key: str, value):
                     return False
                 raise ValueError(value)
             return bool(value)
+        if target is int and not isinstance(value, str) and int(value) != value:
+            raise ValueError(value)  # int() would truncate it
         return target(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"config key {key!r}: cannot parse {value!r} as {target.__name__}") from exc
 
 
@@ -125,8 +129,16 @@ class CheckResult:
             self.stat = float(self.stat)
 
 
+def _write_json(path: str, payload, **json_options) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, **json_options)
+        fh.write("\n")
+
+
 @dataclass
 class RunManifest:
+    """The record of one run.  Its wall time runs from its creation to `write`."""
+
     command: str
     config: dict
     version: str = __version__
@@ -135,13 +147,14 @@ class RunManifest:
     checks: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     manifest_path: str = ""
+    started: float = field(init=False, default_factory=time.perf_counter, repr=False)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "command": self.command,
             "version": self.version,
             "config": self.config,
@@ -152,13 +165,18 @@ class RunManifest:
             "summary": self.summary,
             "passed": self.passed,
         }
-        return out
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def table(self, path: str, header: list[str], rows) -> None:
+        """Write a data table stamped with this run's config hash and format, and list it."""
+        write_rows(path, header, rows, config_hash(self.config), self.config["format"])
+        self.outputs.append(path)
+
+    def write(self, path: str) -> "RunManifest":
+        """Stop the wall clock and write the manifest to `path`."""
+        self.wall_clock_s = time.perf_counter() - self.started
+        _write_json(path, self.to_dict(), indent=2, sort_keys=True)
         self.manifest_path = path
+        return self
 
 
 def write_rows(path: str, header: list[str], rows, cfg_hash: str, fmt: str) -> None:
@@ -168,14 +186,8 @@ def write_rows(path: str, header: list[str], rows, cfg_hash: str, fmt: str) -> N
     floats with 17 significant digits (exact round trip), the rest via `str`.
     """
     if fmt == "json":
-        payload = {
-            "config_hash": cfg_hash,
-            "columns": header,
-            "rows": list(rows),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _write_json(path, {"config_hash": cfg_hash, "columns": header, "rows": list(rows)},
+                    indent=1)
         return
     rows = iter(rows)
     first = next(rows, None)
@@ -201,7 +213,7 @@ def _d_value(config) -> complex:
 
 
 def cmd_sample(config: dict) -> RunManifest:
-    t0 = time.perf_counter()
+    manifest = RunManifest("sample", config)
     params = opuc.EnsembleParams(config["n"], config["beta"], _delta(config))
     total = config["samples"]
     if total < 1:
@@ -212,11 +224,7 @@ def cmd_sample(config: dict) -> RunManifest:
     worst_sum = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
     rows = zip(np.repeat(np.arange(total), n).tolist(), np.tile(np.arange(n), total).tolist(),
                thetas.ravel().tolist(), weights.ravel().tolist())
-
-    manifest = RunManifest("sample", config)
-    cfg_hash = config_hash(config)
-    write_rows(config["out"], ["sample_id", "j", "theta", "weight"], rows, cfg_hash, config["format"])
-    manifest.outputs.append(config["out"])
+    manifest.table(config["out"], ["sample_id", "j", "theta", "weight"], rows)
     manifest.checks.append(
         CheckResult("sample-weight-normalization", "deterministic",
                     worst_sum <= tol.STRUCTURAL_TOL, worst_sum, "max |sum(weights) - 1| per sample")
@@ -230,13 +238,11 @@ def cmd_sample(config: dict) -> RunManifest:
         lo, hi = lp.support
         outside = float(np.mean((thetas <= lo) | (thetas >= hi)))
         manifest.summary["fraction_outside_support"] = outside
-    manifest.wall_clock_s = time.perf_counter() - t0
-    manifest.write(config["out"] + ".manifest.json")
-    return manifest
+    return manifest.write(config["out"] + ".manifest.json")
 
 
 def cmd_dump_matrix(config: dict) -> RunManifest:
-    t0 = time.perf_counter()
+    manifest = RunManifest("dump-matrix", config)
     params = opuc.EnsembleParams(config["n"], config["beta"], _delta(config))
     rng = sampling.SeededRng(config["seed"], config["stream"])
     gammas = sampling.sample_eta(rng, params)
@@ -250,22 +256,17 @@ def cmd_dump_matrix(config: dict) -> RunManifest:
         version=__version__,
         gammas=opuc.coeffs_to_pairs(gammas.gammas),
     )
-    with open(config["out"], "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    manifest = RunManifest("dump-matrix", config)
+    _write_json(config["out"], payload, indent=1)
     manifest.outputs.append(config["out"])
     manifest.checks.append(
         CheckResult("matrix-unitarity", "deterministic",
                     u.unitarity_residual <= tol.STRUCTURAL_TOL, u.unitarity_residual)
     )
-    manifest.wall_clock_s = time.perf_counter() - t0
-    manifest.write(config["out"] + ".manifest.json")
-    return manifest
+    return manifest.write(config["out"] + ".manifest.json")
 
 
 def cmd_esd_convergence(config: dict) -> RunManifest:
-    t0 = time.perf_counter()
+    manifest = RunManifest("esd-convergence", config)
     d = _d_value(config)
     beta = config["beta"]
     try:
@@ -294,11 +295,7 @@ def cmd_esd_convergence(config: dict) -> RunManifest:
             "weight_gap": statistics.median(gap),
         }
 
-    manifest = RunManifest("esd-convergence", config)
-    cfg_hash = config_hash(config)
-    write_rows(config["out"], ["n", "rep", "ks_esd", "ks_sp", "weight_gap"],
-               rows, cfg_hash, config["format"])
-    manifest.outputs.append(config["out"])
+    manifest.table(config["out"], ["n", "rep", "ks_esd", "ks_sp", "weight_gap"], rows)
     ks_series = [medians[n]["ks_esd"] for n in ladder]
     gap_series = [medians[n]["weight_gap"] for n in ladder]
     manifest.summary = {
@@ -306,13 +303,11 @@ def cmd_esd_convergence(config: dict) -> RunManifest:
         "ks_esd_monotone_decreasing": all(b < a for a, b in zip(ks_series, ks_series[1:])),
         "weight_gap_monotone_decreasing": all(b < a for a, b in zip(gap_series, gap_series[1:])),
     }
-    manifest.wall_clock_s = time.perf_counter() - t0
-    manifest.write(config["out"] + ".manifest.json")
-    return manifest
+    return manifest.write(config["out"] + ".manifest.json")
 
 
 def cmd_plot_data(config: dict) -> RunManifest:
-    t0 = time.perf_counter()
+    manifest = RunManifest("plot-data", config)
     d = _d_value(config)
     lp = analysis.limit_params(d)
     grid = config["grid"]
@@ -326,10 +321,7 @@ def cmd_plot_data(config: dict) -> RunManifest:
         (float(t), float(wv), float(qv), float(fv))
         for t, wv, qv, fv in zip(thetas, dens, pot, cdf)
     ]
-    manifest = RunManifest("plot-data", config)
-    cfg_hash = config_hash(config)
-    write_rows(config["out"], ["theta", "w_d", "q_d", "cdf"], rows, cfg_hash, config["format"])
-    manifest.outputs.append(config["out"])
+    manifest.table(config["out"], ["theta", "w_d", "q_d", "cdf"], rows)
     trapz = float(np.sum(dens) * (TWO_PI / grid) / TWO_PI)
     manifest.summary = {"density_integral": trapz}
     # square-root kinks at the support endpoints make the midpoint rule
@@ -348,12 +340,8 @@ def cmd_plot_data(config: dict) -> RunManifest:
         for t in ts:
             val = analysis.mellin_fourier(params, 0.0, t)
             mft_rows.append((float(t), float(val.real), float(val.imag)))
-        mft_path = config["out"] + ".mft.csv"
-        write_rows(mft_path, ["t", "mft_re", "mft_im"], mft_rows, cfg_hash, config["format"])
-        manifest.outputs.append(mft_path)
-    manifest.wall_clock_s = time.perf_counter() - t0
-    manifest.write(config["out"] + ".manifest.json")
-    return manifest
+        manifest.table(config["out"] + ".mft.csv", ["t", "mft_re", "mft_im"], mft_rows)
+    return manifest.write(config["out"] + ".manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +686,9 @@ def run_verify_checks(seed: int, scale: float = 1.0, inject_bug: bool = False):
 
 
 def cmd_verify(config: dict) -> RunManifest:
-    t0 = time.perf_counter()
+    manifest = RunManifest("verify", config)
     checks, wall, scipy_load_s = run_verify_checks(config["seed"], config["scale"],
                                                    config["inject_bug"])
-    manifest = RunManifest("verify", config)
     manifest.checks = checks
     manifest.summary = {
         "total": len(checks),
@@ -709,9 +696,7 @@ def cmd_verify(config: dict) -> RunManifest:
         "check_wall_s": wall,
         "scipy_load_s": scipy_load_s,
     }
-    manifest.wall_clock_s = time.perf_counter() - t0
-    manifest.write(config["out"])
-    return manifest
+    return manifest.write(config["out"])
 
 
 COMMANDS = {

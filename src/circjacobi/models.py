@@ -53,6 +53,7 @@ from .opuc import (
     VerblunskyCoeffs,
     alpha_rows,
     check_coefficient_rows,
+    circle_angles,
     min_atom_gap,
     reflection_phases,
 )
@@ -164,7 +165,7 @@ class EigenDecomposition:
 
     @property
     def angles(self) -> np.ndarray:
-        return np.mod(np.angle(self.eigenvalues), TWO_PI)
+        return circle_angles(np.angle(self.eigenvalues))
 
 
 def _rho(values: np.ndarray) -> np.ndarray:
@@ -678,7 +679,7 @@ def _angle_order(lam: np.ndarray, vec: np.ndarray):
 
     The order is by angle, ties broken by the larger weight.
     """
-    angles = np.mod(np.angle(lam), TWO_PI)
+    angles = circle_angles(np.angle(lam))
     w = np.abs(vec[..., 0, :]) ** 2
     return angles, w, np.lexsort((-w, angles), axis=-1)
 
@@ -707,9 +708,7 @@ def _measure_rows(
     worst = float(np.max(np.abs(s - 1.0)))
     if not worst <= tol.STRUCTURAL_TOL:
         raise InvariantError(f"weights sum to 1 only within {worst:.3e}")
-    # the second reduction maps an angle that rounded up to 2pi back to 0, as
-    # `SpectralMeasure` does
-    thetas = np.mod(np.take_along_axis(angles, order, axis=-1), TWO_PI)
+    thetas = np.take_along_axis(angles, order, axis=-1)
     weights = np.take_along_axis(w / s, order, axis=-1)
     if thetas.shape[-1] > 1 and not np.all(min_atom_gap(thetas) > tol.ATOM_GAP_TOL):
         raise InvariantError("atoms must be pairwise distinct on the circle")

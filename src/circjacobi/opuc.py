@@ -38,6 +38,7 @@ __all__ = [
     "EnsembleParams",
     "law_tilt",
     "nonnegative_tilt",
+    "circle_angles",
     "VerblunskyCoeffs",
     "DeformedCoeffs",
     "SpectralMeasure",
@@ -58,6 +59,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+
+def circle_angles(x) -> np.ndarray:
+    """Angles reduced to [0, 2pi): `x` mod 2pi, with a value that rounds up to 2pi mapped to 0."""
+    th = np.mod(x, TWO_PI)
+    return np.where(th == TWO_PI, 0.0, th)
 
 
 def law_tilt(delta) -> complex:
@@ -187,7 +194,7 @@ class SpectralMeasure:
             raise InvariantError("thetas and weights must have equal positive length")
         if not (np.all(np.isfinite(th)) and np.all(np.isfinite(w))):
             raise InvariantError("thetas and weights must be finite")
-        th = np.mod(th, TWO_PI)
+        th = circle_angles(th)
         if np.any(w <= 0.0):
             raise InvariantError("all weights must be positive")
         s = w.sum()

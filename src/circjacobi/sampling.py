@@ -43,7 +43,7 @@ import numpy as np
 import scipy
 
 from .errors import ParameterError, PoleError
-from .opuc import TWO_PI, DeformedCoeffs, EnsembleParams, law_tilt, nonnegative_tilt
+from .opuc import TWO_PI, DeformedCoeffs, EnsembleParams, circle_angles, law_tilt, nonnegative_tilt
 
 __all__ = [
     "SeededRng",
@@ -257,7 +257,7 @@ def _disk_point(one_minus_t, psi):
 
 def _circle_point(psi):
     """exp(i theta) at theta = pi + 2 psi in [0, 2pi), the circle coefficient of the half angle psi."""
-    return np.exp(1j * np.mod(np.pi + 2.0 * psi, TWO_PI))
+    return np.exp(1j * circle_angles(np.pi + 2.0 * psi))
 
 
 def lambda_delta_density(delta: complex, theta):

@@ -271,6 +271,7 @@ class TestPotential:
 
     def test_extended_values_at_one(self):
         assert potential_q(1.0, 0.0) == np.inf
+        assert potential_q(1.0, -1e-17) == np.inf  # the angle reduces to 0, not 2pi
         assert potential_q(1j, 0.0) == -np.pi
         assert potential_q(0.0, 0.0) == 0.0
 
@@ -360,6 +361,15 @@ class TestEmpiricalMeasure:
     def test_rejects_non_probability_atoms(self, thetas, weights):
         with pytest.raises(ParameterError):
             EmpiricalMeasure(thetas, weights)
+
+    def test_esd_of_no_angles_rejected(self):
+        with pytest.raises(ParameterError):
+            EmpiricalMeasure.esd([])
+
+    def test_atom_just_below_zero_sorts_first_at_zero(self):
+        m = EmpiricalMeasure([2.0, 1.0, -1e-17], [0.5, 0.3, 0.2])
+        assert m.thetas.tolist() == [0.0, 1.0, 2.0]
+        assert m.weights.tolist() == [0.2, 0.3, 0.5]
 
 
 class TestKSDistance:

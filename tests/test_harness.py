@@ -56,6 +56,18 @@ class TestConfig:
         with pytest.raises(ParameterError):
             build_config("sample", {"n": "three"}, None)
 
+    def test_int_key_takes_only_integral_values(self):
+        n = build_config("sample", None, {"n": 4.0})["n"]
+        assert n == 4 and type(n) is int
+        for value in (4.7, float("nan"), float("inf"), "4.7"):
+            with pytest.raises(ParameterError):
+                build_config("sample", None, {"n": value})
+
+    @pytest.mark.parametrize("key", ["n", "samples", "beta", "delta_re"])
+    def test_bool_is_not_a_number(self, key):
+        with pytest.raises(ParameterError):
+            build_config("sample", None, {key: True})
+
     def test_bad_format_rejected(self):
         with pytest.raises(ParameterError):
             build_config("sample", None, {"format": "xml"})
@@ -166,6 +178,44 @@ def test_every_config_key_is_read(command, tmp_path):
     config = _ReadLog(build_config(command, None, {**GUARD_OVERRIDES[command], "out": out}))
     COMMANDS[command](config)
     assert config.read == set(DEFAULTS[command])
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_run_frame_writes_the_manifest_and_stamps_every_table(command, tmp_path):
+    # the manifest sits at <out>.manifest.json, or at out itself for verify
+    formats = ["csv", "json"] if "format" in DEFAULTS[command] else [None]
+    for fmt in formats:
+        run_dir = tmp_path / str(fmt)
+        run_dir.mkdir()
+        out = run_dir / ("verify.json" if command == "verify" else "out.dat")
+        overrides = {**GUARD_OVERRIDES[command], "out": str(out)}
+        if fmt:
+            overrides["format"] = fmt
+        config = build_config(command, None, overrides)
+        manifest = COMMANDS[command](config)
+        path = out if command == "verify" else run_dir / "out.dat.manifest.json"
+        assert manifest.manifest_path == str(path)
+        data = json.loads(path.read_text())
+        assert data["wall_clock_s"] > 0 and data["wall_clock_s"] == manifest.wall_clock_s
+        assert data["config_hash"] == config_hash(config)
+        written = sorted(str(p) for p in run_dir.iterdir() if p != path)
+        assert sorted(data["outputs"]) == sorted(manifest.outputs) == written
+        if fmt is None:  # dump-matrix and verify write no table
+            continue
+        for output in data["outputs"]:
+            text = Path(output).read_text()
+            if fmt == "csv":
+                assert text.splitlines()[0] == f"# config_hash={config_hash(config)}"
+            else:
+                assert json.loads(text)["config_hash"] == config_hash(config)
+
+
+def test_only_opuc_reduces_angles():
+    # `opuc.circle_angles` is the one rule that reduces angles to [0, 2pi)
+    package = Path(opuc.__file__).parent
+    assert "np.mod(" in (package / "opuc.py").read_text()
+    assert [p.name for p in sorted(package.glob("*.py")) if p.name != "opuc.py"
+            and re.search(r"np\.(mod|remainder|fmod)\(|%\s*TWO_PI", p.read_text())] == []
 
 
 def test_every_tolerance_is_used_outside_its_module():

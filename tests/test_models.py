@@ -38,7 +38,7 @@ from circjacobi import (
     szego_polynomials,
     verblunsky_from_measure,
 )
-from circjacobi import models
+from circjacobi import analysis, models
 from circjacobi.models import _xi_block, matrix_from_json_dict, matrix_to_json_dict
 from circjacobi.opuc import TWO_PI
 from circjacobi.tolerances import MEASURE_ROUNDTRIP_TOL, SE_BOUND, STRUCTURAL_TOL
@@ -162,6 +162,10 @@ class TestEigenUnitary:
         assert np.allclose(np.sort(dec.eigenvalues.real), [-1.0, 1.0])
         assert np.allclose(dec.angles, [0.0, np.pi])
 
+    def test_angle_just_below_zero_is_stored_at_zero(self):
+        u = DenseUnitary.from_entries(np.diag(np.exp(1j * np.array([2.0, -1e-17, 1.0]))))
+        assert eigen_unitary(u).angles.tolist() == [0.0, 1.0, 2.0]
+
     def test_angles_sorted(self, gen):
         dec = eigen_unitary(ggt_from_alpha(random_alphas(gen, 12)))
         assert np.all(np.diff(dec.angles) >= 0)
@@ -212,6 +216,15 @@ class TestSpectralMeasure:
             measure = spectral_measure(ggt_from_alpha(coeffs))
             back = verblunsky_from_measure(measure)
             assert np.max(np.abs(back.alphas - coeffs.alphas)) < 1e-8
+
+    def test_measure_rows_with_an_angle_just_below_zero_ascend(self):
+        # eigenvalues at angles -1e-17, 1, 2, 3 with the DFT basis: weights 1/4
+        lam = np.exp(1j * np.array([[-1e-17, 1.0, 2.0, 3.0]]))
+        vec = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4)[None] / 2.0
+        thetas, weights = models._measure_rows(lam, vec)
+        assert thetas.tolist() == [[0.0, 1.0, 2.0, 3.0]]
+        assert np.allclose(weights, 0.25)
+        analysis.convergence_stats(thetas, weights, lambda t: np.asarray(t) / TWO_PI)
 
     def test_non_cyclic_first_vector(self):
         u = DenseUnitary.from_entries(np.diag([1.0, -1.0]))

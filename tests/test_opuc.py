@@ -35,6 +35,7 @@ from circjacobi import (
 from circjacobi.opuc import (
     TWO_PI,
     alpha_rows,
+    circle_angles,
     coeffs_from_pairs,
     coeffs_to_pairs,
     law_tilt,
@@ -78,6 +79,20 @@ class TestTypes:
 
 
 NON_FINITE_TILTS = [np.nan, np.inf, complex(1.0, np.nan), complex(np.inf, 1.0)]
+
+
+class TestCircleAngles:
+    def test_reduces_into_the_half_open_circle(self):
+        x = np.array([-1e-17, -0.0, 0.0, 1.0, TWO_PI, -TWO_PI, 7.0, -1.0, 1e3])
+        assert np.mod(-1e-17, TWO_PI) == TWO_PI  # the rounding that circle_angles undoes
+        th = circle_angles(x)
+        assert np.all((th >= 0.0) & (th < TWO_PI))
+        assert th[0] == 0.0
+        assert np.array_equal(th[1:], np.mod(x[1:], TWO_PI))
+
+    def test_measure_stores_an_atom_just_below_zero_at_zero(self):
+        m = SpectralMeasure([-1e-17, 1.0, 2.0], [0.2, 0.3, 0.5])
+        assert m.thetas.tolist() == [0.0, 1.0, 2.0]
 
 
 class TestTiltDomains:
