@@ -76,14 +76,12 @@ def _coerce(command: str, key: str, value):
         return value
     try:
         if target is bool:
-            if isinstance(value, str):
-                lowered = value.lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    return True
-                if lowered in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(value)
-            return bool(value)
+            lowered = value.lower() if isinstance(value, str) else None
+            if lowered in ("1", "true", "yes", "on"):
+                return True
+            if lowered in ("0", "false", "no", "off"):
+                return False
+            raise ValueError(value)
         if target is int and not isinstance(value, str) and int(value) != value:
             raise ValueError(value)  # int() would truncate it
         return target(value)
@@ -340,7 +338,8 @@ def cmd_plot_data(config: dict) -> RunManifest:
         for t in ts:
             val = analysis.mellin_fourier(params, 0.0, t)
             mft_rows.append((float(t), float(val.real), float(val.imag)))
-        manifest.table(config["out"] + ".mft.csv", ["t", "mft_re", "mft_im"], mft_rows)
+        manifest.table(f"{config['out']}.mft.{config['format']}", ["t", "mft_re", "mft_im"],
+                       mft_rows)
     return manifest.write(config["out"] + ".manifest.json")
 
 

@@ -22,12 +22,14 @@ the reflection product at e_1 and a real orthogonal eigenbasis.  The Cayley
 transform of S is X Y^{-1} for the real band pair X + i Y = conj(c)^{1/2} W,
 which has the conditioning of S - c: one stacked real `solve` and one
 stacked real `eigh`, with no complex dense matrix.  The eigenvalues are the
-Rayleigh quotients of the eigenvectors; a matrix is solved a second time,
-with the Cayley pole c moved, only when the norm of its transform exceeds n
-or an eigenpair residual fails.  Below 16 it runs stacked `eig` on the reflection products.
-The one-spectrum path (`sample_cj_spectrum`) solves the reflection product
-by Schur decomposition with the same checks; it is the reference for the
-batched one.
+Rayleigh quotients of the eigenvectors, from one `matmul` of the band
+planes Re S and Im S with a window view of the eigenvectors (`_band_windows`,
+the one map from band offsets to matrix rows); a matrix is solved a second
+time, with the Cayley pole c moved, only when the norm of its transform
+exceeds n or an eigenpair residual fails.  Below 16 it runs stacked `eig`
+on the reflection products.  The one-spectrum path (`sample_cj_spectrum`)
+solves the reflection product by Schur decomposition with the same checks;
+it is the reference for the batched one.
 """
 
 from __future__ import annotations
@@ -429,11 +431,15 @@ def _block_band(blocks: np.ndarray, start: int, n: int) -> np.ndarray:
     return band
 
 
-def _shifted_rows(n: int, o: int) -> tuple[slice, slice]:
-    """Rows i of an n-row matrix with 0 <= i + o < n, and the rows i + o."""
-    lo = min(n, max(0, -o))
-    hi = max(lo, min(n, n - o))
-    return slice(lo, hi), slice(lo + o, hi + o)
+def _band_windows(x: np.ndarray, w: int) -> np.ndarray:
+    """View (count, n, 2w + 1, m) of a stack x (count, n, m) whose [:, i, w + o] is row i + o of x.
+
+    Rows i + o outside the matrix read as zeros, from one zero-padded copy of x.
+    """
+    count, n, m = x.shape
+    padded = np.zeros((count, n + 2 * w, m), dtype=x.dtype)
+    padded[:, w : w + n] = x
+    return np.lib.stride_tricks.sliding_window_view(padded, 2 * w + 1, axis=1).swapaxes(-1, -2)
 
 
 def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -443,46 +449,37 @@ def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     [:, i, w + o], and 0 where i + o falls outside the matrix.
     """
     count, n, width = a.shape
-    wa, wb = width // 2, b.shape[-1] // 2
-    c = np.zeros((count, n, 2 * (wa + wb) + 1), dtype=np.result_type(a, b))
-    for p in range(-wa, wa + 1):
-        i, j = _shifted_rows(n, p)
-        c[:, i, wa + p : wa + p + 2 * wb + 1] += a[:, i, wa + p, None] * b[:, j]
+    rows = _band_windows(b, width // 2)
+    c = np.zeros((count, n, width + b.shape[-1] - 1), dtype=np.result_type(a, b))
+    for k in range(width):
+        c[:, :, k : k + b.shape[-1]] += a[:, :, k, None] * rows[:, :, k]
     return c
 
 
 def _band_transpose(band: np.ndarray) -> np.ndarray:
-    """Band form of the transposes of a band stack."""
-    n, w = band.shape[1], band.shape[-1] // 2
-    out = np.zeros_like(band)
-    for o in range(-w, w + 1):
-        i, j = _shifted_rows(n, o)
-        out[:, i, w + o] = band[:, j, w - o]
-    return out
+    """Band form of the transposes of a band stack: the anti-diagonal of each row's window."""
+    k = np.arange(band.shape[-1])
+    return _band_windows(band, band.shape[-1] // 2)[:, :, k, k[::-1]]
 
 
 def _band_dense(band: np.ndarray) -> np.ndarray:
     """The dense matrices (count, n, n) of a band stack."""
     count, n, width = band.shape
-    w = width // 2
+    i, k = np.indices((n, width))
+    j = i + k - width // 2
+    inside = (j >= 0) & (j < n)
     dense = np.zeros((count, n, n), dtype=band.dtype)
-    rows = np.arange(n)
-    for o in range(-w, w + 1):
-        i, j = _shifted_rows(n, o)
-        dense[:, rows[i], rows[j]] = band[:, i, w + o]
+    dense[:, i[inside], j[inside]] = band[:, inside]
     return dense
 
 
-def _band_matmul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of each band matrix with the matching dense matrix of x (count, n, m)."""
-    n, w = band.shape[1], band.shape[-1] // 2
-    out = band[:, :, w, None] * x
-    term = np.empty_like(out)  # one buffer for the off-diagonal terms
-    for o in (*range(-w, 0), *range(1, w + 1)):
-        i, j = _shifted_rows(n, o)
-        np.multiply(band[:, i, w + o, None], x[:, j], out=term[:, i])
-        out[:, i] += term[:, i]
-    return out
+def _band_matmul(planes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Products (count, n, k, m) of k real band planes (count, n, k, 2w + 1) with x (count, n, m).
+
+    [:, :, p] is the product of band plane p of each matrix with its dense
+    matrix of x; real planes keep `matmul` on the window view, uncopied.
+    """
+    return planes @ _band_windows(x, planes.shape[-1] // 2)
 
 
 def _half_band(gammas: np.ndarray) -> np.ndarray:
@@ -571,10 +568,10 @@ def _cayley_eigenpairs(band: np.ndarray,
     singular values |sin(theta / 2)|, is as well conditioned as S - c: one
     stacked real `np.linalg.solve` and one stacked real `np.linalg.eigh` of
     the (symmetrized) H of every row.  Each eigenvalue is read as the
-    Rayleigh quotient v^T S v of its unit eigenvector, from the band
-    products of the real and imaginary parts of S, which also give its
-    residual |S v - lambda v|; x only steers the pole.  The first pole is 1,
-    where the circular-Jacobi density vanishes for Re delta > 0.  The solve
+    Rayleigh quotient v^T S v of its unit eigenvector, from one band product
+    of the real and imaginary planes of S, which also gives its residual
+    |S v - lambda v|; x only steers the pole.  The first pole is 1, where
+    the circular-Jacobi density vanishes for Re delta > 0.  The solve
     loses accuracy as |H| = max |x| grows, so a row with max |x| > n is
     solved once more with the pole in the middle of its widest eigenvalue
     gap; that gap is at least 2 pi / n, so max |x| is then below 2 n / pi.
@@ -586,6 +583,7 @@ def _cayley_eigenpairs(band: np.ndarray,
     of each row.
     """
     count, n, _ = band.shape
+    planes = np.stack((band.real, band.imag), axis=-2)
     # rows whose every solve was singular keep NaN, which the eigenpair check rejects
     lam = np.full((count, n), np.nan, dtype=np.complex128)
     vec = np.zeros((count, n, n))
@@ -605,10 +603,11 @@ def _cayley_eigenpairs(band: np.ndarray,
         h += h.swapaxes(-1, -2)
         h *= 0.5
         x, v = np.linalg.eigh(h)
-        av, bv = _band_matmul(band.real[rows], v), _band_matmul(band.imag[rows], v)
-        lam[rows] = np.einsum("rij,rij->rj", v, av) + 1j * np.einsum("rij,rij->rj", v, bv)
+        sv = _band_matmul(planes[rows], v)
+        quotient = np.einsum("rij,rikj->rkj", v, sv)
+        lam[rows] = quotient[:, 0] + 1j * quotient[:, 1]
         vec[rows] = v
-        residual[rows] = _eigenpair_residual((av, bv), lam[rows], v)
+        residual[rows] = _eigenpair_residual(sv, lam[rows], v)
         wrong = ~(residual[rows] <= tol.EIGEN_RESIDUAL_TOL)  # an eigenvalue at the pole
         again = wrong | (np.abs(x).max(axis=-1) > n)
         rows, x = rows[again], x[again]
@@ -645,10 +644,11 @@ def _eigenpair_residual(product, lam: np.ndarray, vec: np.ndarray) -> np.ndarray
 
     `lam` (..., n) holds the eigenvalues and `vec` (..., n, n) the unit
     eigenvectors as columns; `product` holds U @ vec or, for real `vec`, the
-    pair (Re U @ vec, Im U @ vec), which keeps the arithmetic real.
+    real planes (..., n, 2, n) of Re U @ vec and Im U @ vec (`_band_matmul`),
+    which keep the arithmetic real.
     """
-    if isinstance(product, tuple):
-        re, im = product
+    if product.ndim > vec.ndim:
+        re, im = product[..., 0, :], product[..., 1, :]
         square = (re - vec * lam.real[..., None, :]) ** 2
         square += (im - vec * lam.imag[..., None, :]) ** 2
     else:

@@ -68,6 +68,11 @@ class TestConfig:
         with pytest.raises(ParameterError):
             build_config("sample", None, {key: True})
 
+    @pytest.mark.parametrize("value", [0.5, 2, None])
+    def test_bool_key_takes_only_a_bool_or_a_listed_word(self, value):
+        with pytest.raises(ParameterError):
+            build_config("verify", None, {"inject_bug": value})
+
     def test_bad_format_rejected(self):
         with pytest.raises(ParameterError):
             build_config("sample", None, {"format": "xml"})
@@ -544,6 +549,14 @@ class TestPlotDataCommand:
                      "--out", str(out)]) == 0
         lines = (tmp_path / "p2.csv.mft.csv").read_text().splitlines()
         assert lines[1].split(",") == ["t", "mft_re", "mft_im"]
+
+    def test_transform_table_takes_the_format_suffix(self, tmp_path):
+        out = tmp_path / "p3"
+        assert main(["plot-data", "--d-re", "1", "--grid", "64", "--mft-n", "3",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert not (tmp_path / "p3.mft.csv").exists()
+        data = json.loads((tmp_path / "p3.mft.json").read_text())
+        assert data["columns"] == ["t", "mft_re", "mft_im"] and len(data["rows"]) == 25
 
 
 class TestDumpMatrixCommand:

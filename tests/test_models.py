@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,7 +464,8 @@ class TestSymmetricCMV:
         # the band forms of the Gram matrix and of S @ x are the dense ones
         assert abs(models._band_unitarity_residual(band) - gram) <= 1e-15
         x = np.random.default_rng(n).standard_normal((4, n, n))
-        assert np.abs(models._band_matmul(band, x) - s @ x).max() <= 1e-14
+        sx = models._band_matmul(np.stack((band.real, band.imag), axis=-2), x)
+        assert np.abs(sx[:, :, 0] + 1j * sx[:, :, 1] - s @ x).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [16, 17, 50, 51])
     def test_measure_matches_the_reflection_oracle(self, n):
@@ -530,6 +532,70 @@ def _cayley_against_schur(bands):
 def _band_gram(a, b):
     """Dense A B^T of band stacks A and B."""
     return models._band_dense(models._band_product(a, models._band_transpose(b)))
+
+
+def _random_band(gen, count, n, w):
+    """Random complex band stack (count, n, 2w + 1) with zeros where i + o leaves the matrix."""
+    shape = (count, n, 2 * w + 1)
+    band = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    i, o = np.indices((n, 2 * w + 1))
+    band[:, (i + o - w < 0) | (i + o - w >= n)] = 0.0
+    return band
+
+
+def _dense_of(band):
+    """Dense matrices of a band stack, entry by entry."""
+    count, n, width = band.shape
+    dense = np.zeros((count, n, n), dtype=band.dtype)
+    for i in range(n):
+        for k in range(width):
+            if 0 <= i + k - width // 2 < n:
+                dense[:, i, i + k - width // 2] = band[:, i, k]
+    return dense
+
+
+def _band_of(dense, w):
+    """Band stack (count, n, 2w + 1) of dense matrices, 0 where i + o leaves the matrix."""
+    count, n, _ = dense.shape
+    band = np.zeros((count, n, 2 * w + 1), dtype=dense.dtype)
+    for i in range(n):
+        for o in range(-w, w + 1):
+            if 0 <= i + o < n:
+                band[:, i, w + o] = dense[:, i, i + o]
+    return band
+
+
+# n < 2w + 1 included: there the zero rows of the window decide each result
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("wa", [1, 2, 3])
+@pytest.mark.parametrize("wb", [1, 2, 3])
+def test_band_helpers_match_dense_at_small_n(n, wa, wb):
+    gen = np.random.default_rng(100 * n + 10 * wa + wb)
+    a, b = _random_band(gen, 3, n, wa), _random_band(gen, 3, n, wb)
+    da, db = _dense_of(a), _dense_of(b)
+    assert np.array_equal(models._band_dense(a), da)
+    assert np.array_equal(models._band_transpose(a), _band_of(da.swapaxes(-1, -2), wa))
+    assert np.abs(models._band_product(a, b) - _band_of(da @ db, wa + wb)).max() <= 1e-14
+    x = gen.standard_normal((3, n, n + 1))
+    sx = models._band_matmul(np.stack((a.real, a.imag), axis=-2), x)
+    assert sx.shape == (3, n, 2, n + 1)
+    assert np.abs(sx[:, :, 0] + 1j * sx[:, :, 1] - da @ x).max() <= 1e-14
+
+
+def test_band_matmul_reads_its_window_in_place():
+    # real planes let matmul read the window view without copying it: the
+    # padded copy of x and the product take 3 arrays of x's size; a complex
+    # band would make matmul materialise the window, about 17 of them
+    band, _ = _symmetric_bands(56, 200, 1.0, 2)
+    planes = np.stack((band.real, band.imag), axis=-2)
+    x = np.random.default_rng(56).standard_normal((2, 200, 200))
+    tracemalloc.start()
+    try:
+        models._band_matmul(planes, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * x.nbytes
 
 
 def _bands_of(gammas):
