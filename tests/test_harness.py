@@ -144,6 +144,36 @@ def test_batched_spectra_load_no_scipy_linalg():
     assert out.stdout.strip() == "False"
 
 
+def test_each_command_loads_only_the_scipy_submodules_it_uses(tmp_path):
+    # one process runs the five commands in turn, as a long-lived caller
+    # would; verify takes its p-values from scipy.special, and scipy.stats
+    # would add about 20 MB and 0.3 s to a run
+    src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
+    runs = [
+        ("sample", {"n": 50, "samples": 3, "delta_re": 1.0, "delta_im": 0.5}),
+        ("dump-matrix", {}),
+        ("esd-convergence", {"ladder": "8,25", "reps": 2, "d_im": 0.06}),
+        ("plot-data", {"grid": 64, "mft_n": 2}),
+        ("verify", {"scale": 0.05}),
+    ]
+    for command, overrides in runs:
+        overrides["out"] = str(tmp_path / command)
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import scipy; "
+        "from circjacobi.harness import COMMANDS, build_config; loaded = {}\n"
+        f"for command, overrides in {runs!r}:\n"
+        "    COMMANDS[command](build_config(command, None, overrides))\n"
+        "    loaded[command] = [m for m in scipy.submodules if 'scipy.' + m in sys.modules]\n"
+        "print(json.dumps(loaded))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=300)
+    loaded = json.loads(out.stdout)
+    assert loaded["sample"] == loaded["dump-matrix"] == loaded["esd-convergence"] == []
+    assert loaded["plot-data"] == ["special"]
+    assert "stats" not in loaded["verify"]
+
+
 def test_cli_flags_are_the_config_keys():
     # every flag of a subcommand is a key of its config and every key has a
     # flag; --config names the config file and is not itself a key
