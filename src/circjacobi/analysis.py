@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import tolerances as tol
 from .errors import ParameterError, TruncationWarning
@@ -252,24 +251,22 @@ def partition_zst(n: int, beta: float, s, t) -> complex:
 
 
 def b_const(d: complex) -> float:
-    """Free-energy constant B(d) by adaptive quadrature of its two integrals."""
+    """Free-energy constant B(d) in closed form.
+
+    B(d) = int_0^1 [x log x + (x + 2c) log(x + 2c) - 2 Re (x + d) log(x + d)] dx
+    with c = Re d, evaluated with the antiderivative F(y) = y^2 (log y / 2 - 1/4)
+    of y log y, F(0) = 0; the principal log is continuous on each segment
+    because Re(x + d) > 0 for x > 0.
+    """
     d = nonnegative_tilt(d)
     two_c = 2.0 * d.real
 
-    def plus_part(x):
-        first = x * np.log(x) if x > 0 else 0.0
-        second = (x + two_c) * np.log(x + two_c) if x + two_c > 0 else 0.0
-        return first + second
+    def anti(y: complex) -> complex:
+        return y * y * (0.5 * np.log(y) - 0.25) if y != 0 else 0.0
 
-    def minus_part(x):
-        z = x + d
-        if z == 0:
-            return 0.0
-        return 2.0 * np.real(z * np.log(z))
-
-    plus, _ = scipy.integrate.quad(plus_part, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-    minus, _ = scipy.integrate.quad(minus_part, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-    return float(plus - minus)
+    plus = anti(1.0) + anti(1.0 + two_c) - anti(two_c)
+    minus = 2.0 * (anti(1.0 + d) - anti(d))
+    return float(np.real(plus - minus))
 
 
 def b_const_finite_n(d: complex, n: int, beta: float = 2.0) -> float:

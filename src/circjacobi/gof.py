@@ -9,14 +9,12 @@ single remainder cell before forming the chi-square statistic.
 
 The quadrature oracles (`disk_integral_quad`, `partition_quad`) are the
 independent routes to the disk integral and the angular partition function.
-Their angular integrals are not adaptive: each is one NumPy evaluation on a
+No rule is adaptive: each angular integral is one NumPy evaluation on a
 fixed composite Gauss-Legendre rule graded geometrically toward the
-integrand's non-smooth points.  Only the outer integrals are adaptive.
+integrand's non-smooth points, and the disk's radial rule is Gauss-Jacobi.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import scipy
@@ -49,8 +47,6 @@ DISK_ANGLE_BINS = 12
 CIRCLE_BINS = 24
 PAIR_BINS = 12
 MIN_EXPECTED = 10.0
-# subintervals of the adaptive outer integral of each quadrature oracle
-QUAD_LIMIT = 200
 # Gauss points on each cell side of the binned masses and each panel of the graded rule
 _PANEL_NODES = 8
 
@@ -207,6 +203,7 @@ def _circle_rule(cuts) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CIRCLE_X, _CIRCLE_W = _circle_rule([0.0])
+_RADIAL_NODES = 24  # Gauss-Jacobi nodes of the radial rule of `disk_integral_quad`
 
 
 def _tilt(u, th, s: complex, t: complex):
@@ -222,25 +219,20 @@ def _tilt(u, th, s: complex, t: complex):
 
 
 def disk_integral_quad(ell: float, s, t) -> complex:
-    """Iterated quadrature of (1-|z|^2)^(ell-1) (1-z)^s (1-conj z)^t over the disk.
+    """Fixed-rule quadrature of (1-|z|^2)^(ell-1) (1-z)^s (1-conj z)^t over the disk.
 
-    Radial variable u = |z|^2, integrated adaptively with the algebraic
-    endpoint weight (1-u)^(ell-1) handled by the quadrature routine; the
-    angular integral at each radial node is one evaluation of a fixed
-    composite Gauss-Legendre rule graded toward theta = 0.
+    With u = |z|^2 and w = (1-u)^(1/4), (1-u)^(ell-1) du = 4 w^(4 ell-1) dw:
+    the radial rule is Gauss-Jacobi in w with that endpoint weight (the fourth
+    root smooths the powers of 1 - u), and the angular rule at every radial
+    node is the one graded toward theta = 0, all evaluated as one array.
     """
     if ell <= 0:
         raise ParameterError("need ell > 0")
-    s = complex(s)
-    t = complex(t)
-
-    @functools.cache  # the real and imaginary passes share their nodes
-    def angular(u: float) -> complex:
-        return complex(_CIRCLE_W @ _tilt(u, _CIRCLE_X, s, t))
-
-    val, _ = scipy.integrate.quad(angular, 0.0, 1.0, complex_func=True, weight="alg",
-                                  wvar=(0.0, ell - 1.0), limit=QUAD_LIMIT)
-    return 0.5 * val
+    x, weights = scipy.special.roots_jacobi(_RADIAL_NODES, 0.0, 4.0 * ell - 1.0)
+    w = 0.5 * (1.0 + x)  # the rule on [-1, 1] moved to [0, 1]
+    angular = _tilt(1.0 - w[:, None] ** 4, _CIRCLE_X, complex(s), complex(t)) @ _CIRCLE_W
+    # d^2z = du dtheta / 2, and w^(4 ell-1) dw = 2^(-4 ell) (1+x)^(4 ell-1) dx
+    return complex(2.0 ** (1.0 - 4.0 * ell) * (weights @ angular))
 
 
 def disk_integral_closed(ell: float, s, t) -> complex:
@@ -285,30 +277,31 @@ def tilted_disk_power_moment(a: float, delta: complex, u, v) -> complex:
 def partition_quad(n: int, beta: float, s, t) -> complex:
     """Brute-force quadrature of the tilted angular partition function, n <= 2.
 
-    Normalization is d(theta)/2pi per angle, matching `partition_zst`.  The
-    integral over theta at n = 1, and over theta_2 at each theta_1 at n = 2,
-    is one evaluation of a fixed composite Gauss-Legendre rule graded toward
-    0 and, unless beta is an even integer, toward theta_2 = theta_1.  Only the
-    outer integral over theta_1 is adaptive (`QUAD_LIMIT` subintervals at most).
+    Normalization is d(theta)/2pi per angle, matching `partition_zst`; each
+    angular rule is the fixed composite Gauss-Legendre rule graded toward 0.
+    At n = 2 and even beta = 2m, |e^{i theta_1} - e^{i theta_2}|^beta =
+    sum_{|k| <= m} (-1)^k C(2m, m+k) e^{ik(theta_1 - theta_2)}, so the double
+    integral is sum_k c_k F_k F_{-k} over the tilted Fourier coefficients F_k.
+    For other beta the inner rule at each outer node theta_1 is graded also
+    toward theta_2 = theta_1, where the Vandermonde factor is not smooth.
     """
     s = complex(s)
     t = complex(t)
+    weights = _CIRCLE_W * _tilt(1.0, _CIRCLE_X, s, t)
     if n == 1:
-        return complex(_CIRCLE_W @ _tilt(1.0, _CIRCLE_X, s, t)) / TWO_PI
+        return complex(weights.sum()) / TWO_PI
     if n == 2:
-        smooth_pair = beta % 2.0 == 0.0
-        weights = _CIRCLE_W * _tilt(1.0, _CIRCLE_X, s, t)
-
-        @functools.cache  # the real and imaginary passes share their nodes
-        def inner(th1: float) -> complex:
-            if smooth_pair:
-                th2, w = _CIRCLE_X, weights
-            else:
-                th2, w = _circle_rule([0.0, th1])
-                w = w * _tilt(1.0, th2, s, t)
-            vdm = np.abs(2.0 * np.sin(0.5 * (th1 - th2))) ** beta
-            return complex(w @ vdm) * complex(_tilt(1.0, th1, s, t))
-
-        val, _ = scipy.integrate.quad(inner, 0.0, TWO_PI, complex_func=True, limit=QUAD_LIMIT)
-        return val / TWO_PI**2
+        if beta % 2.0 == 0.0:
+            m = int(beta) // 2
+            k = np.arange(-m, m + 1)
+            coeffs = (-1.0) ** k * scipy.special.comb(2 * m, m + k)
+            fourier = np.exp(1j * k[:, None] * _CIRCLE_X) @ weights
+            total = coeffs @ (fourier * fourier[::-1])
+        else:
+            total = 0.0
+            for th1, w1 in zip(_CIRCLE_X, weights):
+                th2, w2 = _circle_rule([0.0, th1])
+                vdm = np.abs(2.0 * np.sin(0.5 * (th1 - th2))) ** beta
+                total += w1 * ((w2 * _tilt(1.0, th2, s, t)) @ vdm)
+        return complex(total) / TWO_PI**2
     raise ParameterError("brute-force partition quadrature supports n in {1, 2}")

@@ -52,8 +52,9 @@ PARTITION_REL_TOL = 1e-5
 # |I(mu_d)| of the rate function at its minimizer (grid discretization)
 RATE_AT_MINIMIZER_TOL = 1e-3
 
-# |B(d) - finite-n B(d)| between the two routes to the free-energy constant
-B_CONST_TWO_ROUTE_TOL = 0.02
+# |B(d) - (B_400(d) - B_400(0))| between the closed form and the finite-n route
+# at n = 400, beta = 2; it read at most 8.3e-6 on d from 0 to 10 + 0.1i and 1e-9 + 4i
+B_CONST_TWO_ROUTE_TOL = 5e-5
 
 # per-test significance level of the goodness-of-fit checks
 SIGNIFICANCE = 1e-3

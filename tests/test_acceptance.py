@@ -196,7 +196,7 @@ def test_criterion_11_rate_function():
     ok = at_min.passed and flat > 0 and two_route.passed
     report(11, "large-deviation rate function", ok,
            f"|I(mu_d)| max {abs(at_min.stat):.1e}, "
-           f"I(flat)={flat:.4f}, two-route B diff {two_route.stat:.4f}")
+           f"I(flat)={flat:.4f}, two-route B diff {two_route.stat:.1e}")
 
 
 def test_criterion_12_round_trips(corpus):

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -37,22 +38,18 @@ from circjacobi.opuc import TWO_PI, _arnoldi_alphas
 from circjacobi.tolerances import SE_BOUND, STRUCTURAL_TOL
 
 
-def closed_form_b(d):
-    """Independent oracle: exact antiderivative H(y) = y^2 (2 log y - 1)/4."""
-    d = complex(d)
+def quadrature_b(d):
+    """Independent oracle: B(d) by mpmath quadrature of its two integrals at 30 digits."""
+    d = mpmath.mpc(d)
+    two_c = 2 * d.real
 
-    def anti(y):
-        y = complex(y)
-        if y == 0:
-            return 0.0
-        return y * y * (2.0 * np.log(y) - 1.0) / 4.0
+    def xlogx(y):
+        return y * mpmath.log(y) if y != 0 else 0
 
-    def seg(a):
-        return anti(1.0 + a) - anti(a)
-
-    plus = seg(0.0) + seg(2.0 * d.real)
-    minus = 2.0 * np.real(seg(d))
-    return float(np.real(plus - minus))
+    with mpmath.workdps(30):
+        plus = mpmath.quad(lambda x: xlogx(x) + xlogx(x + two_c), [0, 1])
+        minus = mpmath.quad(lambda x: 2 * mpmath.re(xlogx(x + d)), [0, 1])
+    return float(plus - minus)
 
 
 class TestLimitParams:
@@ -246,9 +243,9 @@ class TestBConst:
     def test_zero(self):
         assert abs(b_const(0.0)) < 1e-12
 
-    @pytest.mark.parametrize("d", [1.0, 2.0, 1j, 1 + 1j])
-    def test_against_antiderivative_oracle(self, d):
-        assert abs(b_const(d) - closed_form_b(d)) < 1e-10
+    @pytest.mark.parametrize("d", [0.0, 1.0, 2.0, 1j, 1 + 1j, 10 + 0.1j, 1e-9 + 4j])
+    def test_against_quadrature_oracle(self, d):
+        assert abs(b_const(d) - quadrature_b(d)) < 1e-10
 
     @pytest.mark.parametrize("d", [1.0, 1j])
     def test_finite_size_route(self, d):

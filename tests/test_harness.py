@@ -16,6 +16,7 @@ from circjacobi.harness import (
     _stat_plan,
     _verify_plan,
     build_config,
+    check_b_const_two_route,
     check_char_poly,
     check_coefficient_roundtrip,
     check_disk_integral,
@@ -146,8 +147,9 @@ def test_batched_spectra_load_no_scipy_linalg():
 
 def test_each_command_loads_only_the_scipy_submodules_it_uses(tmp_path):
     # one process runs the five commands in turn, as a long-lived caller
-    # would; verify takes its p-values from scipy.special, and scipy.stats
-    # would add about 20 MB and 0.3 s to a run
+    # would; verify takes its p-values and quadrature rules from
+    # scipy.special, and scipy.stats or scipy.integrate would each add about
+    # 20 MB and 0.2-0.3 s to a run
     src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
     runs = [
         ("sample", {"n": 50, "samples": 3, "delta_re": 1.0, "delta_im": 0.5}),
@@ -171,7 +173,7 @@ def test_each_command_loads_only_the_scipy_submodules_it_uses(tmp_path):
     loaded = json.loads(out.stdout)
     assert loaded["sample"] == loaded["dump-matrix"] == loaded["esd-convergence"] == []
     assert loaded["plot-data"] == ["special"]
-    assert "stats" not in loaded["verify"]
+    assert loaded["verify"] == ["linalg", "special"]
 
 
 def test_cli_flags_are_the_config_keys():
@@ -412,6 +414,19 @@ class TestQuadratureOracles:
             closed = gof.disk_integral_closed(ell, s, t)
             assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (ell, s, t)
 
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 5.0, 20.0])
+    def test_disk_integral_matches_closed_form_over_a_wide_range(self, ell):
+        for s, t in [(0.5, 0.5), (1 + 1j, 1 - 1j), (2.0, 1.0), (0.1 + 3j, 0.1 - 3j),
+                     (-0.4, 0.3), (5.0, 5.0)]:
+            quad = gof.disk_integral_quad(ell, s, t)
+            closed = gof.disk_integral_closed(ell, s, t)
+            assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (ell, s, t)
+
+    def test_disk_integral_rejects_nonpositive_ell(self):
+        for ell in (0.0, -0.5):
+            with pytest.raises(ParameterError):
+                gof.disk_integral_quad(ell, 1.0, 1.0)
+
     def test_partition_matches_closed_form(self):
         for n, beta, s, t in CRITERION_08_CASES + verify_inputs(check_partition_quadrature):
             quad = gof.partition_quad(n, beta, s, t)
@@ -446,6 +461,12 @@ class TestDeterministicCheckFaults:
         monkeypatch.setattr(analysis, "partition_zst",
                             lambda n, beta, s, t: closed(n, beta, s, t) * (1.0 + 1e-4))
         assert not check_partition_quadrature(verify_inputs(check_partition_quadrature)).passed
+
+    def test_shifted_b_const_fails_two_route(self, monkeypatch):
+        # 1e-4 is twice the check's bound B_CONST_TWO_ROUTE_TOL
+        b_const = analysis.b_const
+        monkeypatch.setattr(analysis, "b_const", lambda d: b_const(d) + 1e-4)
+        assert not check_b_const_two_route(verify_inputs(check_b_const_two_route)).passed
 
     @pytest.mark.parametrize("module,name,check", [
         (gof, "disk_integral_quad", check_disk_integral),
