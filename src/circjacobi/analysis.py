@@ -389,10 +389,6 @@ def _moment_octave(start: np.ndarray, phases: np.ndarray, count: int):
     return sums.reshape(-1)[:count], end
 
 
-# tail estimate of the entropy series above which `sigma_energy` warns
-ENTROPY_TAIL_TOL = 1e-4
-
-
 def sigma_energy(measure, *, kmax: int = 4096) -> float:
     """Free entropy via the moment series -sum_{k>=1} |m_k|^2 / k.
 
@@ -433,12 +429,12 @@ def sigma_energy(measure, *, kmax: int = 4096) -> float:
         if prev_octave is not None and octave < prev_octave:
             ratio = octave / prev_octave  # per-octave geometric factor
             tail_est = octave * ratio / (1.0 - ratio)
-            if tail_est < min(1e-8, ENTROPY_TAIL_TOL):
+            if tail_est < min(1e-8, tol.ENTROPY_TAIL_TOL):
                 break
         prev_octave = octave
     if np.isfinite(tail_est):
         total += tail_est
-    if tail_est > ENTROPY_TAIL_TOL:
+    if tail_est > tol.ENTROPY_TAIL_TOL:
         warnings.warn(
             f"entropy series truncated at {k} terms with tail estimate {tail_est:.2e}",
             TruncationWarning,

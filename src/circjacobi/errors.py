@@ -30,7 +30,7 @@ class NumericDegeneracyError(CircJacobiError, RuntimeError):
 
 
 class NonCyclicVectorError(CircJacobiError, RuntimeError):
-    """A spectral weight fell below the cyclicity floor."""
+    """A weight of `spectral_measure`, whose matrix may come from outside, fell below the floor."""
 
 
 class ConvergenceError(CircJacobiError, RuntimeError):

@@ -227,7 +227,7 @@ def cmd_sample(config: dict) -> RunManifest:
         CheckResult("sample-weight-normalization", "deterministic",
                     worst_sum <= tol.STRUCTURAL_TOL, worst_sum, "max |sum(weights) - 1| per sample")
     )
-    manifest.summary = {"samples": total, "rows": total * n}
+    manifest.summary = {"samples": total, "rows": total * n, "min_weight": float(weights.min())}
     # how many eigenangles land outside the large-n support window for the
     # matched scaling parameter d = delta / (beta' n)
     d_equiv = params.delta / (params.beta_half * params.n)

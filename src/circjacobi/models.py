@@ -28,8 +28,8 @@ the one map from band offsets to matrix rows); a matrix is solved a second
 time, with the Cayley pole c moved, only when the norm of its transform
 exceeds n or an eigenpair residual fails.  Below 16 it runs stacked `eig`
 on the reflection products.  The one-spectrum path (`sample_cj_spectrum`)
-solves the reflection product by Schur decomposition with the same checks;
-it is the reference for the batched one.
+solves the reflection product by Schur decomposition with the same checks
+and the weight floor; it is the reference for the batched one.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from .opuc import (
     SpectralMeasure,
     VerblunskyCoeffs,
     alpha_rows,
+    check_atom_rows,
     check_coefficient_rows,
     circle_angles,
-    min_atom_gap,
     reflection_phases,
 )
 from .sampling import SeededRng, sample_eta, sample_eta_batch
@@ -381,6 +381,9 @@ def eigen_unitary(u: DenseUnitary) -> EigenDecomposition:
 def spectral_measure(u: DenseUnitary) -> SpectralMeasure:
     """Spectral measure of (U, e_1): eigenangles weighted by |<e_1, v_j>|^2."""
     dec = eigen_unitary(u)
+    smallest = np.min(np.abs(dec.eigenvectors[0]) ** 2)
+    if not smallest >= tol.WEIGHT_FLOOR:  # U may come from outside: e_1 need not be cyclic
+        raise NonCyclicVectorError(f"weight {smallest:.2e} below floor {tol.WEIGHT_FLOOR:.0e}")
     thetas, weights = _measure_rows(dec.eigenvalues[None], dec.eigenvectors[None])
     return SpectralMeasure(thetas[0], weights[0])
 
@@ -684,34 +687,20 @@ def _angle_order(lam: np.ndarray, vec: np.ndarray):
     return angles, w, np.lexsort((-w, angles), axis=-1)
 
 
-def _measure_rows(
-    lam: np.ndarray, vec: np.ndarray, first_row: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def _measure_rows(lam: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral measures at e_1 of the eigenpairs of each row of a stack.
 
     `lam` (count, n) and unit eigenvectors `vec` (count, n, n).  The weights
-    |v_j[0]|^2 must clear the cyclicity floor and sum to 1, and the atoms
-    must be distinct.  Returns (thetas, weights), each (count, n), in the
-    order of `_angle_order`.  Errors number the rows from `first_row`.
+    |v_j[0]|^2 and the angles must pass `check_atom_rows`.  Returns (thetas,
+    weights), each (count, n), in the order of `_angle_order`.
     """
     angles, w, order = _angle_order(lam, vec)
-    cyclic = np.all(w >= tol.WEIGHT_FLOOR, axis=-1)
-    if not cyclic.all():
-        failing = np.flatnonzero(~cyclic)
-        last_row = first_row + cyclic.size - 1
-        raise NonCyclicVectorError(
-            f"weight {w[failing[0]].min():.2e} of row {first_row + failing[0]} below "
-            f"cyclicity floor {tol.WEIGHT_FLOOR:.0e} ({failing.size} of rows "
-            f"{first_row}-{last_row} below it)"
-        )
-    s = w.sum(axis=1, keepdims=True)
-    worst = float(np.max(np.abs(s - 1.0)))
-    if not worst <= tol.STRUCTURAL_TOL:
-        raise InvariantError(f"weights sum to 1 only within {worst:.3e}")
+    # no weight floor: a row past `check_coefficient_rows` has |gamma_k| <= 1 - 2^-53
+    # for k < n - 1, so every rho_k^2 >= 2^-52 > 0, the matrix is unreduced, e_1 is
+    # cyclic and every true weight is positive
+    check_atom_rows(angles, w)
     thetas = np.take_along_axis(angles, order, axis=-1)
-    weights = np.take_along_axis(w / s, order, axis=-1)
-    if thetas.shape[-1] > 1 and not np.all(min_atom_gap(thetas) > tol.ATOM_GAP_TOL):
-        raise InvariantError("atoms must be pairwise distinct on the circle")
+    weights = np.take_along_axis(w / w.sum(axis=1, keepdims=True), order, axis=-1)
     return thetas, weights
 
 
@@ -732,7 +721,7 @@ def spectra_from_gammas(gammas) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, BATCH_ENTRY_BUDGET // (n * n))
     for lo in range(0, count, step):
         lam, vec = _eigenpairs(g[lo : lo + step])
-        thetas[lo : lo + step], weights[lo : lo + step] = _measure_rows(lam, vec, lo)
+        thetas[lo : lo + step], weights[lo : lo + step] = _measure_rows(lam, vec)
     return thetas, weights
 
 

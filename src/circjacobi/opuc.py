@@ -49,6 +49,7 @@ __all__ = [
     "alpha_from_gamma",
     "alpha_rows",
     "check_coefficient_rows",
+    "check_atom_rows",
     "gamma_functions_at",
     "char_poly_at_one",
     "min_atom_gap",
@@ -180,6 +181,22 @@ def min_atom_gap(thetas: np.ndarray) -> np.ndarray:
     return np.minimum(np.diff(th, axis=-1).min(axis=-1), circular)
 
 
+def check_atom_rows(thetas: np.ndarray, weights: np.ndarray) -> None:
+    """Raise `InvariantError` unless every row (last axis) is an atomic probability measure:
+    finite angles and weights, weights > 0 that sum to 1 within `STRUCTURAL_TOL`, and atoms
+    more than `ATOM_GAP_TOL` apart on the circle."""
+    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(weights))):
+        raise InvariantError("thetas and weights must be finite")
+    if np.any(weights <= 0.0):
+        raise InvariantError("all weights must be positive")
+    worst = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
+    if not worst <= tol.STRUCTURAL_TOL:
+        raise InvariantError(f"weights sum to 1 only within {worst:.3e}")
+    gaps = min_atom_gap(circle_angles(thetas)) if thetas.shape[-1] > 1 else np.inf
+    if not np.all(gaps > tol.ATOM_GAP_TOL):
+        raise InvariantError("atoms must be pairwise distinct on the circle")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Atomic probability measure sum_j weights[j] * delta(theta_j) on the circle."""
@@ -192,16 +209,8 @@ class SpectralMeasure:
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if th.size != w.size or th.size < 1:
             raise InvariantError("thetas and weights must have equal positive length")
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(w))):
-            raise InvariantError("thetas and weights must be finite")
+        check_atom_rows(th, w)
         th = circle_angles(th)
-        if np.any(w <= 0.0):
-            raise InvariantError("all weights must be positive")
-        s = w.sum()
-        if abs(s - 1.0) > tol.STRUCTURAL_TOL:
-            raise InvariantError(f"weights must sum to 1 within {tol.STRUCTURAL_TOL:g}, got {s!r}")
-        if th.size > 1 and min_atom_gap(th) <= tol.ATOM_GAP_TOL:
-            raise InvariantError("atoms must be pairwise distinct on the circle")
         th.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "thetas", th)

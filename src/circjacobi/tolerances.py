@@ -19,7 +19,7 @@ UNIT_MODULUS_TOL = 1e-12
 # eigenpair residuals and |eigenvalue| - 1
 EIGEN_RESIDUAL_TOL = 1e-9
 
-# minimal admissible spectral weight (cyclicity floor)
+# minimal weight of `spectral_measure` (cyclicity floor); coefficient rows need none
 WEIGHT_FLOOR = 1e-14
 
 # |Phi_k(z)| below this counts as a pole of the coefficient functions
@@ -42,6 +42,9 @@ RECURSION_TOL = 1e-11
 
 # |entries| off the five-diagonal band of a CMV matrix
 CMV_BAND_TOL = 1e-14
+
+# tail estimate of the entropy series above which `sigma_energy` warns
+ENTROPY_TAIL_TOL = 1e-4
 
 # closed-form limit parameters at a worked example
 CLOSED_FORM_TOL = 1e-12

@@ -35,7 +35,7 @@ from circjacobi import (
 from circjacobi import analysis
 from circjacobi.gof import partition_quad, tilted_disk_power_moment
 from circjacobi.opuc import TWO_PI, _arnoldi_alphas
-from circjacobi.tolerances import SE_BOUND, STRUCTURAL_TOL
+from circjacobi.tolerances import B_CONST_TWO_ROUTE_TOL, SE_BOUND, STRUCTURAL_TOL
 
 
 def quadrature_b(d):
@@ -247,9 +247,11 @@ class TestBConst:
     def test_against_quadrature_oracle(self, d):
         assert abs(b_const(d) - quadrature_b(d)) < 1e-10
 
-    @pytest.mark.parametrize("d", [1.0, 1j])
+    @pytest.mark.parametrize("d", [0.0, 1.0, 1j, 2.0, 1 + 1j])
     def test_finite_size_route(self, d):
-        assert abs(b_const(d) - b_const_finite_n(d, 400)) < 0.02
+        # B_n(0) carries the d-independent finite-size term (1.25e-2 at n = 400)
+        route = b_const_finite_n(d, 400) - b_const_finite_n(0.0, 400)
+        assert abs(b_const(d) - route) <= B_CONST_TWO_ROUTE_TOL
 
     def test_domain(self):
         with pytest.raises(ParameterError):

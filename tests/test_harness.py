@@ -309,6 +309,16 @@ class TestSampleCommand:
         data = json.loads((tmp_path / "w.csv.manifest.json").read_text())
         assert data["summary"]["fraction_outside_support"] <= 0.05
 
+    def test_weights_below_the_cyclicity_floor_are_written(self, tmp_path):
+        # at (60, 0.5, 2.5) about 4% of rows carry a true weight below the
+        # floor; the coefficient check certifies them, so the command keeps them
+        out = tmp_path / "f.csv"
+        args = ["sample", "--n", "60", "--beta", "0.5", "--delta-re", "2.5",
+                "--samples", "20", "--seed", "4", "--out", str(out)]
+        assert main(args) == 0
+        summary = json.loads((tmp_path / "f.csv.manifest.json").read_text())["summary"]
+        assert 0.0 < summary["min_weight"] < tolerances.WEIGHT_FLOOR
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "s.json"
         args = ["sample", "--n", "2", "--samples", "3", "--seed", "1",

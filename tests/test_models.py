@@ -42,7 +42,12 @@ from circjacobi import (
 from circjacobi import analysis, models
 from circjacobi.models import _xi_block, matrix_from_json_dict, matrix_to_json_dict
 from circjacobi.opuc import TWO_PI
-from circjacobi.tolerances import MEASURE_ROUNDTRIP_TOL, SE_BOUND, STRUCTURAL_TOL
+from circjacobi.tolerances import (
+    MEASURE_ROUNDTRIP_TOL,
+    SE_BOUND,
+    STRUCTURAL_TOL,
+    WEIGHT_FLOOR,
+)
 
 from conftest import random_alphas
 
@@ -364,6 +369,9 @@ class TestBatchedSpectra:
                 kept, singles = [], []
                 for row in gammas:
                     want, got = _oracle(row), _batched(row)
+                    if want is NonCyclicVectorError:  # only the Schur oracle has a floor
+                        assert not isinstance(got, type) and got[1].min() < WEIGHT_FLOOR
+                        continue
                     if isinstance(want, type) or isinstance(got, type):
                         assert want is got, (beta, delta, want, got)
                         continue
@@ -428,12 +436,14 @@ class TestBatchedSpectra:
             "renormalizing last coefficient onto the circle in 1 of 3 rows (worst off by 1.14e-13)"
         ]
 
-    def test_non_cyclic_error_names_the_failing_rows(self, monkeypatch):
-        gammas = sample_eta_batch(SeededRng(46), EnsembleParams(6, 2.0, 1.0), 12)
-        gammas[[5, 7], 0] = 1j * (1.0 - 1e-15)  # e_1 nearly decouples: weights of 1e-16
-        monkeypatch.setattr(models, "BATCH_ENTRY_BUDGET", 4 * 36)  # chunks of 4 rows
-        with pytest.raises(NonCyclicVectorError, match=r"of row 5 .*\(2 of rows 4-7 "):
-            spectra_from_gammas(gammas)
+    def test_weights_below_the_cyclicity_floor_are_returned(self):
+        # |gamma_k| < 1 makes e_1 cyclic, so no weight floor applies: at
+        # (60, 0.5, 2.5) about 4% of rows carry a true weight below it, two
+        # of these 100
+        gammas = sample_eta_batch(SeededRng(46), EnsembleParams(60, 0.5, 2.5), 100)
+        _, weights = spectra_from_gammas(gammas)
+        assert np.all(weights > 0.0)
+        assert weights.min() < WEIGHT_FLOOR
 
     def test_invalid_rows_raise_as_in_the_single_path(self):
         gammas = sample_eta_batch(SeededRng(44), EnsembleParams(4, 2.0, 1.0), 5)
@@ -812,9 +822,10 @@ def test_inverse_map_recovers_sampled_gammas(n):
     for beta in (0.5, 2.0, 4.0):
         for delta in (0.0, 1.0, 1 + 1j, 0.5 * beta * n):
             for row in sample_eta_batch(SeededRng(100 + n), EnsembleParams(n, beta, delta), rows):
-                try:
-                    thetas, weights = spectra_from_gammas(row[None, :])
-                except NonCyclicVectorError:  # the small-beta weight floor
+                thetas, weights = spectra_from_gammas(row[None, :])
+                if weights.min() < WEIGHT_FLOOR:
+                    # such a weight is accurate in absolute, not relative, terms, and
+                    # the map back to coefficients needs it to relative precision
                     continue
                 alphas = verblunsky_from_measure(SpectralMeasure(thetas[0], weights[0]))
                 worst = max(worst, np.max(np.abs(gamma_from_alpha(alphas).gammas - row)))
