@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ParameterError, TruncationWarning
-from .gof import gauss_panels, tilted_disk_power_moment
+from .gof import gauss_panels, ks_statistic, tilted_disk_power_moment
 from .opuc import TWO_PI, EnsembleParams, SpectralMeasure, circle_angles, nonnegative_tilt
 from .sampling import complex_log_gamma
 
@@ -82,9 +82,9 @@ def limit_params(d: complex) -> LimitParams:
     ratio = min(abs(d / (1.0 + d)), 1.0)
     theta_d = 2.0 * float(np.arcsin(ratio))
     xi_d = float(np.angle((1.0 + d) / (1.0 + np.conj(d))))
-    if not abs(xi_d) <= theta_d + 1e-12:
+    if not abs(xi_d) <= theta_d + tol.LIMIT_RANGE_TOL:
         raise ParameterError(f"rotation {xi_d!r} outside [-theta_d, theta_d] for d={d}")
-    if not abs(alpha + 0.5) <= 0.5 + 1e-12:
+    if not abs(alpha + 0.5) <= 0.5 + tol.LIMIT_RANGE_TOL:
         raise ParameterError(f"limit coefficient {alpha!r} outside the admissible disk")
     return LimitParams(d, complex(alpha), theta_d, xi_d)
 
@@ -94,9 +94,9 @@ def w_d(params: LimitParams, theta):
 
     Vanishes like a square root at the arc endpoints, except at a boundary
     case (Re(d) = 0) where the endpoint touching 1 carries an integrable
-    inverse-square-root blow-up.
+    inverse-square-root blow-up.  Periodic in theta.
     """
-    th = np.asarray(theta, dtype=float)
+    th = circle_angles(np.asarray(theta, dtype=float))
     if params.d == 0:
         out = np.ones_like(th)
         return float(out) if np.isscalar(theta) else out
@@ -464,31 +464,20 @@ def _sorted_atoms(measure) -> tuple[np.ndarray, np.ndarray]:
     return measure.thetas[order], np.concatenate(([0.0], np.cumsum(measure.weights[order])))
 
 
-def _cdf_views(obj):
-    """Return (cdf_left, cdf_right, jump_points or None) for a measure or a cdf callable.
-
-    For a measure, cdf_left(t) is the mass of [0, t) and cdf_right(t) that of [0, t].
-    """
-    if callable(obj):
-        return obj, obj, None
-    th, cum = _sorted_atoms(obj)
-    return (lambda t: cum[np.searchsorted(th, t, side="left")],
-            lambda t: cum[np.searchsorted(th, t, side="right")], th)
-
-
 def ks_distance(a, b) -> float:
-    """sup_t |F_a(t) - F_b(t)| over the merged jump set (upper-bounds the
-    Levy distance).  Arguments may be empirical/spectral measures or plain
-    distribution-function callables, at least one of them a measure."""
-    left_a, right_a, jumps_a = _cdf_views(a)
-    left_b, right_b, jumps_b = _cdf_views(b)
-    pts = [p for p in (jumps_a, jumps_b) if p is not None]
-    if not pts:
-        raise ParameterError("ks_distance needs a measure on at least one side")
-    ts = np.unique(np.concatenate(pts))
-    d_left = np.max(np.abs(np.asarray(left_a(ts)) - np.asarray(left_b(ts))))
-    d_right = np.max(np.abs(np.asarray(right_a(ts)) - np.asarray(right_b(ts))))
-    return float(max(d_left, d_right))
+    """sup_t |F_a(t) - F_b(t)| (upper-bounds the Levy distance) of two measures, or
+    of a measure and a continuous cdf callable in either order."""
+    if callable(a):
+        a, b = b, a
+    th, cum = _sorted_atoms(a)
+    if callable(b):
+        return float(ks_statistic(cum[1:], np.asarray(b(th), dtype=float)))
+    # between merged jumps both cdfs are constant, and the mass of [0, t) at a
+    # jump is the mass of [0, t] at the jump before (or 0): right values suffice
+    th_b, cum_b = _sorted_atoms(b)
+    ts = np.union1d(th, th_b)
+    gaps = cum[np.searchsorted(th, ts, "right")] - cum_b[np.searchsorted(th_b, ts, "right")]
+    return float(np.max(np.abs(gaps)))
 
 
 def weight_gap_stat(measure) -> float:
@@ -504,17 +493,6 @@ def _weight_gaps(cum: np.ndarray) -> np.ndarray:
     """max_k |S_k - k/n| over the last axis of cumulative weights `cum`."""
     n = cum.shape[-1]
     return np.max(np.abs(cum - np.arange(1, n + 1) / n), axis=-1)
-
-
-def _ks_to_cdf(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """KS distance, per row, of atoms with cumulative weights `cum` to cdf values `f` at them.
-
-    Both cdf conventions of `ks_distance` on strictly ascending atoms: the
-    mass of [0, t) is the cumulative weight of the atoms before t.
-    """
-    cum = np.broadcast_to(cum, f.shape)
-    left = np.concatenate((np.zeros_like(f[..., :1]), cum[..., :-1]), axis=-1)
-    return np.maximum(np.max(np.abs(left - f), axis=-1), np.max(np.abs(cum - f), axis=-1))
 
 
 def convergence_stats(thetas, weights, cdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -540,4 +518,4 @@ def convergence_stats(thetas, weights, cdf) -> tuple[np.ndarray, np.ndarray, np.
     n = th.shape[1]
     f = np.asarray(cdf(th), dtype=float)
     cum = np.cumsum(w, axis=1)
-    return _ks_to_cdf(np.cumsum(np.full(n, 1.0 / n)), f), _ks_to_cdf(cum, f), _weight_gaps(cum)
+    return ks_statistic(np.cumsum(np.full(n, 1.0 / n)), f), ks_statistic(cum, f), _weight_gaps(cum)

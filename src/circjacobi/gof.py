@@ -34,6 +34,7 @@ __all__ = [
     "disk_coefficient_chi2",
     "circle_angle_chi2",
     "pair_angle_chi2",
+    "ks_statistic",
     "ks_pvalue",
     "disk_integral_quad",
     "disk_integral_closed",
@@ -156,12 +157,21 @@ def pair_angle_chi2(pairs, density):
     return chi2_from_cells(counts, masses)
 
 
+def ks_statistic(cum, f):
+    """KS distance to a continuous cdf, per row (last axis), of ascending atoms with
+    cumulative weights `cum` (broadcast to `f`) and cdf values `f`: max(|left - f|,
+    |cum - f|), `left` the weight before each atom.  Tied atoms change nothing."""
+    cum = np.broadcast_to(cum, f.shape)
+    left = np.concatenate((np.zeros_like(f[..., :1]), cum[..., :-1]), axis=-1)
+    return np.maximum(np.max(np.abs(left - f), axis=-1), np.max(np.abs(cum - f), axis=-1))
+
+
 def ks_pvalue(samples, cdf) -> tuple[float, float]:
     """Two-sided Kolmogorov-Smirnov statistic D and p-value of samples against a cdf callable.
 
-    D = max(D+, D-) over the sorted samples, formed as SciPy's `kstest`
-    forms it.  The p-value is min(1, 2 smirnov(n, D)), twice the one-sided
-    tail `scipy.special.smirnov`.  It is the exact two-sided tail (Simard and
+    D = `ks_statistic` at equal weights, max(D+, D-) as SciPy's `kstest` forms
+    it.  The p-value is min(1, 2 smirnov(n, D)), twice the one-sided tail
+    `scipy.special.smirnov`.  It is the exact two-sided tail (Simard and
     L'Ecuyer 2011) when n > 140 and n D^2 >= 2.2, which covers every p below
     about 0.025; elsewhere it bounds the exact tail from above.
     """
@@ -172,8 +182,7 @@ def ks_pvalue(samples, cdf) -> tuple[float, float]:
     f = np.asarray(cdf(x), dtype=float)
     if f.shape != x.shape or not np.all((f >= 0.0) & (f <= 1.0)):
         raise ParameterError("cdf must return one finite value in [0, 1] per sample")
-    steps = np.arange(n + 1) / n  # the empirical cdf on each side of each sample
-    d = float(max(np.max(steps[1:] - f), np.max(f - steps[:-1])))
+    d = float(ks_statistic(np.arange(1, n + 1) / n, f))
     return d, min(1.0, 2.0 * float(scipy.special.smirnov(n, d)))
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
+from . import tolerances as tol
 from .errors import ParameterError, PoleError
 from .opuc import TWO_PI, DeformedCoeffs, EnsembleParams, circle_angles, law_tilt, nonnegative_tilt
 
@@ -105,7 +106,7 @@ class DiskDensitySpec:
 
 def _near_nonpositive_integer(z: np.ndarray) -> np.ndarray:
     re, im = np.real(z), np.imag(z)
-    return (np.abs(im) < 1e-12) & (re < 0.5) & (np.abs(re - np.round(re)) < 1e-12)
+    return (re < 0.5) & (np.maximum(np.abs(im), np.abs(re - np.round(re))) < tol.GAMMA_POLE_TOL)
 
 
 def complex_log_gamma(z):
@@ -261,15 +262,17 @@ def _circle_point(psi):
 
 
 def lambda_delta_density(delta: complex, theta):
-    """Density of the tilted circle law against the uniform measure d(theta)/2pi."""
+    """Density of the tilted circle law against d(theta)/2pi, periodic; at theta = 0
+    its limit from above (inf when Re(delta) < 0)."""
     d = law_tilt(delta)
-    th = np.asarray(theta, dtype=float)
+    th = circle_angles(np.asarray(theta, dtype=float))
     c, m = d.real, d.imag
     log_norm = 2.0 * np.real(complex_log_gamma(1.0 + d)) - np.real(
         complex_log_gamma(1.0 + 2.0 * c)
     )
-    with np.errstate(divide="ignore"):
-        log_tilt = 2.0 * c * np.log(2.0 * np.abs(np.sin(0.5 * th))) + m * (th - np.pi)
+    with np.errstate(divide="ignore"):  # |1 - e^{i theta}|^0 = 1, also at theta = 0
+        log_abs = np.log(2.0 * np.sin(0.5 * th)) if c else 0.0
+        log_tilt = 2.0 * c * log_abs + m * (th - np.pi)
     out = np.exp(log_norm + log_tilt)
     return float(out) if np.isscalar(theta) else out
 

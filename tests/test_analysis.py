@@ -389,6 +389,23 @@ class TestKSDistance:
         ref = scipy.stats.kstest(samples, cdf).statistic
         assert abs(ours - ref) < 1e-12
 
+    def test_measure_against_measure_with_shared_and_tied_atoms(self):
+        # weights in sixteenths make every partial sum exact, so the brute-force
+        # sup of |F_a - F_b| over both one-sided values at every atom is exact too
+        gen = np.random.default_rng(17)
+        angles = np.linspace(0.0, 6.0, 13)
+        for _ in range(200):
+            a, b = (
+                EmpiricalMeasure(gen.choice(angles, k), gen.multinomial(16, np.ones(k) / k) / 16)
+                for k in gen.integers(1, 9, size=2)
+            )
+            ref = max(
+                abs(a.weights[side(a.thetas, t)].sum() - b.weights[side(b.thetas, t)].sum())
+                for t in np.union1d(a.thetas, b.thetas)
+                for side in (np.less, np.less_equal)
+            )
+            assert ks_distance(a, b) == ks_distance(b, a) == ref
+
     def test_two_callables_rejected(self):
         cdf = lambda t: np.asarray(t) / TWO_PI  # noqa: E731
         with pytest.raises(ParameterError):

@@ -88,10 +88,10 @@ def test_ks_pvalue_is_scipys_kstest_where_the_tail_is_exact():
 def test_ks_statistic_is_scipys_at_small_n():
     gen = np.random.default_rng(9)
     for n in (1, 2, 3, 10, 141):
-        x = gen.uniform(size=n) ** 1.3
-        d, p = ks_pvalue(x, _unit_cdf)
-        assert d == scipy.stats.kstest(x, _unit_cdf).statistic
-        assert 0.0 < p <= 1.0
+        for x in (gen.uniform(size=n) ** 1.3, np.round(gen.uniform(size=n), 1)):  # and with ties
+            d, p = ks_pvalue(x, _unit_cdf)
+            assert d == scipy.stats.kstest(x, _unit_cdf).statistic
+            assert 0.0 < p <= 1.0
 
 
 @pytest.mark.parametrize("samples, cdf", [

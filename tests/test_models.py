@@ -351,6 +351,14 @@ def _batched(row):
         return type(exc)
 
 
+def _trace(row):
+    """Tr U from the coefficients alone: gamma_0 - sum_{k>=1} gamma_k conj(gamma_{k-1}) ph_{k-1},
+    ph_j = (1 - gamma_j)/(1 - conj(gamma_j)), with the last coefficient put on the circle."""
+    g = np.append(row[:-1], row[-1] / abs(row[-1]))
+    ph = (1.0 - g) / (1.0 - np.conj(g))
+    return g[0] - np.sum(g[1:] * np.conj(g[:-1]) * ph[:-1])
+
+
 class TestBatchedSpectra:
     # coefficient rows drawn per (beta, delta) at each n
     ROWS = {2: 30, 8: 30, 16: 10, 50: 6, 200: 1, 400: 1}
@@ -361,7 +369,7 @@ class TestBatchedSpectra:
     ])
     def test_matches_schur_oracle_on_identical_gammas(self, n, solver, monkeypatch):
         monkeypatch.setattr(models, "CAYLEY_MIN_N", n + 1 if solver == "eig" else n)
-        worst_theta = worst_weight = 0.0
+        worst_theta = worst_weight = worst_trace = 0.0
         for beta in (0.5, 2.0, 4.0):
             for delta in (0.0, 1.0, 1 + 1j, 0.5 * beta * n):
                 params = EnsembleParams(n, beta, delta)
@@ -379,12 +387,14 @@ class TestBatchedSpectra:
                     singles.append(got)
                     worst_theta = max(worst_theta, np.max(np.abs(got[0][0] - want.thetas)))
                     worst_weight = max(worst_weight, np.max(np.abs(got[1][0] - want.weights)))
+                    worst_trace = max(worst_trace, abs(np.exp(1j * got[0][0]).sum() - _trace(row)))
                 if len(kept) > 1:  # a block gives each row's result
                     thetas, weights = spectra_from_gammas(np.array(kept))
                     assert np.array_equal(thetas, np.concatenate([t for t, _ in singles]))
                     assert np.array_equal(weights, np.concatenate([w for _, w in singles]))
         assert worst_theta <= 1e-13  # the Rayleigh quotients give 8e-15 on this grid
         assert worst_weight <= 1e-12
+        assert worst_trace <= 1e-12  # 3.7e-13 at n = 400 (Cayley) on this grid
 
     def test_chunking_does_not_change_output(self, monkeypatch):
         gammas = sample_eta_batch(SeededRng(41), EnsembleParams(8, 2.0, 1.0), 300)

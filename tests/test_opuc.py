@@ -34,6 +34,7 @@ from circjacobi import (
 )
 from circjacobi.opuc import (
     TWO_PI,
+    _arnoldi_alphas,
     alpha_rows,
     circle_angles,
     coeffs_from_pairs,
@@ -353,6 +354,21 @@ class TestVerblunskyFromMeasure:
         measure = spectral_measure(ggt_from_alpha(coeffs))
         back = verblunsky_from_measure(measure)
         assert np.max(np.abs(back.alphas - coeffs.alphas)) < 1e-8
+
+    @pytest.mark.parametrize("delta", [1.0, 1 + 0.5j, 2.5])
+    def test_tilted_circle_law_has_closed_form_gammas(self, delta):
+        # the beta = 2 oracle: the weight of `lambda_delta_density` has
+        # gamma_k = -delta/(k + 1 + conj(delta)).  Arnoldi runs on a 2^16-node
+        # midpoint rule; the first 12 gammas depend only on the 12 alphas, so any
+        # unimodular last entry will do.  The rule reads 2e-16 to 4e-16 here; at
+        # delta = 0.2 - 2i the weight's cusp at theta = 0 limits it to 1.3e-6
+        count, nodes = 12, 2**16
+        thetas = (np.arange(nodes) + 0.5) * (TWO_PI / nodes)
+        weights = lambda_delta_density(delta, thetas)
+        alphas = _arnoldi_alphas(thetas, weights / weights.sum(), count)
+        gammas = gamma_from_alpha(VerblunskyCoeffs(np.append(alphas, 1.0))).gammas[:count]
+        k = np.arange(count)
+        assert np.max(np.abs(gammas + delta / (k + 1 + np.conj(delta)))) <= 1e-14
 
     def test_nearly_coincident_atoms_rejected(self):
         measure = SpectralMeasure([1.0, 1.0 + 1e-8, 3.0], [0.3, 0.3, 0.4])

@@ -20,12 +20,15 @@ from circjacobi import (
     complex_log_gamma,
     gamma_k_density,
     lambda_delta_density,
+    limit_params,
     moment_one_minus_gamma,
+    potential_q,
     sample_eta,
     sample_eta_batch,
     sample_gamma_k,
     sample_lambda_delta,
     sample_nu_s,
+    w_d,
 )
 from circjacobi.gof import (
     circle_angle_chi2,
@@ -231,6 +234,26 @@ class TestLambdaDelta:
                 lambda t: lambda_delta_density(delta, t), 0.0, TWO_PI, limit=200
             )
             assert abs(total / TWO_PI - 1.0) < 1e-8
+
+    def test_density_at_zero_is_its_limit_from_above(self):
+        # |1 - e^{i theta}|^0 = 1 at Re(delta) = 0; a pole at Re(delta) < 0
+        assert lambda_delta_density(1j, 0.0) == lambda_delta_density(1j, 1e-300)
+        assert lambda_delta_density(-0.25, 0.0) == np.inf
+        assert lambda_delta_density(1.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("f", [
+    *(lambda t, d=d: w_d(limit_params(d), t) for d in (0.0, 1 + 0.5j, 1j)),
+    *(lambda t, d=d: lambda_delta_density(d, t) for d in (1 + 1j, 1j, -0.25)),
+    lambda t: potential_q(1 + 0.5j, t),
+], ids=["w_d-0", "w_d-1+0.5i", "w_d-i", "lambda-1+i", "lambda-i", "lambda--0.25", "potential_q"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(1e-3, TWO_PI - 1e-3), k=st.integers(-3, 3))
+def test_angle_functions_are_periodic(f, theta, k):
+    # theta + 2 pi k rounds by about 1e-15, which moves the values by a relative
+    # 1e-12 at most near the singular points at 0 and 2 pi, and by an absolute
+    # 1.6e-7 at most at the square-root edges of the support of w_d
+    assert np.isclose(f(theta + TWO_PI * k), f(theta), rtol=1e-9, atol=1e-6)
 
 
 def half_angle_cdf(big_k, m):
