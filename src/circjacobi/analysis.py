@@ -21,7 +21,7 @@ from . import tolerances as tol
 from .errors import ParameterError, TruncationWarning
 from .gof import gauss_panels, ks_statistic, tilted_disk_power_moment
 from .opuc import TWO_PI, EnsembleParams, SpectralMeasure, circle_angles, nonnegative_tilt
-from .sampling import complex_log_gamma
+from .sampling import complex_log_gamma, log_tilt_mass
 
 __all__ = [
     "LimitParams",
@@ -192,15 +192,17 @@ def mu_d_moment(params: LimitParams, k: int) -> complex:
 def mellin_fourier(params: EnsembleParams, s, t) -> complex:
     """Joint transform E[|Z|^t exp(i s arg Z)] of Z = det(Id - U).
 
-    Closed log-gamma product over the independent coefficient factors;
-    requires finite s and t with Re(t) > -1/2.
+    Closed log-gamma product over the independent coefficient factors, written
+    out independently of `log_tilt_mass`; requires finite s and t with
+    Re(t) > -1/2 and Re(1 + 2 Re(delta) + t) > 0, where E|Z|^t converges.
     """
     t = complex(t)
     s = complex(s)
-    if not (np.isfinite(s) and np.isfinite(t) and t.real > -0.5):
-        raise ParameterError(f"need finite s and t with Re(t) > -1/2, got s={s}, t={t}")
     d = params.delta
     two_c = 2.0 * d.real
+    if not (np.isfinite(s) and np.isfinite(t) and t.real > -0.5 and 1.0 + two_c + t.real > 0):
+        raise ParameterError("need finite s and t with Re(t) > -1/2 and "
+                             f"Re(1 + 2 Re(delta) + t) > 0, got s={s}, t={t}, delta={d}")
     x = params.beta_half * np.arange(params.n) + 1.0
     log_terms = (
         complex_log_gamma(x + d)
@@ -225,24 +227,14 @@ def log_partition_zst(n: int, beta: float, s, t) -> complex:
 
     The normalization is d(theta_j)/2pi per angle, so s = t = 0 gives
     Gamma(beta' n + 1) / Gamma(beta' + 1)^n with beta' = beta/2.  Requires
-    an `EnsembleParams` pair (n, beta) and finite s and t.
+    an `EnsembleParams` pair (n, beta) and (0, s, t) in the domain of
+    `log_tilt_mass`: finite s and t with Re(1 + s + t) > 0.
     """
     params = EnsembleParams(n, beta)
     n, bh = params.n, params.beta_half
-    s = complex(s)
-    t = complex(t)
-    if not (np.isfinite(s) and np.isfinite(t)):
-        raise ParameterError(f"need finite s and t, got s={s}, t={t}")
-    x = bh * np.arange(n) + 1.0
-    terms = (
-        complex_log_gamma(x)
-        + complex_log_gamma(x + s + t)
-        - complex_log_gamma(x + s)
-        - complex_log_gamma(x + t)
-    )
-    return complex(
-        complex_log_gamma(bh * n + 1.0) - n * complex_log_gamma(bh + 1.0) + np.sum(terms)
-    )
+    ell = bh * np.arange(n)
+    terms = complex_log_gamma(ell + 1.0) + log_tilt_mass(ell, s, t)
+    return complex(complex_log_gamma(bh * n + 1.0) - n * complex_log_gamma(bh + 1.0) + np.sum(terms))
 
 
 def partition_zst(n: int, beta: float, s, t) -> complex:

@@ -26,6 +26,7 @@ from .sampling import (
     complex_log_gamma,
     gamma_k_density,
     lambda_delta_density,
+    log_tilt_mass,
 )
 
 __all__ = [
@@ -245,42 +246,23 @@ def disk_integral_quad(ell: float, s, t) -> complex:
 
 
 def disk_integral_closed(ell: float, s, t) -> complex:
-    """Closed form pi Gamma(ell) Gamma(ell+1+s+t) / (Gamma(ell+1+s) Gamma(ell+1+t))."""
-    s = complex(s)
-    t = complex(t)
-    return np.pi * complex(
-        np.exp(
-            complex_log_gamma(ell)
-            + complex_log_gamma(ell + 1.0 + s + t)
-            - complex_log_gamma(ell + 1.0 + s)
-            - complex_log_gamma(ell + 1.0 + t)
-        )
-    )
+    """Closed form pi Gamma(ell) Gamma(ell+1+s+t) / (Gamma(ell+1+s) Gamma(ell+1+t)),
+    pi Gamma(ell) exp(`log_tilt_mass`), on the domain of that kernel with ell > 0."""
+    if ell <= 0:
+        raise ParameterError("need ell > 0")
+    return np.pi * complex(np.exp(log_tilt_mass(ell, s, t) + complex_log_gamma(ell)))
 
 
 def tilted_disk_power_moment(a: float, delta: complex, u, v) -> complex:
     """E[(1-z)^u (1-conj z)^v] under the coefficient law with radial exponent a.
 
-    Needs a finite a >= 0 (a = 0 degenerates to the tilted circle law), delta
-    in the law's domain (`law_tilt`) and finite u, v.  Follows from the disk
-    integral identity applied twice (tilt absorbed into the exponents).
+    Needs delta in the law's domain (`law_tilt`) and (a, conj(delta) + u,
+    delta + v) in the domain of `log_tilt_mass`; a = 0 degenerates to the
+    tilted circle law.  The tilt is absorbed into the exponents, so the
+    moment is a ratio of two values of that kernel.
     """
     d = law_tilt(delta)
-    u = complex(u)
-    v = complex(v)
-    if not (0 <= a < np.inf and np.isfinite(u) and np.isfinite(v)):
-        raise ParameterError(f"need a finite a >= 0 and finite u, v, got a={a!r}, u={u}, v={v}")
-    two_c = 2.0 * d.real
-    return complex(
-        np.exp(
-            complex_log_gamma(a + 1.0 + d)
-            + complex_log_gamma(a + 1.0 + np.conj(d))
-            + complex_log_gamma(a + 1.0 + two_c + u + v)
-            - complex_log_gamma(a + 1.0 + two_c)
-            - complex_log_gamma(a + 1.0 + np.conj(d) + u)
-            - complex_log_gamma(a + 1.0 + d + v)
-        )
-    )
+    return complex(np.exp(log_tilt_mass(a, np.conj(d) + u, d + v) - log_tilt_mass(a, np.conj(d), d)))
 
 
 def partition_quad(n: int, beta: float, s, t) -> complex:

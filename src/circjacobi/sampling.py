@@ -37,6 +37,7 @@ bit-identical output on the same build.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "SeededRng",
     "DiskDensitySpec",
     "complex_log_gamma",
+    "log_tilt_mass",
     "sample_nu_s",
     "sample_lambda_delta",
     "lambda_delta_density",
@@ -113,13 +115,37 @@ def complex_log_gamma(z):
     """Principal-branch log Gamma for complex arguments.
 
     Accurate to ~1e-15 relative away from poles; raises `PoleError` at the
-    nonpositive integers.
+    nonpositive integers and `ParameterError` at a non-finite argument.
     """
     arr = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("log Gamma needs a finite argument")
     if np.any(_near_nonpositive_integer(arr)):
         raise PoleError("log Gamma pole at a nonpositive integer")
     out = scipy.special.loggamma(arr)
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
+
+
+def log_tilt_mass(ell, s, t):
+    """log Gamma(ell+1+s+t) - log Gamma(ell+1+s) - log Gamma(ell+1+t), the one
+    closed form behind the coefficient laws' normalizers and moments.
+
+    For ell > 0 it is the log of the integral of (1-|z|^2)^(ell-1) (1-z)^s
+    (1-conj z)^t over the disk, divided by pi Gamma(ell); at ell = 0 the log
+    of the mean of (1-z)^s (1-conj z)^t on the circle against d(theta)/2pi.
+    `ell` is a scalar or an array.  Raises `ParameterError` unless ell is
+    finite and >= 0, s and t are finite and the integral converges,
+    Re(ell+1+s+t) > 0; `PoleError` where ell+1+s or ell+1+t is a nonpositive
+    integer (the integral vanishes there).
+    """
+    x = np.asarray(ell, dtype=float)
+    s, t = complex(s), complex(t)
+    if not (np.all(np.isfinite(x) & (x >= 0)) and np.isfinite(s) and np.isfinite(t)
+            and np.all(x + 1.0 + s.real + t.real > 0)):
+        raise ParameterError("need finite ell >= 0 and finite s, t with Re(ell+1+s+t) > 0, "
+                             f"got ell={ell!r}, s={s}, t={t}")
+    x = x + 1.0
+    return complex_log_gamma(x + s + t) - complex_log_gamma(x + s) - complex_log_gamma(x + t)
 
 
 def sample_nu_s(rng: SeededRng, s: float, size=None):
@@ -267,9 +293,7 @@ def lambda_delta_density(delta: complex, theta):
     d = law_tilt(delta)
     th = circle_angles(np.asarray(theta, dtype=float))
     c, m = d.real, d.imag
-    log_norm = 2.0 * np.real(complex_log_gamma(1.0 + d)) - np.real(
-        complex_log_gamma(1.0 + 2.0 * c)
-    )
+    log_norm = -np.real(log_tilt_mass(0.0, np.conj(d), d))
     with np.errstate(divide="ignore"):  # |1 - e^{i theta}|^0 = 1, also at theta = 0
         log_abs = np.log(2.0 * np.sin(0.5 * th)) if c else 0.0
         log_tilt = 2.0 * c * log_abs + m * (th - np.pi)
@@ -282,13 +306,8 @@ def disk_tilt_norm(a: float, delta: complex) -> float:
     (a, delta) that `DiskDensitySpec` accepts."""
     spec = DiskDensitySpec(a, delta)
     a, d = spec.a, spec.delta
-    log_c = (
-        2.0 * np.real(complex_log_gamma(a + 1.0 + d))
-        - np.real(complex_log_gamma(a))
-        - np.real(complex_log_gamma(a + 1.0 + 2.0 * d.real))
-        - np.log(np.pi)
-    )
-    return float(np.exp(log_c))
+    log_mass = np.real(complex_log_gamma(a) + log_tilt_mass(a, np.conj(d), d))
+    return float(np.exp(-log_mass) / np.pi)
 
 
 def gamma_k_density(spec: DiskDensitySpec, z):
@@ -301,9 +320,7 @@ def gamma_k_density(spec: DiskDensitySpec, z):
     if np.any(np.abs(zz) >= 1.0):
         raise ParameterError("density is defined on |z| < 1 only")
     d = spec.delta
-    if d.real < 0 and np.any(np.abs(1.0 - zz) < 1e-6):
-        import warnings
-
+    if d.real < 0 and np.any(np.abs(1.0 - zz) < tol.DENSITY_POLE_RADIUS):
         warnings.warn("density has a pole at z = 1 for Re(delta) < 0", RuntimeWarning)
     base = disk_tilt_norm(spec.a, d) * (1.0 - np.abs(zz) ** 2) ** (spec.a - 1.0)
     tilt = np.exp(2.0 * np.real(np.conj(d) * np.log(1.0 - zz)))

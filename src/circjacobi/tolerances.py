@@ -55,6 +55,9 @@ LIMIT_RANGE_TOL = 1e-12
 # distance of a log Gamma argument from a nonpositive integer that raises `PoleError`
 GAMMA_POLE_TOL = 1e-12
 
+# |1 - z| below which `gamma_k_density` warns of its pole at z = 1 (Re(delta) < 0)
+DENSITY_POLE_RADIUS = 1e-6
+
 # angular partition function against quadrature, relative
 PARTITION_REL_TOL = 1e-5
 

@@ -150,6 +150,11 @@ class TestMellinFourier:
         with pytest.raises(ParameterError):
             mellin_fourier(EnsembleParams(2, 2.0, 0.0), 0.0, -0.6)
 
+    def test_divergent_at_negative_tilt(self):
+        # E|Z|^-0.3 with |1 - z|^-0.9 tilting the one circle factor diverges
+        with pytest.raises(ParameterError):
+            mellin_fourier(EnsembleParams(1, 2.0, -0.45), 0.0, -0.3)
+
     @pytest.mark.parametrize("s,t", [
         (0.0, complex(1.0, np.nan)), (np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf),
     ])

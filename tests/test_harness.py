@@ -433,9 +433,14 @@ class TestQuadratureOracles:
             assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (ell, s, t)
 
     def test_disk_integral_rejects_nonpositive_ell(self):
-        for ell in (0.0, -0.5):
+        for integral in (gof.disk_integral_quad, gof.disk_integral_closed):
+            for ell in (0.0, -0.5):
+                with pytest.raises(ParameterError):
+                    integral(ell, 1.0, 1.0)
+        for ell, s, t in ((np.inf, 1.0, 1.0), (np.nan, 1.0, 1.0), (1.0, np.inf, 1.0),
+                          (1.0, 1.0, complex(0.0, np.nan))):
             with pytest.raises(ParameterError):
-                gof.disk_integral_quad(ell, 1.0, 1.0)
+                gof.disk_integral_closed(ell, s, t)
 
     def test_partition_matches_closed_form(self):
         for n, beta, s, t in CRITERION_08_CASES + verify_inputs(check_partition_quadrature):

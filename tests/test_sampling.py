@@ -4,6 +4,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -21,7 +22,10 @@ from circjacobi import (
     gamma_k_density,
     lambda_delta_density,
     limit_params,
+    log_partition_zst,
+    log_tilt_mass,
     moment_one_minus_gamma,
+    partition_zst,
     potential_q,
     sample_eta,
     sample_eta_batch,
@@ -33,6 +37,7 @@ from circjacobi import (
 from circjacobi.gof import (
     circle_angle_chi2,
     disk_coefficient_chi2,
+    disk_integral_closed,
     disk_integral_quad,
     tilted_disk_power_moment,
 )
@@ -118,8 +123,6 @@ class TestComplexLogGamma:
         assert abs(complex_log_gamma(0.5) - np.log(np.sqrt(np.pi))) < 1e-14
 
     def test_against_high_precision_oracle(self):
-        import mpmath
-
         for z in (3 + 4j, 0.1 - 2.3j, 12.7 + 0.9j, -1.5 + 0.5j):
             with mpmath.workdps(40):
                 ref = complex(mpmath.loggamma(mpmath.mpc(z)))
@@ -131,6 +134,87 @@ class TestComplexLogGamma:
             complex_log_gamma(0.0)
         with pytest.raises(PoleError):
             complex_log_gamma(-3.0)
+
+    @pytest.mark.parametrize("z", [
+        np.inf, -np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 1.0), [1.0, np.inf],
+    ])
+    def test_non_finite_argument_raises(self, z):
+        with pytest.raises(ParameterError):
+            complex_log_gamma(z)
+
+
+def _mp_log_tilt_mass(ell, s, t):
+    x = mpmath.mpf(ell) + 1
+    s, t = mpmath.mpc(s), mpmath.mpc(t)
+    return mpmath.loggamma(x + s + t) - mpmath.loggamma(x + s) - mpmath.loggamma(x + t)
+
+
+def _mp_rel_err(got, ref):
+    return float(abs(mpmath.mpc(got) - ref) / abs(ref))
+
+
+class TestLogTiltMass:
+    def test_closed_forms_against_high_precision_oracle(self):
+        # a in [0, 50] (a = 0 the circle), |delta| <= 28 and Re u, Re v in [-0.4, 3];
+        # errors of the kernel and of log_partition_zst are taken on exp(log), so they
+        # are relative errors of the mass and of the partition function
+        rng = np.random.default_rng(29)
+        worst = dict.fromkeys(("kernel", "moment", "disk", "norm", "partition"), 0.0)
+        with mpmath.workdps(40):
+            for case in range(300):
+                a = 0.0 if case % 10 == 0 else rng.uniform(0.0, 50.0)
+                d = complex(rng.uniform(-0.05, 20.0), rng.uniform(-20.0, 20.0))
+                d *= min(1.0, 28.0 / abs(d))
+                u, v = (complex(rng.uniform(-0.4, 3.0), rng.uniform(-3.0, 3.0)) for _ in "uv")
+                s, t = np.conj(d) + u, d + v
+                ref = _mp_log_tilt_mass(a, s, t)
+                untilted = _mp_log_tilt_mass(a, np.conj(d), d)
+                worst["kernel"] = max(worst["kernel"], _mp_rel_err(
+                    mpmath.exp(log_tilt_mass(a, s, t) - ref), 1))
+                worst["moment"] = max(worst["moment"], _mp_rel_err(
+                    tilted_disk_power_moment(a, d, u, v), mpmath.exp(ref - untilted)))
+                n = int(rng.integers(1, 9))
+                bh = a / (n - 1) if n > 1 and a > 0 else 1.0
+                log_z = mpmath.loggamma(bh * n + 1) - n * mpmath.loggamma(bh + 1) + mpmath.fsum(
+                    mpmath.loggamma(bh * k + 1) + _mp_log_tilt_mass(bh * k, s, t) for k in range(n))
+                worst["partition"] = max(worst["partition"], _mp_rel_err(
+                    mpmath.exp(log_partition_zst(n, 2.0 * bh, s, t) - log_z), 1))
+                if a > 0:
+                    gamma_a = mpmath.gamma(a)
+                    worst["disk"] = max(worst["disk"], _mp_rel_err(
+                        disk_integral_closed(a, s, t), mpmath.pi * gamma_a * mpmath.exp(ref)))
+                    worst["norm"] = max(worst["norm"], _mp_rel_err(
+                        disk_tilt_norm(a, d), 1 / (mpmath.pi * gamma_a * mpmath.exp(untilted.real))))
+        assert max(worst.values()) <= 1e-12, worst
+
+    def test_array_ell_matches_scalars(self):
+        ell = np.array([0.0, 0.5, 3.0, 41.5])
+        got = log_tilt_mass(ell, 0.3 - 2j, 1.1 + 2j)
+        assert np.array_equal(got, [log_tilt_mass(x, 0.3 - 2j, 1.1 + 2j) for x in ell])
+
+    @pytest.mark.parametrize("ell,s,t", [
+        (-0.1, 0.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), ([0.0, -1.0], 0.0, 0.0),
+        (1.0, np.inf, 0.0), (1.0, 0.0, complex(0.0, np.nan)),
+        (0.0, -0.6, -0.6), (0.5, -1.0 + 3j, -0.6 - 3j), ([1.0, 0.0], -0.6, -0.6),
+    ])
+    def test_domain(self, ell, s, t):
+        with pytest.raises(ParameterError):
+            log_tilt_mass(ell, s, t)
+
+    def test_vanishing_integral_is_a_pole(self):
+        # the circle mean of (1 - z)^-1 (1 - conj z)^2 = -conj(z) (1 - conj z) is 0
+        with pytest.raises(PoleError):
+            log_tilt_mass(0.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: tilted_disk_power_moment(0.0, 0.0, -0.6, -0.6),
+        lambda: partition_zst(1, 2.0, -0.6, -0.6),
+        lambda: moment_one_minus_gamma(3, EnsembleParams(4, 2.0, 0.0), -1.2),
+    ])
+    def test_divergent_integrals_raise(self, call):
+        # each integrates |1 - z|^-1.2, times a bounded factor, on the uniform circle: divergent
+        with pytest.raises(ParameterError):
+            call()
 
 
 class TestSeededRng:
