@@ -219,7 +219,7 @@ def moment_one_minus_gamma(k: int, params: EnsembleParams, s) -> complex:
     """E[(1 - gamma_k)^s] for coefficient index k (the last one included)."""
     if not 0 <= k < params.n or int(k) != k:
         raise ParameterError(f"coefficient index {k!r} is not an integer in 0..{params.n - 1}")
-    return tilted_disk_power_moment(params.beta_half * (params.n - k - 1), params.delta, s, 0.0)
+    return tilted_disk_power_moment(params.radial_exponents[int(k)], params.delta, s, 0.0)
 
 
 def log_partition_zst(n: int, beta: float, s, t) -> complex:
@@ -231,8 +231,7 @@ def log_partition_zst(n: int, beta: float, s, t) -> complex:
     `log_tilt_mass`: finite s and t with Re(1 + s + t) > 0.
     """
     params = EnsembleParams(n, beta)
-    n, bh = params.n, params.beta_half
-    ell = bh * np.arange(n)
+    n, bh, ell = params.n, params.beta_half, params.radial_exponents[::-1]
     terms = complex_log_gamma(ell + 1.0) + log_tilt_mass(ell, s, t)
     return complex(complex_log_gamma(bh * n + 1.0) - n * complex_log_gamma(bh + 1.0) + np.sum(terms))
 

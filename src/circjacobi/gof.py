@@ -20,13 +20,14 @@ import numpy as np
 import scipy
 
 from .errors import ParameterError
-from .opuc import TWO_PI, circle_angles, law_tilt
+from .opuc import TWO_PI, EnsembleParams, circle_angles, law_tilt
 from .sampling import (
     DiskDensitySpec,
     complex_log_gamma,
     gamma_k_density,
     lambda_delta_density,
     log_tilt_mass,
+    tilt_mass_domain,
 )
 
 __all__ = [
@@ -235,12 +236,14 @@ def disk_integral_quad(ell: float, s, t) -> complex:
     the radial rule is Gauss-Jacobi in w with that endpoint weight (the fourth
     root smooths the powers of 1 - u), and the angular rule at every radial
     node is the one graded toward theta = 0, all evaluated as one array.
+    Needs ell > 0 and (ell, s, t) in `tilt_mass_domain`, where the integral converges.
     """
-    if ell <= 0:
+    ell, s, t = tilt_mass_domain(ell, s, t)
+    if not ell > 0:
         raise ParameterError("need ell > 0")
     x, weights = scipy.special.roots_jacobi(_RADIAL_NODES, 0.0, 4.0 * ell - 1.0)
     w = 0.5 * (1.0 + x)  # the rule on [-1, 1] moved to [0, 1]
-    angular = _tilt(1.0 - w[:, None] ** 4, _CIRCLE_X, complex(s), complex(t)) @ _CIRCLE_W
+    angular = _tilt(1.0 - w[:, None] ** 4, _CIRCLE_X, s, t) @ _CIRCLE_W
     # d^2z = du dtheta / 2, and w^(4 ell-1) dw = 2^(-4 ell) (1+x)^(4 ell-1) dx
     return complex(2.0 ** (1.0 - 4.0 * ell) * (weights @ angular))
 
@@ -253,8 +256,9 @@ def disk_integral_closed(ell: float, s, t) -> complex:
     return np.pi * complex(np.exp(log_tilt_mass(ell, s, t) + complex_log_gamma(ell)))
 
 
-def tilted_disk_power_moment(a: float, delta: complex, u, v) -> complex:
-    """E[(1-z)^u (1-conj z)^v] under the coefficient law with radial exponent a.
+def tilted_disk_power_moment(a, delta: complex, u, v):
+    """E[(1-z)^u (1-conj z)^v] under the coefficient law with radial exponent a: a
+    complex, or at an array of exponents the array of moments.
 
     Needs delta in the law's domain (`law_tilt`) and (a, conj(delta) + u,
     delta + v) in the domain of `log_tilt_mass`; a = 0 degenerates to the
@@ -262,7 +266,8 @@ def tilted_disk_power_moment(a: float, delta: complex, u, v) -> complex:
     moment is a ratio of two values of that kernel.
     """
     d = law_tilt(delta)
-    return complex(np.exp(log_tilt_mass(a, np.conj(d) + u, d + v) - log_tilt_mass(a, np.conj(d), d)))
+    out = np.exp(log_tilt_mass(a, np.conj(d) + u, d + v) - log_tilt_mass(a, np.conj(d), d))
+    return complex(out) if np.ndim(a) == 0 else out
 
 
 def partition_quad(n: int, beta: float, s, t) -> complex:
@@ -275,24 +280,24 @@ def partition_quad(n: int, beta: float, s, t) -> complex:
     integral is sum_k c_k F_k F_{-k} over the tilted Fourier coefficients F_k.
     For other beta the inner rule at each outer node theta_1 is graded also
     toward theta_2 = theta_1, where the Vandermonde factor is not smooth.
+    Needs an `EnsembleParams` pair (n, beta) and (0, s, t) in `tilt_mass_domain`.
     """
-    s = complex(s)
-    t = complex(t)
+    if EnsembleParams(n, beta).n > 2:
+        raise ParameterError("brute-force partition quadrature supports n in {1, 2}")
+    _, s, t = tilt_mass_domain(0.0, s, t)
     weights = _CIRCLE_W * _tilt(1.0, _CIRCLE_X, s, t)
     if n == 1:
         return complex(weights.sum()) / TWO_PI
-    if n == 2:
-        if beta % 2.0 == 0.0:
-            m = int(beta) // 2
-            k = np.arange(-m, m + 1)
-            coeffs = (-1.0) ** k * scipy.special.comb(2 * m, m + k)
-            fourier = np.exp(1j * k[:, None] * _CIRCLE_X) @ weights
-            total = coeffs @ (fourier * fourier[::-1])
-        else:
-            total = 0.0
-            for th1, w1 in zip(_CIRCLE_X, weights):
-                th2, w2 = _circle_rule([0.0, th1])
-                vdm = np.abs(2.0 * np.sin(0.5 * (th1 - th2))) ** beta
-                total += w1 * ((w2 * _tilt(1.0, th2, s, t)) @ vdm)
-        return complex(total) / TWO_PI**2
-    raise ParameterError("brute-force partition quadrature supports n in {1, 2}")
+    if beta % 2.0 == 0.0:
+        m = int(beta) // 2
+        k = np.arange(-m, m + 1)
+        coeffs = (-1.0) ** k * scipy.special.comb(2 * m, m + k)
+        fourier = np.exp(1j * k[:, None] * _CIRCLE_X) @ weights
+        total = coeffs @ (fourier * fourier[::-1])
+    else:
+        total = 0.0
+        for th1, w1 in zip(_CIRCLE_X, weights):
+            th2, w2 = _circle_rule([0.0, th1])
+            vdm = np.abs(2.0 * np.sin(0.5 * (th1 - th2))) ** beta
+            total += w1 * ((w2 * _tilt(1.0, th2, s, t)) @ vdm)
+    return complex(total) / TWO_PI**2

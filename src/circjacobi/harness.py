@@ -378,14 +378,15 @@ def _worst(values) -> float:
 def _size_groups(corpus):
     """Each coefficient size of a corpus, in order of first appearance.
 
-    Yields the alphas of its sets stacked (count, n) and the deformed
-    coefficients (`gamma_from_alpha`) of each set.
+    Yields the alphas of its sets stacked (count, n) and their deformed
+    coefficients, one `gamma_rows` call per size.
     """
     groups: dict[int, list] = {}
     for coeffs in corpus:
-        groups.setdefault(coeffs.n, []).append(coeffs)
+        groups.setdefault(coeffs.n, []).append(coeffs.alphas)
     for group in groups.values():
-        yield np.stack([c.alphas for c in group]), [opuc.gamma_from_alpha(c) for c in group]
+        alphas = np.stack(group)
+        yield alphas, opuc.gamma_rows(alphas)
 
 
 def _row_spreads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,9 +400,8 @@ def check_factorization(corpus, *, inject_bug: bool = False) -> CheckResult:
     One stack of each model per coefficient size; the spreads are per set.
     """
     spreads = []
-    for alphas, deformed in _size_groups(corpus):
+    for alphas, gammas in _size_groups(corpus):
         ggt = models.ggt_rows(alphas, _alpha_init=1.0 if inject_bug else -1.0)
-        gammas = np.stack([d.gammas for d in deformed])
         spreads += [_row_spreads(ggt, models.agr_rows(alphas)),
                     _row_spreads(ggt, models.reflection_rows(gammas))]
     worst = _worst(np.concatenate(spreads))
@@ -417,10 +417,10 @@ def check_char_poly(corpus) -> CheckResult:
     stacked LU determinant.
     """
     errors = []
-    for alphas, deformed in _size_groups(corpus):
+    for alphas, gammas in _size_groups(corpus):
         dets = np.linalg.det(np.eye(alphas.shape[1]) - models.ggt_rows(alphas))
-        errors += [_rel_err(complex(det), opuc.char_poly_at_one(d))
-                   for det, d in zip(dets, deformed)]
+        errors += [_rel_err(complex(det), opuc.char_poly_at_one(opuc.DeformedCoeffs(g)))
+                   for det, g in zip(dets, gammas)]
     worst = _worst(errors)
     return CheckResult("char-poly-product", "deterministic",
                        worst <= tol.CHAR_POLY_REL_TOL, worst)
@@ -442,9 +442,8 @@ def check_cmv(coeffs: opuc.VerblunskyCoeffs) -> CheckResult:
 def check_coefficient_roundtrip(corpus) -> CheckResult:
     """alpha -> gamma -> alpha reproduces the coefficients, with one `alpha_rows` per size."""
     spreads = []
-    for alphas, deformed in _size_groups(corpus):
-        spreads.append(_row_spreads(opuc.alpha_rows(np.stack([d.gammas for d in deformed])),
-                                    alphas))
+    for alphas, gammas in _size_groups(corpus):
+        spreads.append(_row_spreads(opuc.alpha_rows(gammas), alphas))
     worst = _worst(np.concatenate(spreads))
     return CheckResult("coefficient-roundtrip", "deterministic",
                        worst <= tol.ROUNDTRIP_TOL, worst)
@@ -499,22 +498,14 @@ def check_partition_quadrature(cases) -> CheckResult:
     worst = _worst(_rel_err(gof.partition_quad(n, beta, s, t), analysis.partition_zst(n, beta, s, t))
                    for n, beta, s, t in cases)
     return CheckResult("partition-quadrature", "deterministic",
-                       worst <= tol.PARTITION_REL_TOL, worst)
+                       worst <= tol.QUAD_REL_TOL, worst)
 
 
 def check_mft_factorization(params: opuc.EnsembleParams, exponents) -> CheckResult:
     """The joint transform of det(Id - U) at each (s, t) factorizes over the coefficients."""
-    errors = []
-    for s, t in exponents:
-        whole = analysis.mellin_fourier(params, s, t)
-        parts = 1.0 + 0.0j
-        u, v = 0.5 * (t + s), 0.5 * (t - s)
-        for k in range(params.n):
-            parts *= gof.tilted_disk_power_moment(
-                params.beta_half * (params.n - k - 1), params.delta, u, v
-            )
-        errors.append(_rel_err(parts, whole))
-    worst = _worst(errors)
+    worst = _worst(_rel_err(np.prod(gof.tilted_disk_power_moment(
+        params.radial_exponents, params.delta, 0.5 * (t + s), 0.5 * (t - s))),
+        analysis.mellin_fourier(params, s, t)) for s, t in exponents)
     return CheckResult("mft-factorization", "deterministic", worst <= tol.STRUCTURAL_TOL, worst)
 
 
@@ -576,10 +567,8 @@ def check_weights_law(weights: np.ndarray, thetas: np.ndarray, beta_half: float)
     """
     reps, n = weights.shape
     first = weights[:, 0]
-    second = first**2
-    m1_dev = abs(first.mean() - 1.0 / n) / (first.std(ddof=1) / np.sqrt(reps))
-    m2_exact = (beta_half + 1.0) / (n * (n * beta_half + 1.0))
-    m2_dev = abs(second.mean() - m2_exact) / (second.std(ddof=1) / np.sqrt(reps))
+    m1_dev = se_deviation(first, 1.0 / n)
+    m2_dev = se_deviation(first**2, (beta_half + 1.0) / (n * (n * beta_half + 1.0)))
     c1 = abs(np.corrcoef(first, np.cos(thetas).sum(axis=1))[0, 1]) * np.sqrt(reps)
     c2 = abs(np.corrcoef(first, np.cos(2 * thetas).sum(axis=1))[0, 1]) * np.sqrt(reps)
     worst = _worst([m1_dev, m2_dev, c1, c2])
@@ -590,8 +579,8 @@ def check_weights_law(weights: np.ndarray, thetas: np.ndarray, beta_half: float)
 
 
 def se_deviation(x: np.ndarray, target: float) -> float:
-    """|mean(x) - target| in standard errors of the mean."""
-    return float(abs(x.mean() - target) / (x.std() / np.sqrt(x.size)))
+    """|mean(x) - target| in standard errors of the mean (sample deviation, ddof = 1)."""
+    return float(abs(x.mean() - target) / (x.std(ddof=1) / np.sqrt(x.size)))
 
 
 def check_coefficient_mean(z: np.ndarray) -> CheckResult:

@@ -47,6 +47,7 @@ __all__ = [
     "reflection_phases",
     "gamma_from_alpha",
     "alpha_from_gamma",
+    "gamma_rows",
     "alpha_rows",
     "check_coefficient_rows",
     "check_atom_rows",
@@ -111,6 +112,11 @@ class EnsembleParams:
     @property
     def beta_half(self) -> float:
         return 0.5 * self.beta
+
+    @property
+    def radial_exponents(self) -> np.ndarray:
+        """a_k = (beta/2) (n - k - 1) of coefficient k's law; a_{n-1} = 0, the circle law."""
+        return self.beta_half * np.arange(self.n - 1, -1, -1.0)
 
 
 def check_coefficient_rows(arr: np.ndarray) -> None:
@@ -262,7 +268,7 @@ def szego_polynomials(coeffs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reflection_phase(gammas):
-    """(1 - gamma) / (1 - conj(gamma)), the same arithmetic for arrays and NumPy scalars."""
+    """(1 - gamma) / (1 - conj(gamma)), unchecked."""
     return (1.0 - gammas) / (1.0 - gammas.conjugate())
 
 
@@ -283,37 +289,34 @@ def reflection_phases(gammas) -> np.ndarray:
     return _reflection_phase(g)
 
 
-def gamma_from_alpha(coeffs: VerblunskyCoeffs) -> DeformedCoeffs:
-    """Map plain coefficients to deformed ones.
-
-    gamma_0 = conj(alpha_0) and for k >= 1
-    gamma_k = conj(alpha_k) * prod_{j<k} conj(phase_j), phase_j the reflection
-    phase of gamma_j.  Moduli are preserved, so validity of the input gives
-    validity of the output.
-    """
-    conj_alphas = np.conj(coeffs.alphas)
-    gammas = []
-    phase = 1.0 + 0.0j
-    # NumPy scalar steps: the same arithmetic as the arrays of `reflection_phases`
+def gamma_rows(alphas) -> np.ndarray:
+    """Deformed coefficients of plain coefficient rows (last axis), any leading shape:
+    gamma_k = conj(alpha_k) prod_{j<k} conj(phase_j), phase_j the reflection phase of
+    gamma_j, one step per index over every row.  Raises as `reflection_phases` does;
+    the rows are not otherwise validated."""
+    g = np.conj(np.asarray(alphas, dtype=np.complex128))
+    phase = np.ones(g.shape[:-1], dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for conj_alpha in conj_alphas[:-1]:
-            gamma = conj_alpha * phase
-            gammas.append(gamma)
-            phase *= _reflection_phase(gamma).conjugate()
-    gammas.append(conj_alphas[-1] * phase)
-    # every gamma up to the first degenerate one is exact, so this names the
-    # same index as a check at each step would
-    reflection_phases(gammas[:-1])
-    return DeformedCoeffs(np.array(gammas))
+        # out-of-place products: an in-place one of length 1 rounds differently
+        for k in range(g.shape[-1]):
+            g[..., k] = g[..., k] * phase
+            phase = phase * _reflection_phase(g[..., k]).conjugate()
+    # each row is exact up to its first degenerate gamma, so this names that index
+    reflection_phases(g[..., :-1])
+    return g
+
+
+def gamma_from_alpha(coeffs: VerblunskyCoeffs) -> DeformedCoeffs:
+    """Map plain coefficients to deformed ones: the one-row case of `gamma_rows`.
+    Moduli are preserved, so validity of the input gives validity of the output."""
+    return DeformedCoeffs(gamma_rows(coeffs.alphas[None])[0])
 
 
 def alpha_rows(gammas) -> np.ndarray:
-    """Plain coefficients of deformed coefficient rows (last axis), any leading shape.
-
-    alpha_0 = conj(gamma_0) and alpha_k = conj(gamma_k) prod_{j<k} conj(phase_j),
-    phase_j the reflection phase of gamma_j: one `cumprod` along the rows.
-    Raises as `reflection_phases` does; the rows are not otherwise validated.
-    """
+    """Plain coefficients of deformed coefficient rows (last axis), any leading shape:
+    alpha_k = conj(gamma_k) prod_{j<k} conj(phase_j), phase_j the reflection phase of
+    gamma_j, one `cumprod` along the rows.  Raises as `reflection_phases` does; the
+    rows are not otherwise validated."""
     g = np.asarray(gammas, dtype=np.complex128)
     phases = np.cumprod(np.conj(reflection_phases(g[..., :-1])), axis=-1)
     ones = np.ones((*g.shape[:-1], 1), dtype=np.complex128)

@@ -51,6 +51,7 @@ __all__ = [
     "SeededRng",
     "DiskDensitySpec",
     "complex_log_gamma",
+    "tilt_mass_domain",
     "log_tilt_mass",
     "sample_nu_s",
     "sample_lambda_delta",
@@ -126,6 +127,17 @@ def complex_log_gamma(z):
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
+def tilt_mass_domain(ell, s, t) -> tuple[np.ndarray, complex, complex]:
+    """(ell as a float array, s, t as complex), raising `ParameterError` unless ell is finite
+    and >= 0, s and t are finite and Re(ell+1+s+t) > 0, where the integrals converge."""
+    x, s, t = np.asarray(ell, dtype=float), complex(s), complex(t)
+    if not (np.all(np.isfinite(x) & (x >= 0)) and np.isfinite(s) and np.isfinite(t)
+            and np.all(x + 1.0 + s.real + t.real > 0)):
+        raise ParameterError("need finite ell >= 0 and finite s, t with Re(ell+1+s+t) > 0, "
+                             f"got ell={ell!r}, s={s}, t={t}")
+    return x, s, t
+
+
 def log_tilt_mass(ell, s, t):
     """log Gamma(ell+1+s+t) - log Gamma(ell+1+s) - log Gamma(ell+1+t), the one
     closed form behind the coefficient laws' normalizers and moments.
@@ -133,17 +145,11 @@ def log_tilt_mass(ell, s, t):
     For ell > 0 it is the log of the integral of (1-|z|^2)^(ell-1) (1-z)^s
     (1-conj z)^t over the disk, divided by pi Gamma(ell); at ell = 0 the log
     of the mean of (1-z)^s (1-conj z)^t on the circle against d(theta)/2pi.
-    `ell` is a scalar or an array.  Raises `ParameterError` unless ell is
-    finite and >= 0, s and t are finite and the integral converges,
-    Re(ell+1+s+t) > 0; `PoleError` where ell+1+s or ell+1+t is a nonpositive
+    `ell` is a scalar or an array.  Raises `ParameterError` outside
+    `tilt_mass_domain`; `PoleError` where ell+1+s or ell+1+t is a nonpositive
     integer (the integral vanishes there).
     """
-    x = np.asarray(ell, dtype=float)
-    s, t = complex(s), complex(t)
-    if not (np.all(np.isfinite(x) & (x >= 0)) and np.isfinite(s) and np.isfinite(t)
-            and np.all(x + 1.0 + s.real + t.real > 0)):
-        raise ParameterError("need finite ell >= 0 and finite s, t with Re(ell+1+s+t) > 0, "
-                             f"got ell={ell!r}, s={s}, t={t}")
+    x, s, t = tilt_mass_domain(ell, s, t)
     x = x + 1.0
     return complex_log_gamma(x + s + t) - complex_log_gamma(x + s) - complex_log_gamma(x + t)
 
@@ -367,7 +373,7 @@ def sample_eta(rng: SeededRng, params: EnsembleParams) -> DeformedCoeffs:
     """One vector of independent deformed coefficients for the ensemble.
 
     Coefficient k < n-1 follows the disk law with radial exponent
-    a = (beta/2) (n - k - 1); the last one follows the tilted circle law.
+    `params.radial_exponents[k]`; the last one follows the tilted circle law.
     """
     return DeformedCoeffs(sample_eta_batch(rng, params, 1)[0])
 
@@ -381,7 +387,7 @@ def sample_eta_batch(rng: SeededRng, params: EnsembleParams, count: int) -> np.n
     if count < 1:
         raise ParameterError("count must be >= 1")
     n, d, gen = params.n, nonnegative_tilt(params.delta), rng.generator
-    a = params.beta_half * np.arange(n - 1, -1, -1.0)
+    a = params.radial_exponents
     psi = _half_angles(gen, a + d.real, d.imag, np.broadcast_to(np.arange(n), (count, n)))
     one_minus_t = gen.beta(a[:-1], a[:-1] + 2.0 * d.real + 1.0, size=(count, n - 1))
     out = np.empty((count, n), dtype=np.complex128)

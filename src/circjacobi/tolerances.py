@@ -31,8 +31,8 @@ DEGENERATE_PHASE_TOL = 1e-14
 # minimal circular gap between atoms of a spectral measure
 ATOM_GAP_TOL = 1e-10
 
-# quadrature identity checks
-QUAD_REL_TOL = 1e-6
+# fixed-rule quadrature oracles (disk integral, partition function) vs closed forms, relative
+QUAD_REL_TOL = 1e-9
 
 # relative error of det(Id - U) = prod(1 - gamma_k)
 CHAR_POLY_REL_TOL = 1e-8
@@ -57,9 +57,6 @@ GAMMA_POLE_TOL = 1e-12
 
 # |1 - z| below which `gamma_k_density` warns of its pole at z = 1 (Re(delta) < 0)
 DENSITY_POLE_RADIUS = 1e-6
-
-# angular partition function against quadrature, relative
-PARTITION_REL_TOL = 1e-5
 
 # |I(mu_d)| of the rate function at its minimizer (grid discretization)
 RATE_AT_MINIMIZER_TOL = 1e-3

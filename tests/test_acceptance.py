@@ -92,8 +92,8 @@ def test_criterion_04_coefficient_laws(beta, delta, seed):
     n, draws = 8, 100_000
     rng = SeededRng(seed)
     results = []
-    for k in range(n - 1):
-        spec = DiskDensitySpec(0.5 * beta * (n - k - 1), delta)
+    for a in EnsembleParams(n, beta).radial_exponents[:-1]:
+        spec = DiskDensitySpec(a, delta)
         results.append(check_disk_coefficient(sample_gamma_k(rng, spec, size=draws), spec))
     results.append(check_circle_tilt(sample_lambda_delta(rng, delta, size=draws), delta))
     worst_p = min(r.stat for r in results[:-1])

@@ -135,15 +135,8 @@ class TestMellinFourier:
         params = EnsembleParams(6, 3.0, 0.7 + 0.4j)
         for s, t in ((0.0, 1.0), (1.0, 2.0), (-0.5, 1.5)):
             whole = mellin_fourier(params, s, t)
-            u, v = 0.5 * (t + s), 0.5 * (t - s)
-            parts = np.prod(
-                [
-                    tilted_disk_power_moment(
-                        params.beta_half * (params.n - k - 1), params.delta, u, v
-                    )
-                    for k in range(params.n)
-                ]
-            )
+            parts = np.prod(tilted_disk_power_moment(params.radial_exponents, params.delta,
+                                                     0.5 * (t + s), 0.5 * (t - s)))
             assert abs(whole - parts) <= 1e-10 * abs(whole)
 
     def test_domain(self):
@@ -170,7 +163,7 @@ class TestCoefficientMoments:
 
     def test_first_power_recurrence(self):
         params = EnsembleParams(5, 2.0, 1.0 + 0.5j)
-        a = params.beta_half * (5 - 1 - 1)
+        a = params.radial_exponents[1]
         d = params.delta
         expected = (a + 2 * d.real + 1) / (a + np.conj(d) + 1)
         assert abs(moment_one_minus_gamma(1, params, 1.0) - expected) < 1e-14

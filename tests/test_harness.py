@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,15 +415,13 @@ NORMALIZATION_TRIPLES = [(1.0, 1.0, 1.0), (2.5, 1 - 1j, 1 + 1j)]
 
 
 class TestQuadratureOracles:
-    ORACLE_REL_TOL = 1e-9
-
     def test_disk_integral_matches_closed_form(self):
         triples = (CRITERION_03_TRIPLES + verify_inputs(check_disk_integral)
                    + NORMALIZATION_TRIPLES)
         for ell, s, t in triples:
             quad = gof.disk_integral_quad(ell, s, t)
             closed = gof.disk_integral_closed(ell, s, t)
-            assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (ell, s, t)
+            assert abs(quad - closed) <= tolerances.QUAD_REL_TOL * abs(closed), (ell, s, t)
 
     @pytest.mark.parametrize("ell", [0.05, 0.1, 5.0, 20.0])
     def test_disk_integral_matches_closed_form_over_a_wide_range(self, ell):
@@ -430,7 +429,7 @@ class TestQuadratureOracles:
                      (-0.4, 0.3), (5.0, 5.0)]:
             quad = gof.disk_integral_quad(ell, s, t)
             closed = gof.disk_integral_closed(ell, s, t)
-            assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (ell, s, t)
+            assert abs(quad - closed) <= tolerances.QUAD_REL_TOL * abs(closed), (ell, s, t)
 
     def test_disk_integral_rejects_nonpositive_ell(self):
         for integral in (gof.disk_integral_quad, gof.disk_integral_closed):
@@ -442,18 +441,42 @@ class TestQuadratureOracles:
             with pytest.raises(ParameterError):
                 gof.disk_integral_closed(ell, s, t)
 
+    @pytest.mark.parametrize("call", [
+        lambda: gof.disk_integral_quad(0.5, -0.9, -0.9),
+        lambda: gof.disk_integral_quad(np.inf, 1.0, 1.0),
+        lambda: gof.disk_integral_quad(np.nan, 1.0, 1.0),
+        lambda: gof.disk_integral_quad(1.0, np.inf, 1.0),
+        lambda: gof.partition_quad(1, 2.0, -0.6, -0.6),
+        lambda: gof.partition_quad(2, 2.0, -0.6, -0.6),
+        lambda: gof.partition_quad(1, 2.0, np.inf, 1.0),
+        lambda: gof.partition_quad(0, 2.0, 1.0, 1.0),
+        lambda: gof.partition_quad(3, 2.0, 1.0, 1.0),
+        lambda: gof.partition_quad(2, np.nan, 1.0, 1.0),
+        lambda: gof.partition_quad(2, -2.0, 1.0, 1.0),
+    ])
+    def test_oracles_reject_divergent_and_non_finite_inputs(self, call):
+        # the first, fifth and sixth integrals diverge at z = 1 (Re(ell+1+s+t) < 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                call()
+
+    def test_vanishing_partition_function_is_zero(self):
+        # the circle mean of (1 - z)^-1 (1 - conj z)^2 = -conj(z) (1 - conj z) is 0
+        assert abs(gof.partition_quad(1, 2.0, -1.0, 2.0)) <= tolerances.QUAD_REL_TOL
+
     def test_partition_matches_closed_form(self):
         for n, beta, s, t in CRITERION_08_CASES + verify_inputs(check_partition_quadrature):
             quad = gof.partition_quad(n, beta, s, t)
             closed = analysis.partition_zst(n, beta, s, t)
-            assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed), (n, beta, s, t)
+            assert abs(quad - closed) <= tolerances.QUAD_REL_TOL * abs(closed), (n, beta, s, t)
 
     @pytest.mark.parametrize("beta,s,t", [(1.0, 0.5, 0.7), (3.0, 1.0, 1.0), (0.5, 0.3 + 0.2j, 0.3)])
     def test_partition_graded_at_coincident_angles(self, beta, s, t):
         # beta not even: |e^{i theta_1} - e^{i theta_2}|^beta is not smooth at theta_2 = theta_1
         quad = gof.partition_quad(2, beta, s, t)
         closed = analysis.partition_zst(2, beta, s, t)
-        assert abs(quad - closed) <= self.ORACLE_REL_TOL * abs(closed)
+        assert abs(quad - closed) <= tolerances.QUAD_REL_TOL * abs(closed)
 
 
 class TestDeterministicCheckFaults:
@@ -464,14 +487,14 @@ class TestDeterministicCheckFaults:
         assert check_partition_quadrature(verify_inputs(check_partition_quadrature)).passed
 
     def test_perturbed_disk_closed_form_fails(self, monkeypatch):
-        # 1e-5 is ten times the check's bound QUAD_REL_TOL
+        # 1e-5 is 1e4 times the check's bound QUAD_REL_TOL
         closed = gof.disk_integral_closed
         monkeypatch.setattr(gof, "disk_integral_closed",
                             lambda ell, s, t: closed(ell, s, t) * (1.0 + 1e-5))
         assert not check_disk_integral(verify_inputs(check_disk_integral)).passed
 
     def test_perturbed_partition_closed_form_fails(self, monkeypatch):
-        # 1e-4 is ten times the check's bound PARTITION_REL_TOL
+        # 1e-4 is 1e5 times the check's bound QUAD_REL_TOL
         closed = analysis.partition_zst
         monkeypatch.setattr(analysis, "partition_zst",
                             lambda n, beta, s, t: closed(n, beta, s, t) * (1.0 + 1e-4))

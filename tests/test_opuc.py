@@ -39,6 +39,7 @@ from circjacobi.opuc import (
     circle_angles,
     coeffs_from_pairs,
     coeffs_to_pairs,
+    gamma_rows,
     law_tilt,
     nonnegative_tilt,
     reflection_phases,
@@ -198,18 +199,34 @@ class TestCoefficientBijection:
         assert worst < 1e-12
 
     def test_matches_stepwise_reference(self):
-        # the recursion with the vectorized phase of each prefix, one call per
-        # step, gives bit for bit the same coefficients
+        # the recursion on a one-row (1, n) stack with the vectorized phase of
+        # each prefix, one call per step, gives bit for bit the same coefficients
         gen = np.random.default_rng(8)
         for n in list(range(1, 65)) * 2:
             alphas = random_alphas(gen, n).alphas
-            reference = np.empty(n, dtype=np.complex128)
-            phase = 1.0 + 0.0j
+            reference = np.empty((1, n), dtype=np.complex128)
+            phase = np.ones(1, dtype=np.complex128)
             for k in range(n):
-                reference[k] = np.conj(alphas[k]) * phase
+                reference[:, k] = np.conj(alphas[None, k]) * phase
                 if k < n - 1:
-                    phase *= np.conj(reflection_phases(reference[: k + 1])[k])
-            assert np.array_equal(gamma_from_alpha(VerblunskyCoeffs(alphas)).gammas, reference)
+                    phase = phase * np.conj(reflection_phases(reference[:, : k + 1])[:, k])
+            assert np.array_equal(gamma_from_alpha(VerblunskyCoeffs(alphas)).gammas, reference[0])
+
+    def test_gamma_rows_match_the_one_row_map(self):
+        gen = np.random.default_rng(10)
+        for n in (1, 2, 7, 64):
+            stack = np.array([random_alphas(gen, n).alphas for _ in range(5)])
+            rows = gamma_rows(stack)
+            assert rows.shape == stack.shape
+            for alphas, row in zip(stack, rows):
+                assert np.array_equal(row, gamma_from_alpha(VerblunskyCoeffs(alphas)).gammas)
+        # row 3 holds the plain coefficients of deformed ones whose index 2 equals 1
+        gammas = np.array([0.3j, -0.2 + 0.1j, 1.0 - 5e-15])
+        phases = np.conj((1.0 - gammas[:2]) / (1.0 - np.conj(gammas[:2])))
+        stack = np.array([random_alphas(gen, 4).alphas for _ in range(5)])
+        stack[3, :3] = np.conj(gammas) * np.concatenate(([1.0], np.cumprod(phases)))
+        with pytest.raises(DegenerateCoefficientError, match="coefficient 2 "):
+            gamma_rows(stack)
 
     def test_rows_match_the_one_row_map(self):
         # each row of the stacked map is bit for bit the one-row map, which is

@@ -192,6 +192,17 @@ class TestLogTiltMass:
         got = log_tilt_mass(ell, 0.3 - 2j, 1.1 + 2j)
         assert np.array_equal(got, [log_tilt_mass(x, 0.3 - 2j, 1.1 + 2j) for x in ell])
 
+    def test_power_moment_row_matches_scalars(self):
+        a = EnsembleParams(9, 3.0, 0.7 + 0.4j).radial_exponents
+        got = tilted_disk_power_moment(a, 0.7 + 0.4j, 0.5 - 1j, 1.2 + 0.3j)
+        assert got.shape == a.shape
+        assert np.array_equal(got, [tilted_disk_power_moment(x, 0.7 + 0.4j, 0.5 - 1j, 1.2 + 0.3j)
+                                    for x in a])
+        assert isinstance(tilted_disk_power_moment(a[0], 0.7 + 0.4j, 0.5, 0.5), complex)
+        for bad in ([1.0, -1.0], [0.0, np.nan]):
+            with pytest.raises(ParameterError):
+                tilted_disk_power_moment(np.array(bad), 1.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("ell,s,t", [
         (-0.1, 0.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), ([0.0, -1.0], 0.0, 0.0),
         (1.0, np.inf, 0.0), (1.0, 0.0, complex(0.0, np.nan)),
@@ -465,7 +476,7 @@ class TestSampleEta:
         params = EnsembleParams(6, 2.0, 0.0)
         draws = sample_eta_batch(SeededRng(19, 2), params, 40_000)
         for k in (0, 3):
-            a = params.beta_half * (params.n - k - 1)
+            a = params.radial_exponents[k]
             _, p = scipy.stats.kstest(np.abs(draws[:, k]) ** 2,
                                       scipy.stats.beta(1.0, a).cdf)
             assert p >= SIGNIFICANCE
