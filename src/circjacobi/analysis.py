@@ -33,7 +33,6 @@ __all__ = [
     "mu_d_grid",
     "haar_grid",
     "mu_d_cdf",
-    "mu_d_moment",
     "mellin_fourier",
     "moment_one_minus_gamma",
     "partition_zst",
@@ -57,14 +56,14 @@ __all__ = [
 class LimitParams:
     """Derived constants of the arc limit measure for a given d.
 
-    alpha_d = -conj(d)/(1 + conj(d)) is the limiting coefficient value,
-    theta_d the half-gap angle (sin(theta_d/2) = |d/(1+d)|) and xi_d the
-    rotation (exp(i xi_d) = (1+d)/(1+conj(d))), constrained to
+    gamma_inf = -d/(1 + conj(d)) is the constant deformed coefficient of the
+    limit measure, theta_d the half-gap angle (sin(theta_d/2) = |d/(1+d)|)
+    and xi_d the rotation (exp(i xi_d) = (1+d)/(1+conj(d))), constrained to
     [-theta_d, theta_d].
     """
 
     d: complex
-    alpha_d: complex
+    gamma_inf: complex
     theta_d: float
     xi_d: float
 
@@ -72,21 +71,22 @@ class LimitParams:
     def support(self) -> tuple[float, float]:
         return (self.theta_d + self.xi_d, TWO_PI - self.theta_d + self.xi_d)
 
+    def ensemble(self, n: int, beta: float) -> EnsembleParams:
+        """The ensemble of size n at inverse temperature beta in this limit regime,
+        delta = (beta/2) n d."""
+        return EnsembleParams(n, beta, 0.5 * beta * n * self.d)
+
 
 def limit_params(d: complex) -> LimitParams:
     """Compute the limit constants; requires a finite d with Re(d) >= 0."""
     d = nonnegative_tilt(d)
-    if d == 0:
-        return LimitParams(0j, 0j, 0.0, 0.0)
-    alpha = -np.conj(d) / (1.0 + np.conj(d))
+    gamma_inf = -d / (1.0 + np.conj(d))
     ratio = min(abs(d / (1.0 + d)), 1.0)
     theta_d = 2.0 * float(np.arcsin(ratio))
     xi_d = float(np.angle((1.0 + d) / (1.0 + np.conj(d))))
     if not abs(xi_d) <= theta_d + tol.LIMIT_RANGE_TOL:
         raise ParameterError(f"rotation {xi_d!r} outside [-theta_d, theta_d] for d={d}")
-    if not abs(alpha + 0.5) <= 0.5 + tol.LIMIT_RANGE_TOL:
-        raise ParameterError(f"limit coefficient {alpha!r} outside the admissible disk")
-    return LimitParams(d, complex(alpha), theta_d, xi_d)
+    return LimitParams(d, complex(gamma_inf), theta_d, xi_d)
 
 
 def w_d(params: LimitParams, theta):
@@ -107,7 +107,7 @@ def w_d(params: LimitParams, theta):
         ti = th[inside]
         num = np.sin(0.5 * (ti - params.xi_d)) ** 2 - np.sin(0.5 * params.theta_d) ** 2
         num = np.clip(num, 0.0, None)
-        out[inside] = np.sqrt(num) / (abs(1.0 + params.alpha_d) * np.sin(0.5 * ti))
+        out[inside] = np.sqrt(num) * abs(1.0 + params.d) / np.sin(0.5 * ti)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -176,13 +176,6 @@ def mu_d_cdf(params: LimitParams, t):
         xs, cum = _mu_d_table(params)
         out = np.interp(tt, xs, cum)
     return float(out) if np.isscalar(t) else out
-
-
-def mu_d_moment(params: LimitParams, k: int) -> complex:
-    """k-th trigonometric moment of the limit measure."""
-    if params.d == 0:
-        return complex(1.0 if k == 0 else 0.0)
-    return mu_d_grid(params).moment(k)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +256,9 @@ def b_const(d: complex) -> float:
 def b_const_finite_n(d: complex, n: int, beta: float = 2.0) -> float:
     """Finite-size route to B(d): log partition function at the matched tilt,
     divided by (beta/2) n^2.  Converges to `b_const(d)` as n grows."""
-    d = nonnegative_tilt(d)
-    bh = EnsembleParams(n, beta).beta_half  # checked before the tilt is formed from it
-    log_z = log_partition_zst(n, beta, np.conj(d) * bh * n, d * bh * n)
-    return float(np.real(log_z) / (bh * n * n))
+    params = limit_params(d).ensemble(n, beta)
+    log_z = log_partition_zst(n, beta, np.conj(params.delta), params.delta)
+    return float(np.real(log_z) / (params.beta_half * n * n))
 
 
 def potential_q(d: complex, theta):

@@ -231,7 +231,7 @@ def cmd_sample(config: dict) -> RunManifest:
     # how many eigenangles land outside the large-n support window for the
     # matched scaling parameter d = delta / (beta' n)
     d_equiv = params.delta / (params.beta_half * params.n)
-    if d_equiv.real >= 0 and d_equiv != 0:
+    if d_equiv != 0:
         lp = analysis.limit_params(d_equiv)
         lo, hi = lp.support
         outside = float(np.mean((thetas <= lo) | (thetas >= hi)))
@@ -283,8 +283,7 @@ def cmd_esd_convergence(config: dict) -> RunManifest:
     medians = {}
     rng = sampling.SeededRng(config["seed"], config["stream"])
     for n in ladder:
-        params = opuc.EnsembleParams(n, beta, 0.5 * beta * n * d)
-        thetas, weights = models.sample_cj_spectra(rng, params, reps)
+        thetas, weights = models.sample_cj_spectra(rng, lp.ensemble(n, beta), reps)
         ks_esd, ks_sp, gap = (a.tolist() for a in analysis.convergence_stats(thetas, weights, cdf))
         rows.extend(zip([n] * reps, range(reps), ks_esd, ks_sp, gap))
         medians[n] = {
@@ -331,8 +330,7 @@ def cmd_plot_data(config: dict) -> RunManifest:
                     "midpoint integral of emitted density column")
     )
     if config["mft_n"] > 0:
-        n, beta = config["mft_n"], config["mft_beta"]
-        params = opuc.EnsembleParams(n, beta, 0.5 * beta * n * d)
+        params = lp.ensemble(config["mft_n"], config["mft_beta"])
         ts = np.linspace(0.0, 3.0, 25)
         mft_rows = []
         for t in ts:
@@ -530,10 +528,10 @@ def check_rate_at_minimizer(ds) -> CheckResult:
 
 
 def check_limit_params_example() -> CheckResult:
-    """At d = 1: alpha_d = -1/2, theta_d = pi/3, xi_d = 0."""
+    """At d = 1: gamma_inf = -1/2, theta_d = pi/3, xi_d = 0."""
     lp = analysis.limit_params(1.0)
     ok = (
-        abs(lp.alpha_d + 0.5) <= tol.CLOSED_FORM_TOL
+        abs(lp.gamma_inf + 0.5) <= tol.CLOSED_FORM_TOL
         and abs(lp.theta_d - np.pi / 3.0) <= tol.CLOSED_FORM_TOL
         and abs(lp.xi_d) <= tol.CLOSED_FORM_TOL
     )
@@ -597,9 +595,10 @@ def median_esd_ks(thetas: np.ndarray, weights: np.ndarray, lp: analysis.LimitPar
     return statistics.median(ks_esd.tolist())
 
 
-def check_esd_ks_smoke(thetas: np.ndarray, weights: np.ndarray) -> CheckResult:
-    """Sampled spectra at n = 50, d = 1 are close to the arc law (median KS distance)."""
-    med = median_esd_ks(thetas, weights, analysis.limit_params(1.0))
+def check_esd_ks_smoke(thetas: np.ndarray, weights: np.ndarray,
+                       lp: analysis.LimitParams) -> CheckResult:
+    """Sampled spectra in the regime of `lp` are close to its arc law (median KS distance)."""
+    med = median_esd_ks(thetas, weights, lp)
     return CheckResult("esd-ks-smoke", "statistical", med <= tol.ESD_KS_SMOKE_MAX, med,
                        "median KS to the limit at n=50")
 
@@ -624,9 +623,10 @@ def _stat_plan(seed: int, scale: float):
     params = opuc.EnsembleParams(4, 2.0, 1.0)
     thetas, weights = models.sample_cj_spectra(sampling.SeededRng(seed, 105), params, size(20000))
     yield partial(check_weights_law, weights, thetas, params.beta_half)
+    lp = analysis.limit_params(1.0)
     yield partial(check_esd_ks_smoke,
-                  *models.sample_cj_spectra(sampling.SeededRng(seed, 106),
-                                            opuc.EnsembleParams(50, 2.0, 50.0), 8))
+                  *models.sample_cj_spectra(sampling.SeededRng(seed, 106), lp.ensemble(50, 2.0), 8),
+                  lp)
 
 
 def _verify_plan(seed: int, scale: float, inject_bug: bool):

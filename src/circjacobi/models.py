@@ -214,20 +214,19 @@ def ggt_rows(alphas, *, _alpha_init: complex = -1.0) -> np.ndarray:
 
     The rows are checked as coefficient sequences and the matrices by the
     Gram check of `DenseUnitary.from_entries`.  `_alpha_init` is the
-    fault-injection hook of `ggt_from_alpha`.
+    fault-injection hook behind `verify --inject-bug`; leave it at -1.
     """
     return _gram_checked(_ggt_stack(_coefficient_rows(alphas), _alpha_init))
 
 
-def ggt_from_alpha(coeffs: VerblunskyCoeffs, *, _alpha_init: complex = -1.0) -> DenseUnitary:
+def ggt_from_alpha(coeffs: VerblunskyCoeffs) -> DenseUnitary:
     """Hessenberg matrix of multiplication by z in the orthonormal basis.
 
     Row i carries entries -alpha_{i-1} conj(alpha_j) prod_{p=i}^{j-1} rho_p
     above and on the diagonal (alpha_{-1} = -1), rho_j on the subdiagonal,
-    zeros below: the one-row case of `ggt_rows`.  `_alpha_init` exists only
-    as a fault-injection hook for the verification harness; leave it at -1.
+    zeros below: the one-row case of `ggt_rows`.
     """
-    return DenseUnitary.from_entries(_ggt_stack(coeffs.alphas[None], _alpha_init)[0])
+    return DenseUnitary.from_entries(_ggt_stack(coeffs.alphas[None], -1.0)[0])
 
 
 def _apply_block_columns(u: np.ndarray, k: int, block) -> None:

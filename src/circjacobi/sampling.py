@@ -24,8 +24,8 @@ psi law is a truncated exponential, drawn by inversion.
 
 A block (`sample_eta_batch`) takes one half-angle draw over all entries and
 one Beta draw of 1 - t over the disk columns; the disk sampler forms each
-disk column from them and redraws only the entries that round onto
-|z| >= 1.  Called alone, a sampler draws the pair for its one column.
+disk column from them and pulls an entry that rounds onto |z| >= 1 just
+inside the disk.  Called alone, a sampler draws the pair for its one column.
 
 The densities take a tilt in the law's domain (`opuc.law_tilt`: finite,
 Re(delta) > -1/2); the samplers need a finite Re(delta) >= 0 (`opuc.nonnegative_tilt`).
@@ -255,7 +255,7 @@ def _half_angles(gen: np.random.Generator, big_k: np.ndarray, m: float,
     ks, cs = k.ravel(), cols.ravel()
     psi = np.empty(ks.size)
     inverted = np.flatnonzero(ks == 0.0)
-    psi[inverted] = np.copysign(HALF_PI - _trunc_exp(gen.random(inverted.size), 2.0 * abs(m), np.pi), m)
+    psi[inverted] = np.sign(m) * (HALF_PI - _trunc_exp(gen.random(inverted.size), 2.0 * abs(m), np.pi))
     rejected = pending = np.flatnonzero(ks > 0.0)
     proposed = rejected.size
     top, edge, drop, rate, area = _half_angle_envelopes(big_k, m)
@@ -348,10 +348,13 @@ def sample_gamma_k(rng: SeededRng, spec: DiskDensitySpec, size=None, *, polar=No
         psi = _half_angles(gen, np.array([spec.a + d.real]), d.imag, np.zeros(count, np.intp))
         polar = gen.beta(spec.a, spec.a + 2.0 * d.real + 1.0, size=count), psi
     z = _disk_point(*polar)
-    # Beta draws can round onto the boundary in extreme parameter regimes; redraw those entries
-    bad = np.flatnonzero(np.abs(z) >= 1.0)
-    if bad.size:
-        z[bad] = sample_gamma_k(rng, spec, bad.size)
+    # 1 - t can fall below the rounding of 1 (often at small a), so |z| rounds onto
+    # the boundary; pull such an entry onto the largest radius that rounds below 1,
+    # a move of a few ulp, where a redraw would cut that mass off the law
+    bad = np.abs(z) >= 1.0
+    while np.any(bad):
+        z[bad] *= np.nextafter(1.0, 0.0) / np.abs(z[bad])
+        bad = np.abs(z) >= 1.0
     return complex(z[0]) if size is None else z.reshape(size)
 
 

@@ -49,7 +49,7 @@ ENTROPY_TAIL_TOL = 1e-4
 # closed-form limit parameters at a worked example
 CLOSED_FORM_TOL = 1e-12
 
-# slack of |xi_d| <= theta_d and |alpha_d + 1/2| <= 1/2 on computed limit parameters
+# slack of |xi_d| <= theta_d on computed limit parameters
 LIMIT_RANGE_TOL = 1e-12
 
 # distance of a log Gamma argument from a nonpositive integer that raises `PoleError`

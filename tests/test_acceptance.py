@@ -166,7 +166,7 @@ def test_criterion_09_limit_measure_convergence():
     lp = limit_params(d)
     rng = SeededRng(501)
     medians = [
-        median_esd_ks(*sample_cj_spectra(rng, EnsembleParams(n, beta, 0.5 * beta * n * d), reps), lp)
+        median_esd_ks(*sample_cj_spectra(rng, lp.ensemble(n, beta), reps), lp)
         for n in ladder
     ]
     elapsed = time.perf_counter() - t0
@@ -177,10 +177,11 @@ def test_criterion_09_limit_measure_convergence():
 
 
 def test_criterion_10_coefficient_scaling_limit():
-    n, d, beta = 200, 1.0, 2.0
-    spec = DiskDensitySpec(0.5 * beta * (n - 1), 0.5 * beta * n * d)
+    lp = limit_params(1.0)
+    params = lp.ensemble(200, 2.0)
+    spec = DiskDensitySpec(params.radial_exponents[0], params.delta)
     z = sample_gamma_k(SeededRng(601), spec, size=10_000)
-    target = -d / (1 + np.conj(d))  # = -1/2
+    target = lp.gamma_inf  # = -1/2
     dev_re = se_deviation(z.real, target.real)
     dev_im = se_deviation(z.imag, target.imag)
     ok = dev_re <= SE_BOUND and dev_im <= SE_BOUND

@@ -23,7 +23,6 @@ from circjacobi import (
     moment_one_minus_gamma,
     mu_d_cdf,
     mu_d_grid,
-    mu_d_moment,
     partition_zst,
     potential_q,
     rate_function,
@@ -34,7 +33,7 @@ from circjacobi import (
 )
 from circjacobi import analysis
 from circjacobi.gof import partition_quad, tilted_disk_power_moment
-from circjacobi.opuc import TWO_PI, _arnoldi_alphas
+from circjacobi.opuc import TWO_PI, _arnoldi_alphas, gamma_rows
 from circjacobi.tolerances import B_CONST_TWO_ROUTE_TOL, SE_BOUND, STRUCTURAL_TOL
 
 
@@ -55,11 +54,11 @@ def quadrature_b(d):
 class TestLimitParams:
     def test_zero(self):
         lp = limit_params(0.0)
-        assert lp.alpha_d == 0 and lp.theta_d == 0 and lp.xi_d == 0
+        assert lp.gamma_inf == 0 and lp.theta_d == 0 and lp.xi_d == 0
 
     def test_unit_real(self):
         lp = limit_params(1.0)
-        assert abs(lp.alpha_d + 0.5) < 1e-15
+        assert abs(lp.gamma_inf + 0.5) < 1e-15
         assert abs(lp.theta_d - np.pi / 3.0) < 1e-14
         assert abs(lp.xi_d) < 1e-15
 
@@ -67,12 +66,17 @@ class TestLimitParams:
         lp = limit_params(1j)
         assert abs(lp.theta_d - np.pi / 2) < 1e-14
         assert abs(lp.xi_d - np.pi / 2) < 1e-14
-        assert abs(lp.alpha_d - (-1 + 1j) / 2) < 1e-15
-        assert abs(abs(lp.alpha_d + 0.5) - 0.5) < 1e-15
+        assert abs(lp.gamma_inf - (1 - 1j) / 2) < 1e-15
+        assert abs(abs(lp.gamma_inf) - np.sin(lp.theta_d / 2)) < 1e-15
 
     def test_negative_real_part_rejected(self):
         with pytest.raises(ParameterError):
             limit_params(-0.1)
+
+    @pytest.mark.parametrize("d", [0.0, 1.0, 0.3 + 2j, 1j])
+    def test_ensemble_is_the_matched_tilt(self, d):
+        params = limit_params(d).ensemble(50, 0.5)
+        assert (params.n, params.beta, params.delta) == (50, 0.5, 12.5 * d)
 
 
 class TestLimitDensity:
@@ -93,8 +97,7 @@ class TestLimitDensity:
     @pytest.mark.parametrize("d", [1.0, 1 + 1j])
     def test_first_moment_matches_coefficient_prediction(self, d):
         lp = limit_params(d)
-        predicted = np.conj(lp.alpha_d * np.exp(-1j * lp.xi_d))
-        assert abs(mu_d_moment(lp, 1) - predicted) < 1e-10
+        assert abs(mu_d_grid(lp).moment(1) - lp.gamma_inf) < 1e-10
 
     def test_discretization_recovers_constant_rotated_coefficients(self):
         # recover the first six recursion coefficients of the limit measure
@@ -104,9 +107,22 @@ class TestLimitDensity:
         weights = grid.weights / grid.weights.sum()
         alphas = _arnoldi_alphas(grid.thetas, weights, 6)
         ks = np.arange(6)
-        expected = lp.alpha_d * np.exp(-1j * (ks + 1) * lp.xi_d)
+        expected = np.conj(lp.gamma_inf) * np.exp(-1j * ks * lp.xi_d)
         assert abs(alphas[0] - expected[0]) < 1e-4
         assert np.max(np.abs(alphas - expected)) < 1e-3
+
+    @pytest.mark.parametrize("d,bound", [
+        (1.0, 1e-13), (0.3, 1e-13), (1 + 0.5j, 1e-13), (2.5, 1e-13), (0.2 - 2j, 1e-13),
+        (0.7j, 1e-9), (1j, 1e-9),
+    ])
+    def test_default_grid_has_the_constant_deformed_coefficient(self, d, bound):
+        # mu_d is the measure of the constant deformed coefficient gamma_inf; the
+        # default grid reads it within 3e-15, except at Re(d) = 0, where the
+        # density blows up at the arc endpoint touching 1 and reads 8e-11
+        lp = limit_params(d)
+        grid = mu_d_grid(lp)
+        gammas = gamma_rows(_arnoldi_alphas(grid.thetas, grid.weights / grid.weights.sum(), 12))
+        assert np.max(np.abs(gammas - lp.gamma_inf)) < bound
 
     def test_cdf_monotone_and_clamped(self):
         lp = limit_params(1.0)

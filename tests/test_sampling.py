@@ -1,4 +1,5 @@
 import logging
+import math
 import subprocess
 import sys
 import time
@@ -81,6 +82,16 @@ def acceptance_rates(draw):
 def half_angle(gen, big_k, m, size):
     """`size` half angles of the one-column law at (K, m)."""
     return _half_angles(gen, np.array([float(big_k)]), m, np.zeros(size, dtype=np.intp))
+
+
+def coefficient_power_moments(params):
+    """E[gamma_k^p conj(gamma_k)^q] per column k, keyed (p, q) for p, q <= 2: binomial sums
+    of the moments M(u, v) = E[(1 - gamma)^u (1 - conj gamma)^v], one row call each."""
+    m = {(u, v): tilted_disk_power_moment(params.radial_exponents, params.delta, u, v)
+         for u in range(3) for v in range(3)}
+    return {(p, q): sum(math.comb(p, u) * math.comb(q, v) * (-1) ** (u + v) * m[u, v]
+                        for u in range(p + 1) for v in range(q + 1))
+            for p in range(3) for q in range(3)}
 
 
 class _CallLog:
@@ -293,7 +304,7 @@ class TestLambdaDelta:
                  if "half-angle acceptance" in rec.msg]
         assert rates and min(rates) >= 0.5
 
-    @pytest.mark.parametrize("delta", [3j, 8j])
+    @pytest.mark.parametrize("delta", [3j, 8j, 0.3j, 1j, -1j, -0.3j])
     def test_pure_imaginary_tilt_matches_density(self, delta):
         # Re(delta) = 0: the half angle is a truncated exponential, drawn by inversion
         z = sample_lambda_delta(SeededRng(25), delta, size=100_000)
@@ -529,23 +540,24 @@ class TestSampleEta:
             assert mean_within(draws[:, k].real, expected.real)
             assert mean_within(draws[:, k].imag, expected.imag)
 
-    def test_circle_column_at_pure_imaginary_tilt(self):
+    @pytest.mark.parametrize("delta", [4j, 0.3j, 1j, -1j, -0.3j])
+    def test_circle_column_at_pure_imaginary_tilt(self, delta):
         # K = Re(delta) = 0: the last column is drawn by inversion inside a rejection block
-        delta = 4j
         draws = sample_eta_batch(SeededRng(32), EnsembleParams(5, 2.0, delta), 100_000)
         _, p, _ = circle_angle_chi2(np.angle(draws[:, -1]), delta)
         assert p >= SIGNIFICANCE
 
-    def test_boundary_draws_are_redrawn_alone(self):
+    def test_boundary_draws_are_pulled_inside_alone(self):
         params, count = EnsembleParams(6, 2.0, 1.0), 5
         entries = (np.array([0, 3]), np.array([1, 4]))
         baseline = sample_eta_batch(SeededRng(29), params, count)
         rng = SeededRng(29)
         rng.generator = forced = _ForcedBoundary(rng.generator, entries)
         block = sample_eta_batch(rng, params, count)
-        # the block's two draws, then a redraw of psi and of 1 - t in each of the two columns
-        assert forced.calls == [("beta", (count, 6)), ("beta", (count, 5)), *[("beta", (1,))] * 4]
-        assert np.all(np.abs(block[:, :-1]) < 1.0)
+        # the block's two draws and no redraw: the forced gamma = -1 moves a few ulp inside
+        assert forced.calls == [("beta", (count, 6)), ("beta", (count, 5))]
+        assert np.all(np.abs(block[entries]) < 1.0)
+        assert np.all(np.abs(block[entries] + 1.0) <= 2.0 ** -51)
         assert np.array_equal(np.argwhere(block != baseline), np.transpose(entries))
 
     @pytest.mark.parametrize("delta", [1.0, 1 + 4j])
@@ -572,6 +584,30 @@ class TestSampleEta:
     def test_requires_nonnegative_tilt(self):
         with pytest.raises(ParameterError):
             sample_eta(SeededRng(24), EnsembleParams(3, 2.0, -0.2))
+
+    def test_coefficient_law_sweep(self):
+        # every branch of the draw: the Beta transform at m = 0, the K = 0
+        # inversion, rejection at tiny K and at large |m|, the radial Beta and the
+        # boundary pull.  Each column's mean Re, Im and (disk columns) |gamma_k|^2
+        # is z-tested against its exact mean and variance
+        rng, zs = SeededRng(33), []
+        for n in (1, 2, 8, 50):
+            for beta in (0.1, 1.0, 2.0):
+                for delta in (0, 1, 0.3j, -1j, 0.05 + 1j, 1e-9 + 0.3j, 1 + 8j):
+                    params = EnsembleParams(n, beta, delta)
+                    rows = 4000 if n == 50 else 20_000
+                    draws = sample_eta_batch(rng, params, rows)
+                    power = coefficient_power_moments(params)
+                    mean, square, abs2 = power[1, 0], power[2, 0], power[1, 1].real
+                    for x, exact, var in (
+                        (draws.real, mean.real, (abs2 + square.real) / 2 - mean.real ** 2),
+                        (draws.imag, mean.imag, (abs2 - square.real) / 2 - mean.imag ** 2),
+                        (np.abs(draws[:, :-1]) ** 2, abs2[:-1], power[2, 2].real[:-1] - abs2[:-1] ** 2),
+                    ):
+                        zs.append((x.mean(axis=0) - exact) / np.sqrt(var / rows))
+        z = np.concatenate(zs)
+        bound = scipy.stats.norm.isf(SIGNIFICANCE / (2 * z.size))  # Bonferroni over every z
+        assert np.max(np.abs(z)) <= bound
 
 
 def test_tilted_draws_load_no_scipy_submodule():
