@@ -197,15 +197,9 @@ def mellin_fourier(params: EnsembleParams, s, t) -> complex:
         raise ParameterError("need finite s and t with Re(t) > -1/2 and "
                              f"Re(1 + 2 Re(delta) + t) > 0, got s={s}, t={t}, delta={d}")
     x = params.beta_half * np.arange(params.n) + 1.0
-    log_terms = (
-        complex_log_gamma(x + d)
-        + complex_log_gamma(x + np.conj(d))
-        + complex_log_gamma(x + two_c + t)
-        - complex_log_gamma(x + two_c)
-        - complex_log_gamma(x + d + 0.5 * (t - s))
-        - complex_log_gamma(x + np.conj(d) + 0.5 * (t + s))
-    )
-    return complex(np.exp(np.sum(log_terms)))
+    g = complex_log_gamma(np.stack([x + d, x + np.conj(d), x + two_c + t, x + two_c,
+                                    x + d + 0.5 * (t - s), x + np.conj(d) + 0.5 * (t + s)]))
+    return complex(np.exp(np.sum(g[0] + g[1] + g[2] - g[3] - g[4] - g[5])))
 
 
 def moment_one_minus_gamma(k: int, params: EnsembleParams, s) -> complex:
@@ -225,8 +219,9 @@ def log_partition_zst(n: int, beta: float, s, t) -> complex:
     """
     params = EnsembleParams(n, beta)
     n, bh, ell = params.n, params.beta_half, params.radial_exponents[::-1]
-    terms = complex_log_gamma(ell + 1.0) + log_tilt_mass(ell, s, t)
-    return complex(complex_log_gamma(bh * n + 1.0) - n * complex_log_gamma(bh + 1.0) + np.sum(terms))
+    g = complex_log_gamma(np.append(ell + 1.0, [bh * n + 1.0, bh + 1.0]))
+    terms = g[:n] + log_tilt_mass(ell, s, t)
+    return complex(g[n] - n * g[n + 1] + np.sum(terms))
 
 
 def partition_zst(n: int, beta: float, s, t) -> complex:

@@ -1,5 +1,9 @@
 """Binned goodness-of-fit helpers shared by the test suite and the verifier.
 
+Everything here is NumPy: the chi-square and Kolmogorov-Smirnov tails
+(`chi2_tail`, `ks_one_sided_tail`) and the Gauss-Jacobi rule (`gauss_jacobi`)
+are computed in this module, so the verifier loads no `scipy` submodule.
+
 The binning is fixed by the module constants.  Expected bin masses come
 from composite Gauss-Legendre quadrature (`gauss_panels`, the package's one
 composite rule) of the model density and are self-normalized over the full
@@ -16,8 +20,10 @@ integrand's non-smooth points, and the disk's radial rule is Gauss-Jacobi.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-import scipy
 
 from .errors import ParameterError
 from .opuc import TWO_PI, EnsembleParams, circle_angles, law_tilt
@@ -32,11 +38,14 @@ from .sampling import (
 
 __all__ = [
     "gauss_panels",
+    "gauss_jacobi",
+    "chi2_tail",
     "chi2_from_cells",
     "disk_coefficient_chi2",
     "circle_angle_chi2",
     "pair_angle_chi2",
     "ks_statistic",
+    "ks_one_sided_tail",
     "ks_pvalue",
     "disk_integral_quad",
     "disk_integral_closed",
@@ -54,17 +63,43 @@ MIN_EXPECTED = 10.0
 _PANEL_NODES = 8
 
 
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only; computed once per order,
+    as each takes an eigensolve (0.9 ms at order 64) and `verify` asks for a few."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with `order` points on each panel [edges[i], edges[i+1]].
 
     Returns the nodes and the weights, each of shape (panels, order); row i
     integrates polynomials of degree up to 2 order - 1 over panel i exactly.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre_rule(order)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+
+
+def gauss_jacobi(order: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule with `order` points for the weight (1 + x)^b on [-1, 1], b > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic Jacobi polynomials P_k^(0, b), and each weight
+    is the mass 2^(b+1) / (b+1) of the weight times the squared first
+    component of its eigenvector.  Exact for polynomials of degree up to 2 order - 1.
+    """
+    k = np.arange(1, order)
+    s = 2.0 * k + b
+    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
+    off = 2.0 * k * (k + b) / (s * np.sqrt(s * s - 1.0))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (b + 1.0) / (b + 1.0) * vecs[0] ** 2
 
 
 def _cell_quad_2d(fn, xedges, yedges):
@@ -77,13 +112,64 @@ def _cell_quad_2d(fn, xedges, yedges):
     return (vals * (xw[:, None, :, None] * yw[None, :, None, :])).sum(axis=(2, 3))
 
 
+_TAIL_EPS = 1e-16  # relative size of the last series term or fraction step taken
+_TAIL_TERMS = 10_000  # a bound on either iteration, far above the O(sqrt(dof)) steps each takes
+
+
+def chi2_tail(dof: int, stat: float) -> float:
+    """Upper tail P(X >= stat) of the chi-square law with `dof` degrees of freedom.
+
+    It is the regularized upper incomplete gamma Q(a, x) at a = dof/2 and
+    x = stat/2, from the prefactor x^a e^-x / Gamma(a) times the power series
+    of P = 1 - Q below x = a + 1 and the continued fraction of Q, by Lentz's
+    method, above (Numerical Recipes, sec. 6.2).  The prefactor's log, some
+    hundreds where p is tiny, is kept as an exact sum of terms (a log x split
+    by Dekker's method, so that each product with a = dof/2 is exact), and its
+    rounding error is exponentiated apart.  Within 1e-13 relative wherever
+    p >= 1e-300 and dof <= 150 (the binned tests have at most 143); the error
+    grows with dof with the size of log Gamma(a), to about 1e-11 at dof = 1e4.
+    """
+    a, x = 0.5 * dof, 0.5 * stat
+    if x <= 0.0:
+        return 1.0
+    log_x = math.log(x)
+    big = 134217729.0 * log_x  # 2^27 + 1
+    head = big - (big - log_x)  # the leading 26 bits of log x
+    terms = (a * head, a * (log_x - head), -x, -math.lgamma(a))
+    log_front = math.fsum(terms)
+    front = math.exp(log_front) * (1.0 + math.fsum((*terms, -log_front)))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for i in range(1, _TAIL_TERMS):
+            term *= x / (a + i)
+            total += term
+            if abs(term) < abs(total) * _TAIL_EPS:
+                break
+        return 1.0 - front * total
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, _TAIL_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < _TAIL_EPS:
+            break
+    return front * h
+
+
 def chi2_from_cells(counts, masses):
     """Chi-square p-value for observed cell counts against unnormalized masses.
 
     Counts must be finite and >= 0; masses finite, >= 0 and not all zero.
     Masses are self-normalized; cells with expected count < `MIN_EXPECTED`
     are pooled into one remainder cell.  The p-value is the chi-square upper
-    tail `scipy.special.chdtrc`, the function behind SciPy's `chi2.sf`.
+    tail `chi2_tail`.
     """
     counts = np.asarray(counts, dtype=float).ravel()
     masses = np.asarray(masses, dtype=float).ravel()
@@ -112,17 +198,20 @@ def chi2_from_cells(counts, masses):
         exp[j] += rest_exp
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    return stat, float(scipy.special.chdtrc(dof, stat)), dof
+    return stat, chi2_tail(dof, stat), dof
 
 
 def disk_coefficient_chi2(samples, spec: DiskDensitySpec):
     """Chi-square test of disk samples against the coefficient density.
 
     Bins in (u, phi) with u = |z|^2 (edges at the quantiles of the untilted
-    radial law) and a uniform angular split.
+    radial law) and a uniform angular split.  Raises `ParameterError` on a
+    sample that no cell holds: non-finite or with |z|^2 > 1.
     """
     z = np.asarray(samples, dtype=np.complex128).ravel()
     u = np.abs(z) ** 2
+    if not np.all(u <= 1.0):
+        raise ParameterError("disk samples must be finite with |z|^2 <= 1")
     phi = circle_angles(np.angle(z))
     q = np.linspace(0.0, 1.0, DISK_RADIAL_BINS + 1)
     u_edges = 1.0 - (1.0 - q) ** (1.0 / spec.a)
@@ -138,9 +227,17 @@ def disk_coefficient_chi2(samples, spec: DiskDensitySpec):
     return chi2_from_cells(counts, masses)
 
 
+def _finite_angles(thetas) -> np.ndarray:
+    """The angles as a float array; `ParameterError` if one is not finite (no bin would hold it)."""
+    arr = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("angles must be finite")
+    return arr
+
+
 def circle_angle_chi2(thetas, delta: complex):
-    """Chi-square test of circle angles against the tilted circle law."""
-    th = circle_angles(np.asarray(thetas, dtype=float).ravel())
+    """Chi-square test of circle angles against the tilted circle law; the angles must be finite."""
+    th = circle_angles(_finite_angles(thetas).ravel())
     edges = np.linspace(0.0, TWO_PI, CIRCLE_BINS + 1)
     counts, _ = np.histogram(th, bins=edges)
     nodes, weights = gauss_panels(edges, _PANEL_NODES)
@@ -149,8 +246,8 @@ def circle_angle_chi2(thetas, delta: complex):
 
 
 def pair_angle_chi2(pairs, density):
-    """Chi-square test of angle pairs against an unnormalized joint density."""
-    arr = np.asarray(pairs, dtype=float)
+    """Chi-square test of angle pairs against an unnormalized joint density; the angles must be finite."""
+    arr = _finite_angles(pairs)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParameterError("expected an array of angle pairs")
     edges = np.linspace(0.0, TWO_PI, PAIR_BINS + 1)
@@ -168,12 +265,32 @@ def ks_statistic(cum, f):
     return np.maximum(np.max(np.abs(left - f), axis=-1), np.max(np.abs(cum - f), axis=-1))
 
 
+def ks_one_sided_tail(n: int, d: float) -> float:
+    """P(D_n^+ >= d), the exact one-sided Kolmogorov-Smirnov tail of n samples.
+
+    The Birnbaum-Tingey sum d sum_{j <= n(1-d)} C(n, j) (1 - d - j/n)^(n-j)
+    (d + j/n)^(j-1), each term formed as the exponential of its log; the
+    binomial logs are running sums of log((n - j + 1) / j).  The terms are
+    positive, so the sum loses no digits to cancellation.
+    """
+    if d <= 0.0:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    j = np.arange(min(math.floor(n * (1.0 - d)), n - 1) + 1)
+    log_binom = np.append(0.0, np.cumsum(np.log((n - j[1:] + 1.0) / j[1:])))
+    s = np.minimum(d + j / n, 1.0)
+    with np.errstate(divide="ignore"):  # the end term at s = 1 has the log of 0
+        log_terms = log_binom + (n - j) * np.log1p(-s) + (j - 1) * np.log(s)
+    return float(d * np.sum(np.exp(log_terms)))
+
+
 def ks_pvalue(samples, cdf) -> tuple[float, float]:
     """Two-sided Kolmogorov-Smirnov statistic D and p-value of samples against a cdf callable.
 
     D = `ks_statistic` at equal weights, max(D+, D-) as SciPy's `kstest` forms
-    it.  The p-value is min(1, 2 smirnov(n, D)), twice the one-sided tail
-    `scipy.special.smirnov`.  It is the exact two-sided tail (Simard and
+    it.  The p-value is min(1, 2 P(D_n^+ >= D)), twice the one-sided tail
+    `ks_one_sided_tail`.  It is the exact two-sided tail (Simard and
     L'Ecuyer 2011) when n > 140 and n D^2 >= 2.2, which covers every p below
     about 0.025; elsewhere it bounds the exact tail from above.
     """
@@ -185,7 +302,7 @@ def ks_pvalue(samples, cdf) -> tuple[float, float]:
     if f.shape != x.shape or not np.all((f >= 0.0) & (f <= 1.0)):
         raise ParameterError("cdf must return one finite value in [0, 1] per sample")
     d = float(ks_statistic(np.arange(1, n + 1) / n, f))
-    return d, min(1.0, 2.0 * float(scipy.special.smirnov(n, d)))
+    return d, min(1.0, 2.0 * ks_one_sided_tail(n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +358,7 @@ def disk_integral_quad(ell: float, s, t) -> complex:
     ell, s, t = tilt_mass_domain(ell, s, t)
     if not ell > 0:
         raise ParameterError("need ell > 0")
-    x, weights = scipy.special.roots_jacobi(_RADIAL_NODES, 0.0, 4.0 * ell - 1.0)
+    x, weights = gauss_jacobi(_RADIAL_NODES, 4.0 * ell - 1.0)
     w = 0.5 * (1.0 + x)  # the rule on [-1, 1] moved to [0, 1]
     angular = _tilt(1.0 - w[:, None] ** 4, _CIRCLE_X, s, t) @ _CIRCLE_W
     # d^2z = du dtheta / 2, and w^(4 ell-1) dw = 2^(-4 ell) (1+x)^(4 ell-1) dx
@@ -291,7 +408,7 @@ def partition_quad(n: int, beta: float, s, t) -> complex:
     if beta % 2.0 == 0.0:
         m = int(beta) // 2
         k = np.arange(-m, m + 1)
-        coeffs = (-1.0) ** k * scipy.special.comb(2 * m, m + k)
+        coeffs = np.array([(-1.0) ** j * math.comb(2 * m, m + j) for j in k.tolist()])
         fourier = np.exp(1j * k[:, None] * _CIRCLE_X) @ weights
         total = coeffs @ (fourier * fourier[::-1])
     else:

@@ -95,7 +95,7 @@ def test_criterion_04_coefficient_laws(beta, delta, seed):
     for a in EnsembleParams(n, beta).radial_exponents[:-1]:
         spec = DiskDensitySpec(a, delta)
         results.append(check_disk_coefficient(sample_gamma_k(rng, spec, size=draws), spec))
-    results.append(check_circle_tilt(sample_lambda_delta(rng, delta, size=draws), delta))
+    results.append(check_circle_tilt([(sample_lambda_delta(rng, delta, size=draws), delta)]))
     worst_p = min(r.stat for r in results[:-1])
     report(4, f"coefficient laws (n=8, beta={beta}, delta={delta})",
            all(r.passed for r in results),

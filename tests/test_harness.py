@@ -148,9 +148,10 @@ def test_batched_spectra_load_no_scipy_linalg():
 
 def test_each_command_loads_only_the_scipy_submodules_it_uses(tmp_path):
     # one process runs the five commands in turn, as a long-lived caller
-    # would; verify takes its p-values and quadrature rules from
-    # scipy.special, and scipy.stats or scipy.integrate would each add about
-    # 20 MB and 0.2-0.3 s to a run
+    # would, and none of them loads a scipy submodule: verify's p-values,
+    # quadrature rules and log Gamma are NumPy code of the package, and
+    # scipy.linalg and scipy.special together added about 30 MB and 0.2 s to
+    # a verify run; scipy.stats or scipy.integrate would each add about 20 MB
     src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
     runs = [
         ("sample", {"n": 50, "samples": 3, "delta_re": 1.0, "delta_im": 0.5}),
@@ -173,8 +174,7 @@ def test_each_command_loads_only_the_scipy_submodules_it_uses(tmp_path):
                          check=True, timeout=300)
     loaded = json.loads(out.stdout)
     assert loaded["sample"] == loaded["dump-matrix"] == loaded["esd-convergence"] == []
-    assert loaded["plot-data"] == ["special"]
-    assert loaded["verify"] == ["linalg", "special"]
+    assert loaded["plot-data"] == loaded["verify"] == []
 
 
 def test_cli_flags_are_the_config_keys():
@@ -354,8 +354,8 @@ class TestVerifyCommand:
         assert failed == ["factorization-three-models"]
 
     def test_check_times_exclude_the_scipy_load(self, tmp_path):
-        # a fresh process pays the first use of each scipy submodule once,
-        # before the first check's timer; warm, these two checks take ~2 ms
+        # in a fresh process no check pays for loading a scipy submodule, as
+        # none is loaded; warm, these two checks take ~2 ms
         out = tmp_path / "v.json"
         src = str(Path(__import__("circjacobi").__file__).resolve().parent.parent)
         code = (
@@ -364,9 +364,7 @@ class TestVerifyCommand:
         )
         subprocess.run([sys.executable, "-c", code, "verify", "--scale", "0.1", "--out", str(out)],
                        check=True, timeout=300, capture_output=True)
-        summary = json.loads(out.read_text())["summary"]
-        assert summary["scipy_load_s"] > 0.0
-        wall = summary["check_wall_s"]
+        wall = json.loads(out.read_text())["summary"]["check_wall_s"]
         assert wall["nu-s-radial-uniformity"] < 0.1
         assert wall["cmv-bandwidth-and-spectrum"] < 0.1
 
@@ -378,6 +376,17 @@ class TestVerifyCommand:
             checks = [check() for check in _stat_plan(seed, scale=0.05)]
             clean += all(c.passed for c in checks)
         assert clean >= 19
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_circle_tilt_check_catches_the_folded_half_angle(self, scale):
+        # verify's own draws at delta = 0.3i, folded as the K = 0 half angle
+        # once was (psi -> sign(m) |psi|, m = Im delta), fail the check
+        check = next(c for c in _stat_plan(1234, scale) if c.func.__name__ == "check_circle_tilt")
+        assert check().passed
+        (z, delta), = [(z, d) for z, d in check.args[0] if d == 0.3j]
+        folded = -np.exp(1j * np.abs(np.angle(-z)))  # z = -exp(2i psi)
+        result = check.func([(folded, delta)])
+        assert not result.passed and result.stat < 1e-12
 
     def test_weights_check_catches_biased_first_weight(self):
         # Dirichlet(1, 1, 1, 1) weights with independent uniform angles pass;
@@ -393,7 +402,7 @@ class TestVerifyCommand:
 
     def test_deterministic_checks_are_seed_independent_in_outcome(self):
         for seed in (1, 2):
-            checks, _, _ = run_verify_checks(seed, scale=0.05)
+            checks, _ = run_verify_checks(seed, scale=0.05)
             det = [c for c in checks if c.kind == "deterministic"]
             assert all(c.passed for c in det)
 
